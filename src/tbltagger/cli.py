@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 
 from .corpus import (AlignmentError, TaggerError, load_tagset,
                      parse_raw_corpus, parse_tagged_corpus,
@@ -33,8 +35,26 @@ def _read(path):
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_atomically(path, (text,))
+
+
+def _write_atomically(path, chunks):
+    """Write the text chunks to a temp file next to ``path`` and rename it
+    into place: ``path`` is left untouched unless every chunk is written."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=".tbltagger-", dir=directory)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        # mkstemp creates the file private; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _train_config(args) -> TrainConfig:
@@ -89,10 +109,9 @@ def cmd_tag(args) -> int:
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_IO
-    with open(args.out, "w", encoding="utf-8") as out:
-        for sent in parse_raw_corpus(text):
-            tagged = tag_corpus([sent], model)
-            out.write(serialize_tagged_corpus(tagged))
+    _write_atomically(args.out, (
+        serialize_tagged_corpus(tag_corpus([sent], model))
+        for sent in parse_raw_corpus(text)))
     return EXIT_OK
 
 

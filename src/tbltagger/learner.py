@@ -8,12 +8,18 @@ selecting at each step the rule with the highest true (apply-and-count)
 error reduction. Both stages stop when no candidate reaches the score
 threshold.
 
-The greedy steps are exact but use inverted-index scoring: one pass over
-the types (or tokens) accumulates match counts per candidate key instead of
-re-scanning the corpus per candidate. For contextual rules the dynamic net
-equals the static count except where two potential application sites fall
-within the context window of each other; only those sentences are
-re-simulated. Equivalence with the direct scorers is covered by tests.
+The greedy steps are exact. Lexical steps use inverted-index scoring: one
+pass over the types accumulates match counts per candidate key instead of
+re-scanning the types per candidate. Contextual learning keeps its counts
+across steps, after the rule indexing of Ramshaw & Marcus (1994) and fnTBL
+(Ngai & Florian 2001): one pass over the tokens counts the match sites of
+every candidate key; accepting a rule re-derives the counts of only the
+sentences it changed and rescores only the keys they touch. The dynamic net
+equals the static count except where a match site has another from_tag
+position within the context window after it; only those sentences are
+re-simulated, and only for candidates whose argument tags include the
+rule's from_tag or to_tag. Equivalence with the direct scorers and with a
+full rescan per step is covered by tests.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import bisect
 import logging
 import math
 import random
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -29,10 +36,9 @@ from typing import Optional
 from .corpus import TaggedCorpus, TaggerError, select_sentences
 from .lexicon import (InitialRuleChain, Lexicon, build_lexicon,
                       default_greek_chain, initial_tag)
-from .rules import (ContextualRule, LexicalRule, TaggerModel,
-                    apply_contextual_rule, apply_lexical_rules,
-                    context_predicate, contextual_rule_matches,
-                    lexical_rule_matches)
+from .rules import (CONTEXTUAL_TEMPLATES, ContextualRule, LexicalRule,
+                    TaggerModel, apply_lexical_rules, context_predicate,
+                    contextual_rule_matches, lexical_rule_matches)
 
 logger = logging.getLogger(__name__)
 
@@ -269,19 +275,19 @@ def learn_lexical_rules(train: TaggedCorpus,
         for word in states
     }
 
+    errors = weighted_type_errors(states)
     rules = []
-    iteration = 0
     while (config.max_rules_per_phase is None
            or len(rules) < config.max_rules_per_phase):
-        iteration += 1
         best = _lexical_iteration(states, feature_cache, config.score_threshold)
         if best is None:
             break
         rule, score = best
         states = apply_lexical_rule_to_states(rule, states, guess)
         rules.append(rule)
+        errors -= score.net
         logger.info("lexical %d %s net=%d errors_remaining=%d",
-                    iteration, rule, score.net, weighted_type_errors(states))
+                    len(rules), rule, score.net, errors)
     return build_lexicon(train), tuple(rules)
 
 
@@ -402,169 +408,372 @@ def dynamic_contextual_score(rule: ContextualRule, state, gold,
     return RuleScore(good, bad)
 
 
+def _rewrite_sentence(template, args, to_tag, words, tags, positions):
+    """The tags after applying the rule within one sentence, visiting the
+    given from_tag positions left to right with immediate effect; None when
+    no position matches. ``tags`` is left unchanged."""
+    modified = None
+    for p in positions:
+        if context_predicate(template, args, words,
+                             tags if modified is None else modified, p):
+            if modified is None:
+                modified = list(tags)
+            modified[p] = to_tag
+    return modified
+
+
 def _simulate_sentence(template, args, to_tag, sent_state, gtags, positions):
     """Apply the rule within one sentence, visiting the given from_tag
     positions left to right with immediate effect; returns (good, bad)."""
     words, tags = sent_state
-    modified = None
+    modified = _rewrite_sentence(template, args, to_tag, words, tags,
+                                 positions)
     good = bad = 0
-    for p in positions:
-        cur = tags if modified is None else modified
-        if context_predicate(template, args, words, cur, p):
-            if modified is None:
-                modified = list(tags)
-            if modified[p] == gtags[p]:
-                bad += 1
-            elif to_tag == gtags[p]:
-                good += 1
-            modified[p] = to_tag
+    if modified is not None:
+        for p in positions:
+            if modified[p] != tags[p]:
+                if tags[p] == gtags[p]:
+                    bad += 1
+                elif to_tag == gtags[p]:
+                    good += 1
     return good, bad
 
 
-def _has_near(sorted_positions, p, window=CONTEXT_WINDOW):
-    """True if another position within `window` of p is in the sorted list."""
-    i = bisect.bisect_left(sorted_positions, p - window)
-    while i < len(sorted_positions) and sorted_positions[i] <= p + window:
-        if sorted_positions[i] != p:
-            return True
-        i += 1
-    return False
+_TEMPLATE_NAMES = tuple(sorted(CONTEXTUAL_TEMPLATES))
 
 
-def _contextual_iteration(state, gold, threshold):
-    """One greedy step with exact dynamic scoring.
+class _ContextualLearner:
+    """Exact greedy contextual learning that keeps its counts across steps.
 
-    A single pass collects, per (template, args, from_tag) key, every
-    position the key matches in the current state. Applying a rule changes
-    matched positions from from_tag to to_tag, which can perturb a tag
-    predicate only where the predicate's argument equals one of those two
-    tags; word predicates are never perturbed. For all other candidates the
-    dynamic net equals the static match count. The rare perturbable
-    candidates fall back to re-simulating the sentences in which a match
-    site has another from_tag position within the context window.
+    Tags and words are coded as their ranks in sorted order, and a candidate
+    key ``(template, args, from_tag)`` as one integer whose order is the
+    rule sort order (see ``_decode``); a candidate rule is ``key * T +
+    to_tag``. Per key the learner keeps the number of match sites whose
+    gold tag is from_tag (``correct``, the static bad count) and the gold
+    tags of its error sites (``fixes``, the static good count per to_tag).
+
+    Applying a rule changes matched positions from from_tag to to_tag,
+    which can perturb a tag predicate only where the predicate's argument
+    equals one of those two tags; word predicates are never perturbed. The
+    first position where applying left to right decides otherwise than the
+    static count must read an earlier match within the context window, so
+    a sentence needs re-simulating for a tag key only if a match site there
+    has another from_tag position at most CONTEXT_WINDOW to its right
+    (``inter``: tag key -> sorted sentence numbers). Once a key has a
+    candidate that can be perturbed and may reach the threshold, the
+    learner keeps the sum of its corrections (dynamic minus static counts)
+    over those sentences in ``corrections``.
+
+    Accepting a rule rewrites only the sentences holding its from_tag. For
+    each sentence it changed, the contributions derived from the old tags
+    are subtracted and those of the new tags added, and only the keys so
+    touched are scored again. Candidates reaching the threshold are kept in
+    ``live``.
     """
-    sites = {}      # ((template, *args), from_tag) -> [(sent, pos), ...]
-    tos = {}        # same key -> {gold tags of matching error sites}
-    pos_by = {}     # (sent, tag) -> ascending positions
-    for s in range(len(state)):
-        words, tags = state[s]
-        gtags = gold[s]
+
+    def __init__(self, state, gold, threshold: int):
+        tag_names = sorted({t for _, tags in state for t in tags}
+                           | {t for gtags in gold for t in gtags})
+        word_names = sorted({w for words, _ in state for w in words})
+        self.tag_names, self.word_names = tag_names, word_names
+        self.tag_id = {t: i for i, t in enumerate(tag_names)}
+        self.word_id = {w: i for i, w in enumerate(word_names)}
+        self.T = len(tag_names)
+        self.R = max(self.T, len(word_names), 1)
+        self.base = {name: rank * self.R * self.R * self.T
+                     for rank, name in enumerate(_TEMPLATE_NAMES)}
+        self.threshold = threshold
+        self.words = [tuple(self.word_id[w] for w in words)
+                      for words, _ in state]
+        self.tags = [[self.tag_id[t] for t in tags] for _, tags in state]
+        self.gold = [[self.tag_id[t] for t in gtags] for gtags in gold]
+        self.correct = {}       # key -> match sites already correct
+        self.fixes = {}         # key -> {gold tag: match sites in error}
+        self.inter = {}         # tag key -> array of sentence numbers
+        self.corrections = {}   # key -> (moved, own), see _correct
+        self.live = {}          # key -> {to_tag: (good, bad)}, net >= threshold
+        self.holders = defaultdict(set)  # tag -> sentences holding it
+        # confusion[tag][gold]: tokens currently tagged tag whose gold is gold
+        self.confusion = [[0] * self.T for _ in range(self.T)]
+        for s, tags in enumerate(self.tags):
+            for t in set(tags):
+                self.holders[t].add(s)
+            for t, g in zip(tags, self.gold[s]):
+                self.confusion[t][g] += 1
+            near = set()
+            self._count(s, tags, 1, None, near)
+            for k in near:
+                sents = self.inter.get(k)
+                if sents is None:
+                    self.inter[k] = array("l", (s,))
+                else:
+                    sents.append(s)
+        for key in self.fixes:
+            self._rescore(key)
+
+    def _count(self, s, tags, sign, touched, near):
+        """Add (sign 1) or subtract (sign -1) the match sites of sentence
+        ``s`` under ``tags``. Every key seen goes into ``touched`` (unless
+        None), every tag key at a site with a near twin into ``near``."""
+        words = self.words[s]
+        gtags = self.gold[s]
+        correct, fixes = self.correct, self.fixes
+        T = self.T
+        RT = self.R * T
+        base = self.base
+        PW, NW = base["PREVWD"], base["NEXTWD"]
+        PT, NT = base["PREVTAG"], base["NEXTTAG"]
+        P2, N2 = base["PREV2TAG"], base["NEXT2TAG"]
+        P12, N12 = base["PREV1OR2TAG"], base["NEXT1OR2TAG"]
+        P123, N123 = base["PREV1OR2OR3TAG"], base["NEXT1OR2OR3TAG"]
+        PB, NB, SR = base["PREVBIGRAM"], base["NEXTBIGRAM"], base["SURROUNDTAG"]
         n = len(tags)
         for p in range(n):
-            frm = tags[p]
-            plist = pos_by.get((s, frm))
-            if plist is None:
-                pos_by[(s, frm)] = [p]
-            else:
-                plist.append(p)
-            inst = []
+            f = tags[p]
+            keys = []
+            if p >= 1:
+                keys.append(PW + words[p - 1] * RT + f)
+            if p + 1 < n:
+                keys.append(NW + words[p + 1] * RT + f)
+            n_word = len(keys)
             if p >= 1:
                 t1 = tags[p - 1]
-                inst.append(("PREVTAG", t1))
-                inst.append(("PREVWD", words[p - 1]))
-                inst.append(("PREV1OR2TAG", t1))
-                inst.append(("PREV1OR2OR3TAG", t1))
+                x1 = t1 * RT + f
+                keys.append(PT + x1)
+                keys.append(P12 + x1)
+                keys.append(P123 + x1)
                 if p >= 2:
                     t2 = tags[p - 2]
-                    inst.append(("PREV2TAG", t2))
+                    x2 = t2 * RT + f
+                    keys.append(P2 + x2)
                     if t2 != t1:
-                        inst.append(("PREV1OR2TAG", t2))
-                        inst.append(("PREV1OR2OR3TAG", t2))
-                    inst.append(("PREVBIGRAM", t2, t1))
+                        keys.append(P12 + x2)
+                        keys.append(P123 + x2)
+                    keys.append(PB + x2 + t1 * T)
                     if p >= 3:
                         t3 = tags[p - 3]
                         if t3 != t1 and t3 != t2:
-                            inst.append(("PREV1OR2OR3TAG", t3))
+                            keys.append(P123 + t3 * RT + f)
             if p + 1 < n:
                 u1 = tags[p + 1]
-                inst.append(("NEXTTAG", u1))
-                inst.append(("NEXTWD", words[p + 1]))
-                inst.append(("NEXT1OR2TAG", u1))
-                inst.append(("NEXT1OR2OR3TAG", u1))
+                y1 = u1 * RT + f
+                keys.append(NT + y1)
+                keys.append(N12 + y1)
+                keys.append(N123 + y1)
                 if p + 2 < n:
                     u2 = tags[p + 2]
-                    inst.append(("NEXT2TAG", u2))
+                    y2 = u2 * RT + f
+                    keys.append(N2 + y2)
                     if u2 != u1:
-                        inst.append(("NEXT1OR2TAG", u2))
-                        inst.append(("NEXT1OR2OR3TAG", u2))
-                    inst.append(("NEXTBIGRAM", u1, u2))
+                        keys.append(N12 + y2)
+                        keys.append(N123 + y2)
+                    keys.append(NB + y1 + u2 * T)
                     if p + 3 < n:
                         u3 = tags[p + 3]
                         if u3 != u1 and u3 != u2:
-                            inst.append(("NEXT1OR2OR3TAG", u3))
+                            keys.append(N123 + u3 * RT + f)
                 if p >= 1:
-                    inst.append(("SURROUNDTAG", tags[p - 1], u1))
-            err = frm != gtags[p]
+                    keys.append(SR + x1 + u1 * T)
             g = gtags[p]
-            site = (s, p)
-            for it in inst:
-                key = (it, frm)
-                lst = sites.get(key)
-                if lst is None:
-                    sites[key] = [site]
-                else:
-                    lst.append(site)
-                if err:
-                    to_set = tos.get(key)
-                    if to_set is None:
-                        tos[key] = {g}
+            if g == f:
+                for k in keys:
+                    c = correct.get(k, 0) + sign
+                    if c:
+                        correct[k] = c
                     else:
-                        to_set.add(g)
-    best = None
-    for key, to_set in tos.items():
-        it, frm = key
-        template = it[0]
-        site_list = sites[key]
-        n_correct = 0
-        gold_counts = {}
-        for s, p in site_list:
-            g = gold[s][p]
-            if g == frm:
-                n_correct += 1
+                        del correct[k]
             else:
-                gold_counts[g] = gold_counts.get(g, 0) + 1
-        word_based = template in _WORD_TEMPLATES
-        frm_in_args = not word_based and frm in it[1:]
-        interacting = None  # computed lazily, shared across to_tags
-        for to in to_set:
-            if word_based or not (frm_in_args or to in it[1:]):
-                good = gold_counts.get(to, 0)
-                bad = n_correct
+                for k in keys:
+                    fx = fixes.get(k)
+                    if fx is None:
+                        fixes[k] = {g: sign}
+                        continue
+                    c = fx.get(g, 0) + sign
+                    if c:
+                        fx[g] = c
+                    elif len(fx) > 1:
+                        del fx[g]
+                    else:
+                        del fixes[k]
+            if touched is not None:
+                touched.update(keys)
+            if f in tags[p + 1:p + 1 + CONTEXT_WINDOW]:
+                near.update(keys[n_word:])
+
+    def _decode(self, key):
+        """(template, coded args, coded from_tag) of a key, which is
+        ``((template rank * R + arg1) * R + arg2) * T + from_tag``."""
+        key, frm = divmod(key, self.T)
+        key, a2 = divmod(key, self.R)
+        rank, a1 = divmod(key, self.R)
+        template = _TEMPLATE_NAMES[rank]
+        if CONTEXTUAL_TEMPLATES[template] == 1:
+            return template, (a1,), frm
+        return template, (a1, a2), frm
+
+    def _rescore(self, key):
+        self.live.pop(key, None)
+        fx = self.fixes.get(key)
+        if not fx:
+            return
+        bad = self.correct.get(key, 0)
+        template, args, frm = self._decode(key)
+        word = template in _WORD_TEMPLATES
+        frm_in_args = frm in args and not word
+        with_gold = self.confusion[frm]
+        totals = None
+        # Only track a key whose perturbable candidates can reach the
+        # threshold: a to_tag outside the args only removes match sites
+        # (so net <= good), one in the args only adds sites when from_tag
+        # is not an arg (net <= with_gold[to] - bad), and in any case no
+        # more than with_gold[to] positions can be fixed.
+        for to, good in fx.items():
+            if word or not (frm_in_args or to in args):
+                continue
+            if to not in args:
+                bound = good
+            elif frm_in_args:
+                bound = with_gold[to]
             else:
-                if interacting is None:
-                    interacting = {
-                        s for s, p in site_list
-                        if _has_near(pos_by[(s, frm)], p)
-                    }
-                if not interacting:
-                    good = gold_counts.get(to, 0)
-                    bad = n_correct
+                bound = with_gold[to] - bad
+            if bound >= self.threshold:
+                totals = self.corrections.get(key) or self._track(key)
+                break
+        else:
+            self.corrections.pop(key, None)
+        live = {}
+        for to, good in fx.items():
+            dg = db = 0
+            if not word and (frm_in_args or to in args):
+                if totals is None:
+                    continue
+                moved, own = totals
+                if to in args:
+                    dg, db = own.get(to, (0, 0))
                 else:
-                    good = bad = 0
-                    for s, p in site_list:
-                        if s in interacting:
-                            continue
-                        g = gold[s][p]
-                        if g == frm:
-                            bad += 1
-                        elif g == to:
-                            good += 1
-                    for s in interacting:
-                        g2, b2 = _simulate_sentence(template, it[1:], to,
-                                                    state[s], gold[s],
-                                                    pos_by[(s, frm)])
-                        good += g2
-                        bad += b2
-            cand_key = (-(good - bad), (template, it[1:], frm, to))
-            if best is None or cand_key < best[0]:
-                best = (cand_key, good, bad)
-    if best is None:
-        return None
-    (_, (template, args, frm, to)), good, bad = best[0], best[1], best[2]
-    score = RuleScore(good, bad)
-    if score.net < threshold:
-        return None
-    return ContextualRule(template, args, frm, to), score
+                    dg, db = moved.get(to, 0), moved.get(frm, 0)
+            if good + dg - bad - db >= self.threshold:
+                live[to] = (good + dg, bad + db)
+        if live:
+            self.live[key] = live
+
+    def _track(self, key):
+        """Start keeping the corrections of a key that can be perturbed."""
+        totals = self.corrections[key] = ({}, {})
+        for s in self.inter.get(key, ()):
+            self._correct(totals, key, s, self.tags[s], 1)
+        return totals
+
+    def _correct(self, totals, key, s, tags, sign):
+        """Add ``sign`` times the dynamic minus static counts of a key in
+        sentence s under ``tags`` to ``totals``, for every to_tag at once.
+
+        A to_tag outside the args moves the same positions whichever it is,
+        so one simulation gives ``moved``: gold tag -> change in the number
+        of moved positions with that gold. Each arg other than from_tag is
+        simulated on its own, giving ``own``: arg -> (d_good, d_bad).
+        """
+        moved, own = totals
+        template, args, frm = self._decode(key)
+        words, gtags = self.words[s], self.gold[s]
+        positions = [p for p, t in enumerate(tags) if t == frm]
+        static = [p for p in positions
+                  if context_predicate(template, args, words, tags, p)]
+        if frm in args:
+            new = _rewrite_sentence(template, args, -1, words, tags,
+                                    positions) or tags
+            for p in positions:
+                if new[p] != tags[p]:
+                    moved[gtags[p]] = moved.get(gtags[p], 0) + sign
+            for p in static:
+                moved[gtags[p]] = moved.get(gtags[p], 0) - sign
+        for a in set(args):
+            if a == frm:
+                continue
+            new = _rewrite_sentence(template, args, a, words, tags,
+                                    positions) or tags
+            dg = db = 0
+            for p in positions:
+                if new[p] != tags[p]:
+                    dg += gtags[p] == a
+                    db += gtags[p] == frm
+            for p in static:
+                dg -= gtags[p] == a
+                db -= gtags[p] == frm
+            if dg or db:
+                og, ob = own.get(a, (0, 0))
+                own[a] = (og + sign * dg, ob + sign * db)
+
+    def best(self):
+        """(rule, score) with the highest net, ties broken by the rule sort
+        key; None when no candidate reaches the threshold."""
+        best = None
+        T = self.T
+        for key, live in self.live.items():
+            for to, (good, bad) in live.items():
+                order = (bad - good, key * T + to)
+                if best is None or order < best[0]:
+                    best = (order, good, bad)
+        if best is None:
+            return None
+        (_, cand), good, bad = best
+        key, to = divmod(cand, T)
+        template, args, frm = self._decode(key)
+        names = (self.word_names if template in _WORD_TEMPLATES
+                 else self.tag_names)
+        rule = ContextualRule(template, tuple(names[a] for a in args),
+                              self.tag_names[frm], self.tag_names[to])
+        return rule, RuleScore(good, bad)
+
+    def apply(self, rule: ContextualRule) -> None:
+        """Apply a rule to the sentences holding its from_tag and bring the
+        counts and scores of everything it changed up to date."""
+        ids = (self.word_id if rule.template in _WORD_TEMPLATES
+               else self.tag_id)
+        args = tuple(ids[a] for a in rule.args)
+        frm, to = self.tag_id[rule.from_tag], self.tag_id[rule.to_tag]
+        touched = set()
+        holders = self.holders[frm]
+        for s in list(holders):
+            old = self.tags[s]
+            new = _rewrite_sentence(rule.template, args, to, self.words[s],
+                                    old, [p for p, t in enumerate(old)
+                                          if t == frm])
+            if new is None:
+                continue
+            self.tags[s] = new
+            if frm not in new:
+                holders.discard(s)
+            self.holders[to].add(s)
+            for p, g in enumerate(self.gold[s]):
+                if new[p] != old[p]:
+                    self.confusion[frm][g] -= 1
+                    self.confusion[to][g] += 1
+            was_near, now_near = set(), set()
+            self._count(s, old, -1, touched, was_near)
+            self._count(s, new, 1, touched, now_near)
+            for k in was_near - now_near:
+                sents = self.inter[k]
+                if len(sents) == 1:
+                    del self.inter[k]
+                else:
+                    del sents[bisect.bisect_left(sents, s)]
+            for k in now_near - was_near:
+                sents = self.inter.get(k)
+                if sents is None:
+                    self.inter[k] = array("l", (s,))
+                else:
+                    sents.insert(bisect.bisect_left(sents, s), s)
+            for k in was_near:
+                totals = self.corrections.get(k)
+                if totals is not None:
+                    self._correct(totals, k, s, old, -1)
+            for k in now_near:
+                totals = self.corrections.get(k)
+                if totals is not None:
+                    self._correct(totals, k, s, new, 1)
+        for key in touched:
+            self._rescore(key)
 
 
 def learn_contextual_rules(train: TaggedCorpus, lexicon: Lexicon,
@@ -577,20 +786,20 @@ def learn_contextual_rules(train: TaggedCorpus, lexicon: Lexicon,
     if not train.sentences:
         raise TaggerError("cannot train on an empty corpus")
     state, gold = initial_contextual_state(train, lexicon, lexical_rules, chain)
+    learner = _ContextualLearner(state, gold, config.score_threshold)
+    errors = token_errors(state, gold)
     rules = []
-    iteration = 0
     while (config.max_rules_per_phase is None
            or len(rules) < config.max_rules_per_phase):
-        iteration += 1
-        best = _contextual_iteration(state, gold, config.score_threshold)
+        best = learner.best()
         if best is None:
             break
         rule, score = best
-        for words, tags in state:
-            apply_contextual_rule(rule, words, tags)
+        learner.apply(rule)
         rules.append(rule)
+        errors -= score.net
         logger.info("contextual %d %s net=%d errors_remaining=%d",
-                    iteration, rule, score.net, token_errors(state, gold))
+                    len(rules), rule, score.net, errors)
     return tuple(rules)
 
 

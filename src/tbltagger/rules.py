@@ -281,7 +281,9 @@ def parse_rules(text: str, tagset: Tagset):
 
 def save_model(model: TaggerModel, path: str, manifest_extra: dict = None) -> None:
     """Write TAGSET/LEXICON/LEXRULES/CTXRULES/MANIFEST atomically: build in a
-    temp directory next to ``path`` and rename into place."""
+    temp directory next to ``path`` and rename into place. An existing model
+    directory is renamed aside first and deleted only once the new one is
+    in place."""
     parent = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".model-", dir=parent)
@@ -296,12 +298,23 @@ def save_model(model: TaggerModel, path: str, manifest_extra: dict = None) -> No
         manifest.update(manifest_extra or {})
         _write(os.path.join(tmp, "MANIFEST"),
                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        aside = None
         if os.path.isdir(path):
-            shutil.rmtree(path)
-        os.replace(tmp, path)
+            # Move the old model aside first, so that at every moment a
+            # complete model sits at ``path`` or right beside it.
+            aside = tmp + ".old"
+            os.replace(path, aside)
+        try:
+            os.replace(tmp, path)
+        except BaseException:
+            if aside is not None:
+                os.replace(aside, path)
+            raise
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
+    if aside is not None:
+        shutil.rmtree(aside, ignore_errors=True)
 
 
 def load_model(path: str) -> TaggerModel:
@@ -309,6 +322,9 @@ def load_model(path: str) -> TaggerModel:
         if not os.path.isfile(os.path.join(path, name)):
             raise ModelError("model directory %s is missing %s" % (path, name))
     manifest = json.loads(_read(os.path.join(path, "MANIFEST")))
+    if not isinstance(manifest, dict):
+        raise ModelError("MANIFEST must hold a JSON object, got %s"
+                         % type(manifest).__name__)
     if manifest.get("format_version") != MODEL_FORMAT_VERSION:
         raise ModelError("unsupported model format version %r"
                          % manifest.get("format_version"))

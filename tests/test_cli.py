@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
 import json
+import os
 
 import pytest
 
+from tbltagger import cli
 from tbltagger.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
-from tbltagger.corpus import (load_tagset, parse_tagged_corpus,
+from tbltagger.corpus import (TaggerError, load_tagset, parse_tagged_corpus,
                               serialize_tagged_corpus, serialize_tagset)
 from tbltagger.evaluate import generate_synthetic_corpus, synth_tagset
 
@@ -132,6 +134,47 @@ class TestTag:
         code = main(["tag", "--model", str(broken),
                      "--in", str(infile), "--out", str(tmp_path / "o.txt")])
         assert code == EXIT_CONFIG
+
+
+    def test_non_object_manifest_exits_2(self, workspace, tmp_path, capsys):
+        model = tmp_path / "model"
+        model.mkdir()
+        for name, data in read_model_files(workspace["model"]).items():
+            (model / name).write_bytes(data)
+        (model / "MANIFEST").write_text("[]\n", encoding="utf-8")
+        infile = tmp_path / "in.txt"
+        infile.write_text("x\n", encoding="utf-8")
+        code = main(["tag", "--model", str(model),
+                     "--in", str(infile), "--out", str(tmp_path / "o.txt")])
+        assert code == EXIT_CONFIG
+        assert "MANIFEST" in capsys.readouterr().err
+
+    def test_failed_run_leaves_existing_output_untouched(
+            self, workspace, tmp_path, monkeypatch):
+        infile = tmp_path / "in.txt"
+        outfile = tmp_path / "out.txt"
+        infile.write_text("ζζζος\nζζζη\nζζζει\n", encoding="utf-8")
+        outfile.write_text("previous output\n", encoding="utf-8")
+        real_tag_corpus = cli.tag_corpus
+        calls = []
+
+        def fail_on_second_sentence(raw, model):
+            calls.append(raw)
+            if len(calls) == 2:
+                raise TaggerError("simulated failure")
+            return real_tag_corpus(raw, model)
+
+        monkeypatch.setattr(cli, "tag_corpus", fail_on_second_sentence)
+        code = main(["tag", "--model", str(workspace["model"]),
+                     "--in", str(infile), "--out", str(outfile)])
+        assert code == EXIT_CONFIG
+        assert outfile.read_text(encoding="utf-8") == "previous output\n"
+        assert sorted(os.listdir(tmp_path)) == ["in.txt", "out.txt"]
+        monkeypatch.undo()
+        assert main(["tag", "--model", str(workspace["model"]),
+                     "--in", str(infile), "--out", str(outfile)]) == EXIT_OK
+        assert len(outfile.read_text(encoding="utf-8").splitlines()) == 3
+        assert sorted(os.listdir(tmp_path)) == ["in.txt", "out.txt"]
 
 
 class TestEval:

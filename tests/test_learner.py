@@ -2,8 +2,11 @@
 aggregated greedy step with direct per-candidate scoring, and monotonicity."""
 
 import logging
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbltagger.corpus import TaggedCorpus, TaggerError, Token, truncate_to_words
 from tbltagger.evaluate import SynthSpec, generate_synthetic_corpus
@@ -20,13 +23,14 @@ from tbltagger.learner import (RuleScore, TrainConfig, TypeState,
                                score_lexical_candidate, select_best_rule,
                                split_for_unknown_training, token_errors,
                                train_model, weighted_type_errors,
-                               _contextual_iteration, _lexical_iteration)
+                               _ContextualLearner, _lexical_iteration)
 from tbltagger.lexicon import (Lexicon, build_lexicon, default_greek_chain)
 from tbltagger.rules import (ContextualRule, LexicalRule, LEXICAL_TEMPLATES,
                              apply_contextual_rule, lexical_rule_matches,
                              serialize_rules)
 
 from conftest import make_tagset
+from contextual_reference import rescan_contextual_iteration
 
 
 def mini_spec(seed, **kw):
@@ -245,22 +249,115 @@ class TestFastSlowEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_contextual_step(self, seed):
         corpus = generate_synthetic_corpus(mini_spec(seed, n_sentences=30))
-        config = TrainConfig(score_threshold=1, seed=seed)
-        lex_part, rule_part = split_for_unknown_training(corpus, 0.5, seed)
-        guess = build_lexicon(lex_part)
-        state, gold = initial_contextual_state(rule_part, guess, (),
-                                               default_greek_chain())
-        for _ in range(5):
-            fast = _contextual_iteration(state, gold, config.score_threshold)
-            slow = select_best_rule(
-                generate_contextual_candidates(state, gold),
-                lambda r: dynamic_contextual_score(r, state, gold),
-                config.score_threshold)
-            assert fast == slow
-            if fast is None:
-                break
-            for words, tags in state:
-                apply_contextual_rule(fast[0], words, tags)
+        state, gold = contextual_learning_state(corpus, seed)
+        assert_contextual_steps_agree(state, gold, threshold=1, steps=5)
+
+
+def contextual_learning_state(corpus, seed):
+    """Stage-two inputs of the rule-learning half against a guess lexicon
+    from the other half, so that unknown words leave errors to fix."""
+    lex_part, rule_part = split_for_unknown_training(corpus, 0.5, seed)
+    return initial_contextual_state(rule_part, build_lexicon(lex_part), (),
+                                    default_greek_chain())
+
+
+def assert_contextual_steps_agree(state, gold, threshold, steps):
+    """Each step of the incremental learner must pick the same (rule,
+    RuleScore) as the full rescan and as direct dynamic scoring of every
+    generated candidate. Returns the rules accepted."""
+    state = [(words, list(tags)) for words, tags in state]
+    learner = _ContextualLearner(state, gold, threshold)
+    rules = []
+    for _ in range(steps):
+        got = learner.best()
+        assert got == rescan_contextual_iteration(state, gold, threshold)
+        assert got == select_best_rule(
+            generate_contextual_candidates(state, gold),
+            lambda r: dynamic_contextual_score(r, state, gold), threshold)
+        if got is None:
+            break
+        learner.apply(got[0])
+        for words, tags in state:
+            apply_contextual_rule(got[0], words, tags)
+        rules.append(got[0])
+    return rules
+
+
+def small_alphabet_sentences(draw_tag, draw_word):
+    """Sentences of 1-3 tokens (every window edge) mixed with longer ones,
+    as (words, tags, gold) over small alphabets so that sites interact."""
+    token = st.tuples(draw_word, draw_tag, draw_tag)
+    sentence = st.one_of(st.lists(token, min_size=1, max_size=3),
+                         st.lists(token, min_size=4, max_size=9))
+    return st.lists(sentence, min_size=1, max_size=10)
+
+
+class TestIncrementalContextualLearner:
+    """The incremental learner against the full rescan it replaces."""
+
+    @pytest.mark.parametrize("threshold", [1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_corpora(self, seed, threshold):
+        corpus = generate_synthetic_corpus(
+            mini_spec(seed, n_sentences=40, sentence_len_range=(1, 7)))
+        state, gold = contextual_learning_state(corpus, seed)
+        assert_contextual_steps_agree(state, gold, threshold, steps=8)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_short_sentences_only(self, seed):
+        corpus = generate_synthetic_corpus(
+            mini_spec(seed, n_sentences=60, sentence_len_range=(1, 3)))
+        state, gold = contextual_learning_state(corpus, seed)
+        assert_contextual_steps_agree(state, gold, threshold=1, steps=8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_alphabet_sentences(st.sampled_from("ABC"),
+                                    st.sampled_from("xyz")),
+           st.sampled_from([1, 2]))
+    def test_hypothesis_corpora(self, sentences, threshold):
+        state = [(tuple(w for w, _, _ in sent), [t for _, t, _ in sent])
+                 for sent in sentences]
+        gold = [[g for _, _, g in sent] for sent in sentences]
+        assert_contextual_steps_agree(state, gold, threshold, steps=6)
+
+    def test_no_rule_reaches_threshold(self):
+        # one error per sentence context: every candidate nets at most 1
+        state = [(("a", "b"), ["AT", "NN"]), (("c", "d"), ["VB", "NN"])]
+        gold = [["AT", "VB"], ["VB", "AT"]]
+        rules = assert_contextual_steps_agree(state, gold, threshold=2,
+                                              steps=3)
+        assert rules == []
+        assert assert_contextual_steps_agree(state, gold, threshold=1,
+                                             steps=3)
+
+    def test_cascade_across_the_whole_window(self):
+        # after the first rule retags position 0, changing position 1
+        # makes position 4 (three to the right) match as well: only the
+        # dynamic score of PREV1OR2OR3TAG reaches the threshold
+        state = [(("w", "x", "y", "z", "v"), ["X", "B", "C", "C", "B"]),
+                 (("p", "x"), ["X", "D"]), (("r", "x"), ["X", "D"])]
+        gold = [["A", "A", "C", "C", "A"], ["A", "D"], ["A", "D"]]
+        rules = assert_contextual_steps_agree(state, gold, threshold=2,
+                                              steps=3)
+        assert rules == [
+            ContextualRule("NEXTWD", ("x",), "X", "A"),
+            ContextualRule("PREV1OR2OR3TAG", ("A",), "B", "A")]
+
+    @pytest.mark.parametrize("cap", [0, 1, 3])
+    @pytest.mark.parametrize("threshold", [1, 2])
+    def test_rule_cap_keeps_the_greedy_prefix(self, cap, threshold):
+        corpus = generate_synthetic_corpus(mini_spec(4, n_sentences=80))
+        lexicon, lexical = learn_lexical_rules(corpus, config=TrainConfig(
+            score_threshold=threshold))
+        unlimited = learn_contextual_rules(
+            corpus, lexicon, lexical,
+            config=TrainConfig(score_threshold=threshold))
+        assert len(unlimited) > 3
+        capped = learn_contextual_rules(
+            corpus, lexicon, lexical,
+            config=TrainConfig(score_threshold=threshold,
+                               max_rules_per_phase=cap))
+        assert capped == unlimited[:cap]
 
 
 class TestContextualScoring:
@@ -421,6 +518,42 @@ class TestTrainModel:
         for m in messages:
             assert "net=" in m
             assert "errors_remaining=" in m
+
+
+    def test_logged_errors_remaining_match_a_recount(self, caplog):
+        # overlapping suffixes and a weak context rule: some accepted rules
+        # of both stages also break correct tags
+        corpus = generate_synthetic_corpus(mini_spec(
+            4, n_sentences=80, context_rule_strength=0.7,
+            suffix_paradigms=(("ος", "NNM"), ("ιος", "ADJ"), ("η", "NNF"),
+                              ("ει", "VRB"), ("α", "NFP"), ("μα", "NNT"))))
+        config = TrainConfig(seed=3)
+        with caplog.at_level(logging.INFO, logger="tbltagger.learner"):
+            model = train_model(corpus, config=config)
+        logged = {"lexical": [], "contextual": []}
+        for record in caplog.records:
+            m = re.match(r"(lexical|contextual) \d+ .* errors_remaining=(\d+)$",
+                         record.getMessage())
+            if m:
+                logged[m.group(1)].append(int(m.group(2)))
+        assert len(logged["lexical"]) == len(model.lexical_rules) > 0
+        assert len(logged["contextual"]) == len(model.contextual_rules) > 0
+
+        guess, states = lexical_learning_state(corpus, config)
+        recount = []
+        for rule in model.lexical_rules:
+            states = apply_lexical_rule_to_states(rule, states, guess)
+            recount.append(weighted_type_errors(states))
+        assert logged["lexical"] == recount
+
+        state, gold = initial_contextual_state(
+            corpus, model.lexicon, model.lexical_rules, default_greek_chain())
+        recount = []
+        for rule in model.contextual_rules:
+            for words, tags in state:
+                apply_contextual_rule(rule, words, tags)
+            recount.append(token_errors(state, gold))
+        assert logged["contextual"] == recount
 
 
 class TestRuleCountGrowth:

@@ -1,5 +1,7 @@
 """Rule matching/application semantics, tagging pipeline, persistence."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -371,6 +373,36 @@ class TestModelPersistence:
         save_model(model, path)
         save_model(model, path)
         assert load_model(path).lexicon == model.lexicon
+
+    def test_overwrite_keeps_a_complete_model_at_every_step(
+            self, tiny_corpus, tmp_path, monkeypatch):
+        # the old model is renamed aside before the new one moves in; if
+        # that second rename fails, the old model is put back unchanged
+        old = self._model(tiny_corpus)
+        new = TaggerModel(old.tagset, old.lexicon, old.initial_chain, (), ())
+        path = str(tmp_path / "model")
+        save_model(old, path)
+        real_replace = os.replace
+        renames = []
+
+        def failing_second_rename(src, dst):
+            renames.append((src, dst))
+            if len(renames) == 2:
+                aside = renames[0][1]
+                assert load_model(aside) == old
+                raise OSError("simulated failure")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_second_rename)
+        with pytest.raises(OSError):
+            save_model(new, path)
+        monkeypatch.undo()
+        assert renames[0][0] == path
+        assert load_model(path) == old
+        assert os.listdir(tmp_path) == ["model"]
+        save_model(new, path)
+        assert load_model(path) == new
+        assert os.listdir(tmp_path) == ["model"]
 
     @given(corpora_st(max_sentences=5),
            st.lists(lexical_rules_st(), max_size=4),
