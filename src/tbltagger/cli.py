@@ -8,13 +8,14 @@ parse error, 3 I/O error, 4 data alignment error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import tempfile
 
 from .corpus import (AlignmentError, TaggerError, load_tagset,
-                     parse_raw_corpus, parse_tagged_corpus,
+                     parse_raw_corpus, parse_tagged_corpus, read_text,
                      serialize_tagged_corpus, serialize_tagset)
 from .evaluate import (SynthSpec, accuracy, cross_validate,
                        generate_synthetic_corpus, learning_curve,
@@ -27,11 +28,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DATA = 4
-
-
-def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _write(path, text):
@@ -82,17 +78,11 @@ def _add_train_flags(p):
 
 
 def cmd_train(args) -> int:
-    tagset = load_tagset(_read(args.tagset))
-    train = parse_tagged_corpus(_read(args.corpus), tagset)
+    tagset = load_tagset(read_text(args.tagset))
+    train = parse_tagged_corpus(read_text(args.corpus), tagset)
     config = _train_config(args)
     model = train_model(train, config=config)
-    save_model(model, args.out, manifest_extra={
-        "score_threshold": config.score_threshold,
-        "max_rules_per_phase": config.max_rules_per_phase,
-        "lexicon_split_fraction": config.lexicon_split_fraction,
-        "max_affix_len": config.max_affix_len,
-        "seed": config.seed,
-    })
+    save_model(model, args.out, manifest_extra=dataclasses.asdict(config))
     predicted = tag_corpus(strip_tags(train), model)
     train_acc, _ = accuracy(predicted, train)
     print("tokens: %d" % train.word_count)
@@ -104,11 +94,7 @@ def cmd_train(args) -> int:
 
 def cmd_tag(args) -> int:
     model = load_model(args.model)
-    try:
-        text = _read(args.infile)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
+    text = read_text(args.infile)
     _write_atomically(args.out, (
         serialize_tagged_corpus(tag_corpus([sent], model))
         for sent in parse_raw_corpus(text)))
@@ -117,7 +103,7 @@ def cmd_tag(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    gold = parse_tagged_corpus(_read(args.gold), model.tagset)
+    gold = parse_tagged_corpus(read_text(args.gold), model.tagset)
     predicted = tag_corpus(strip_tags(gold), model)
     acc, confusion = accuracy(predicted, gold)
     print("%.6f" % acc)
@@ -127,8 +113,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    tagset = load_tagset(_read(args.tagset))
-    corpus = parse_tagged_corpus(_read(args.corpus), tagset)
+    tagset = load_tagset(read_text(args.tagset))
+    corpus = parse_tagged_corpus(read_text(args.corpus), tagset)
     report = cross_validate(corpus, k=args.k, config=_train_config(args),
                             seed=args.seed, jobs=args.jobs)
     csv = render_folds_csv(report)
@@ -142,8 +128,8 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    tagset = load_tagset(_read(args.tagset))
-    corpus = parse_tagged_corpus(_read(args.corpus), tagset)
+    tagset = load_tagset(read_text(args.tagset))
+    corpus = parse_tagged_corpus(read_text(args.corpus), tagset)
     sizes = [int(s) for s in args.sizes.split(",") if s]
     rows = learning_curve(corpus, sizes, k=args.k, config=_train_config(args),
                           seed=args.seed, jobs=args.jobs)
@@ -156,7 +142,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    raw = json.loads(_read(args.spec))
+    raw = json.loads(read_text(args.spec))
     if "suffix_paradigms" in raw:
         raw["suffix_paradigms"] = tuple(
             (s, t) for s, t in raw["suffix_paradigms"])
@@ -243,7 +229,7 @@ def main(argv=None) -> int:
     except TaggerError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -47,8 +47,11 @@ class ModelError(TaggerError):
 
 
 def _check_tag_name(name):
-    if not name or "/" in name or any(c.isspace() for c in name):
-        raise TagsetError("invalid tag name %r (empty, whitespace or '/')" % name)
+    # "-" stands for "no from_tag" in the LEXRULES file format
+    if (not name or name == "-" or "/" in name
+            or any(c.isspace() for c in name)):
+        raise TagsetError("invalid tag name %r (empty, '-', whitespace or '/')"
+                          % name)
 
 
 class Tagset:
@@ -98,10 +101,6 @@ class Tagset:
 class Token:
     word: str
     tag: Optional[str] = None
-
-
-# A sentence is a tuple of Token; kept as a plain tuple rather than a class.
-Sentence = tuple
 
 
 @dataclass(frozen=True)
@@ -208,8 +207,9 @@ def parse_raw_corpus(text: str) -> list:
     return sentences
 
 
-def serialize_raw_corpus(sentences) -> str:
-    return "".join(" ".join(t.word for t in s) + "\n" for s in sentences)
+def read_text(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_tagset(text: str) -> Tagset:

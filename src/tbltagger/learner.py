@@ -18,8 +18,12 @@ sentences it changed and rescores only the keys they touch. The dynamic net
 equals the static count except where a match site has another from_tag
 position within the context window after it; only those sentences are
 re-simulated, and only for candidates whose argument tags include the
-rule's from_tag or to_tag. Equivalence with the direct scorers and with a
-full rescan per step is covered by tests.
+rule's from_tag or to_tag.
+
+Templates come from ``rules.CONTEXT_TABLE`` and rules are applied by
+``rules.rewrite_sentence``, as in tagging; only ``_count`` spells out the
+templates, for speed, and a test pins it to the table. The brute-force
+scorers the greedy steps are checked against live under ``tests/``.
 """
 
 from __future__ import annotations
@@ -36,15 +40,12 @@ from typing import Optional
 from .corpus import TaggedCorpus, TaggerError, select_sentences
 from .lexicon import (InitialRuleChain, Lexicon, build_lexicon,
                       default_greek_chain, initial_tag)
-from .rules import (CONTEXTUAL_TEMPLATES, ContextualRule, LexicalRule,
-                    TaggerModel, apply_lexical_rules, context_predicate,
-                    contextual_rule_matches, lexical_rule_matches)
+from .rules import (CONTEXT_WINDOW, CONTEXTUAL_TEMPLATES, WORD_TEMPLATES,
+                    ContextualRule, LexicalRule, TaggerModel, context_checks,
+                    context_predicate, initial_state, lexical_rule_matches,
+                    rewrite_sentence)
 
 logger = logging.getLogger(__name__)
-
-CONTEXT_WINDOW = 3  # max tag offset any contextual template reads
-
-_WORD_TEMPLATES = frozenset(("PREVWD", "NEXTWD"))
 
 
 @dataclass(frozen=True)
@@ -133,13 +134,12 @@ def build_affix_extension_maps(lexicon: Lexicon, max_affix_len: int):
 
 def lexical_candidate_features(word: str, lexicon: Lexicon,
                                max_affix_len: int,
-                               extension_maps=None) -> tuple:
+                               extension_maps) -> tuple:
     """All (template, arg) pairs that match this word: its own affixes up to
     max_affix_len, its characters, and the affix edits that land in the
-    lexicon. A lexical rule (template, arg) matches the word iff the pair is
-    in this list."""
-    if extension_maps is None:
-        extension_maps = build_affix_extension_maps(lexicon, max_affix_len)
+    lexicon (``extension_maps``, from ``build_affix_extension_maps``). A
+    lexical rule (template, arg) matches the word iff the pair is in this
+    list."""
     add_suf, add_pref = extension_maps
     feats = []
     n = len(word)
@@ -158,50 +158,6 @@ def lexical_candidate_features(word: str, lexicon: Lexicon,
     for pre in add_pref.get(word, ()):
         feats.append(("ADDPREF", pre))
     return tuple(feats)
-
-
-def generate_lexical_candidates(states: dict, lexicon: Lexicon,
-                                max_affix_len: int) -> set:
-    """Candidates drawn from currently mis-tagged types, retagging to the
-    type's gold tag, optionally conditioned on its current tag."""
-    extension_maps = build_affix_extension_maps(lexicon, max_affix_len)
-    candidates = set()
-    for word, st in states.items():
-        if st.current == st.gold:
-            continue
-        for template, arg in lexical_candidate_features(
-                word, lexicon, max_affix_len, extension_maps):
-            candidates.add(LexicalRule(template, arg, None, st.gold))
-            candidates.add(LexicalRule(template, arg, st.current, st.gold))
-    return candidates
-
-
-def score_lexical_candidate(rule: LexicalRule, states: dict,
-                            lexicon: Lexicon) -> RuleScore:
-    """Static type-level score weighted by occurrence count."""
-    good = bad = 0
-    for word, st in states.items():
-        if not lexical_rule_matches(rule, word, st.current, lexicon):
-            continue
-        if st.current != st.gold and rule.to_tag == st.gold:
-            good += st.count
-        elif st.current == st.gold and rule.to_tag != st.gold:
-            bad += st.count
-    return RuleScore(good, bad)
-
-
-def select_best_rule(candidates, scorer, threshold: int):
-    """Maximal net score; ties broken by the rule sort key (template, args,
-    from_tag, to_tag ascending). None when the best net is below threshold."""
-    best = None
-    for rule in candidates:
-        score = scorer(rule)
-        key = (-score.net, rule.sort_key())
-        if best is None or key < best[0]:
-            best = (key, rule, score)
-    if best is None or best[2].net < threshold:
-        return None
-    return best[1], best[2]
 
 
 def weighted_type_errors(states: dict) -> int:
@@ -295,148 +251,14 @@ def initial_contextual_state(train: TaggedCorpus, lexicon: Lexicon,
                              lexical_rules, chain: InitialRuleChain):
     """(state, gold): per-sentence (words, tags) after the initial + lexical
     stages, and the gold tag lists, token-aligned."""
-    unknown = {}
-    for sent in train.sentences:
-        for tok in sent:
-            if tok.word not in lexicon and tok.word not in unknown:
-                unknown[tok.word] = initial_tag(tok.word, lexicon, chain,
-                                                train.tagset)
-    unknown = apply_lexical_rules(lexical_rules, unknown, lexicon)
-    state, gold = [], []
-    for sent in train.sentences:
-        words = tuple(tok.word for tok in sent)
-        tags = [unknown[w] if w in unknown else lexicon.most_frequent_tag(w)
-                for w in words]
-        state.append((words, tags))
-        gold.append([tok.tag for tok in sent])
-    return state, gold
+    state = initial_state(train.sentences, lexicon, lexical_rules, chain,
+                          train.tagset)
+    return state, [[tok.tag for tok in sent] for sent in train.sentences]
 
 
 def token_errors(state, gold) -> int:
     return sum(1 for (_, tags), gtags in zip(state, gold)
                for t, g in zip(tags, gtags) if t != g)
-
-
-def context_instantiations(words, tags, p) -> set:
-    """Every (template, args) the contextual catalog can instantiate at this
-    position from its actual context."""
-    n = len(tags)
-    out = set()
-    if p >= 1:
-        out.add(("PREVTAG", (tags[p - 1],)))
-        out.add(("PREVWD", (words[p - 1],)))
-        out.add(("PREV1OR2TAG", (tags[p - 1],)))
-        out.add(("PREV1OR2OR3TAG", (tags[p - 1],)))
-    if p >= 2:
-        out.add(("PREV2TAG", (tags[p - 2],)))
-        out.add(("PREV1OR2TAG", (tags[p - 2],)))
-        out.add(("PREV1OR2OR3TAG", (tags[p - 2],)))
-        out.add(("PREVBIGRAM", (tags[p - 2], tags[p - 1])))
-    if p >= 3:
-        out.add(("PREV1OR2OR3TAG", (tags[p - 3],)))
-    if p + 1 < n:
-        out.add(("NEXTTAG", (tags[p + 1],)))
-        out.add(("NEXTWD", (words[p + 1],)))
-        out.add(("NEXT1OR2TAG", (tags[p + 1],)))
-        out.add(("NEXT1OR2OR3TAG", (tags[p + 1],)))
-    if p + 2 < n:
-        out.add(("NEXT2TAG", (tags[p + 2],)))
-        out.add(("NEXT1OR2TAG", (tags[p + 2],)))
-        out.add(("NEXT1OR2OR3TAG", (tags[p + 2],)))
-        out.add(("NEXTBIGRAM", (tags[p + 1], tags[p + 2])))
-    if p + 3 < n:
-        out.add(("NEXT1OR2OR3TAG", (tags[p + 3],)))
-    if 1 <= p < n - 1:
-        out.add(("SURROUNDTAG", (tags[p - 1], tags[p + 1])))
-    return out
-
-
-def generate_contextual_candidates(state, gold) -> set:
-    """Every template instantiated at every current error site, with args
-    read from the site's actual context and to_tag = its gold tag."""
-    candidates = set()
-    for (words, tags), gtags in zip(state, gold):
-        for p in range(len(tags)):
-            if tags[p] == gtags[p]:
-                continue
-            for template, args in context_instantiations(words, tags, p):
-                candidates.add(ContextualRule(template, args, tags[p],
-                                              gtags[p]))
-    return candidates
-
-
-def score_contextual_candidate(rule: ContextualRule, state, gold) -> RuleScore:
-    """Static token-level score: context checked against the pre-application
-    state at every position (no cascade effects)."""
-    good = bad = 0
-    for (words, tags), gtags in zip(state, gold):
-        for p in range(len(tags)):
-            if contextual_rule_matches(rule, words, tags, p):
-                if tags[p] != gtags[p] and rule.to_tag == gtags[p]:
-                    good += 1
-                elif tags[p] == gtags[p]:
-                    bad += 1
-    return RuleScore(good, bad)
-
-
-def build_tag_index(state) -> dict:
-    """tag -> sentence index -> ascending positions currently carrying it."""
-    index = defaultdict(lambda: defaultdict(list))
-    for s_idx, (_, tags) in enumerate(state):
-        for p, t in enumerate(tags):
-            index[t][s_idx].append(p)
-    return index
-
-
-def dynamic_contextual_score(rule: ContextualRule, state, gold,
-                             index: dict = None) -> RuleScore:
-    """True error delta of applying the rule: left-to-right with immediate
-    effect, simulated on a copy. Only positions whose current tag is
-    from_tag can ever match (to_tag != from_tag), so the scan is restricted
-    to them."""
-    if index is None:
-        index = build_tag_index(state)
-    sent_map = index.get(rule.from_tag)
-    if not sent_map:
-        return RuleScore(0, 0)
-    good = bad = 0
-    for s_idx, positions in sent_map.items():
-        g, b = _simulate_sentence(rule.template, rule.args, rule.to_tag,
-                                  state[s_idx], gold[s_idx], positions)
-        good += g
-        bad += b
-    return RuleScore(good, bad)
-
-
-def _rewrite_sentence(template, args, to_tag, words, tags, positions):
-    """The tags after applying the rule within one sentence, visiting the
-    given from_tag positions left to right with immediate effect; None when
-    no position matches. ``tags`` is left unchanged."""
-    modified = None
-    for p in positions:
-        if context_predicate(template, args, words,
-                             tags if modified is None else modified, p):
-            if modified is None:
-                modified = list(tags)
-            modified[p] = to_tag
-    return modified
-
-
-def _simulate_sentence(template, args, to_tag, sent_state, gtags, positions):
-    """Apply the rule within one sentence, visiting the given from_tag
-    positions left to right with immediate effect; returns (good, bad)."""
-    words, tags = sent_state
-    modified = _rewrite_sentence(template, args, to_tag, words, tags,
-                                 positions)
-    good = bad = 0
-    if modified is not None:
-        for p in positions:
-            if modified[p] != tags[p]:
-                if tags[p] == gtags[p]:
-                    bad += 1
-                elif to_tag == gtags[p]:
-                    good += 1
-    return good, bad
 
 
 _TEMPLATE_NAMES = tuple(sorted(CONTEXTUAL_TEMPLATES))
@@ -490,7 +312,7 @@ class _ContextualLearner:
         self.correct = {}       # key -> match sites already correct
         self.fixes = {}         # key -> {gold tag: match sites in error}
         self.inter = {}         # tag key -> array of sentence numbers
-        self.corrections = {}   # key -> (moved, own), see _correct
+        self.corrections = {}   # key -> (moved, own, checks), see _correct
         self.live = {}          # key -> {to_tag: (good, bad)}, net >= threshold
         self.holders = defaultdict(set)  # tag -> sentences holding it
         # confusion[tag][gold]: tokens currently tagged tag whose gold is gold
@@ -514,7 +336,11 @@ class _ContextualLearner:
     def _count(self, s, tags, sign, touched, near):
         """Add (sign 1) or subtract (sign -1) the match sites of sentence
         ``s`` under ``tags``. Every key seen goes into ``touched`` (unless
-        None), every tag key at a site with a near twin into ``near``."""
+        None), every tag key at a site with a near twin into ``near``.
+
+        The keys of each template are written out here for speed rather
+        than read from ``CONTEXT_TABLE``; ``TestCountMatchesTemplateTable``
+        checks them against the table."""
         words = self.words[s]
         gtags = self.gold[s]
         correct, fixes = self.correct, self.fixes
@@ -618,7 +444,7 @@ class _ContextualLearner:
             return
         bad = self.correct.get(key, 0)
         template, args, frm = self._decode(key)
-        word = template in _WORD_TEMPLATES
+        word = template in WORD_TEMPLATES
         frm_in_args = frm in args and not word
         with_gold = self.confusion[frm]
         totals = None
@@ -647,7 +473,7 @@ class _ContextualLearner:
             if not word and (frm_in_args or to in args):
                 if totals is None:
                     continue
-                moved, own = totals
+                moved, own, _ = totals
                 if to in args:
                     dg, db = own.get(to, (0, 0))
                 else:
@@ -659,7 +485,9 @@ class _ContextualLearner:
 
     def _track(self, key):
         """Start keeping the corrections of a key that can be perturbed."""
-        totals = self.corrections[key] = ({}, {})
+        template, args, _ = self._decode(key)
+        totals = self.corrections[key] = ({}, {},
+                                          context_checks(template, args))
         for s in self.inter.get(key, ()):
             self._correct(totals, key, s, self.tags[s], 1)
         return totals
@@ -672,16 +500,16 @@ class _ContextualLearner:
         so one simulation gives ``moved``: gold tag -> change in the number
         of moved positions with that gold. Each arg other than from_tag is
         simulated on its own, giving ``own``: arg -> (d_good, d_bad).
+        ``checks`` are the key's context checks, built once in ``_track``.
         """
-        moved, own = totals
-        template, args, frm = self._decode(key)
+        moved, own, checks = totals
+        _, args, frm = self._decode(key)
         words, gtags = self.words[s], self.gold[s]
         positions = [p for p, t in enumerate(tags) if t == frm]
         static = [p for p in positions
-                  if context_predicate(template, args, words, tags, p)]
+                  if context_predicate(checks, words, tags, p)]
         if frm in args:
-            new = _rewrite_sentence(template, args, -1, words, tags,
-                                    positions) or tags
+            new = rewrite_sentence(checks, frm, -1, words, tags) or tags
             for p in positions:
                 if new[p] != tags[p]:
                     moved[gtags[p]] = moved.get(gtags[p], 0) + sign
@@ -690,8 +518,7 @@ class _ContextualLearner:
         for a in set(args):
             if a == frm:
                 continue
-            new = _rewrite_sentence(template, args, a, words, tags,
-                                    positions) or tags
+            new = rewrite_sentence(checks, frm, a, words, tags) or tags
             dg = db = 0
             for p in positions:
                 if new[p] != tags[p]:
@@ -719,7 +546,7 @@ class _ContextualLearner:
         (_, cand), good, bad = best
         key, to = divmod(cand, T)
         template, args, frm = self._decode(key)
-        names = (self.word_names if template in _WORD_TEMPLATES
+        names = (self.word_names if template in WORD_TEMPLATES
                  else self.tag_names)
         rule = ContextualRule(template, tuple(names[a] for a in args),
                               self.tag_names[frm], self.tag_names[to])
@@ -728,17 +555,16 @@ class _ContextualLearner:
     def apply(self, rule: ContextualRule) -> None:
         """Apply a rule to the sentences holding its from_tag and bring the
         counts and scores of everything it changed up to date."""
-        ids = (self.word_id if rule.template in _WORD_TEMPLATES
+        ids = (self.word_id if rule.template in WORD_TEMPLATES
                else self.tag_id)
-        args = tuple(ids[a] for a in rule.args)
+        checks = context_checks(rule.template,
+                                tuple(ids[a] for a in rule.args))
         frm, to = self.tag_id[rule.from_tag], self.tag_id[rule.to_tag]
         touched = set()
         holders = self.holders[frm]
         for s in list(holders):
             old = self.tags[s]
-            new = _rewrite_sentence(rule.template, args, to, self.words[s],
-                                    old, [p for p, t in enumerate(old)
-                                          if t == frm])
+            new = rewrite_sentence(checks, frm, to, self.words[s], old)
             if new is None:
                 continue
             self.tags[s] = new

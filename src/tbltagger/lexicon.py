@@ -37,8 +37,9 @@ class Lexicon:
             if not pairs:
                 raise TaggerError("empty entry for word %r" % word)
             for _, count in pairs:
-                if count <= 0:
-                    raise TaggerError("non-positive count in entry for %r" % word)
+                if not isinstance(count, int) or count <= 0:
+                    raise TaggerError("count in entry for %r is not a positive "
+                                      "integer" % word)
             if list(pairs) != sorted(pairs, key=lambda p: (-p[1], p[0])):
                 raise TaggerError("entry for %r not in frequency order" % word)
             cleaned[word] = pairs

@@ -5,6 +5,11 @@ Lexical rules operate on word types and fire only for words absent from the
 lexicon; contextual rules operate on individual tokens, scanning each
 sentence left to right with immediate effect, sentences independent.
 Out-of-bounds context never matches (no sentinel tags).
+
+``CONTEXT_TABLE`` defines the contextual templates once; their arity, the
+word templates, the context window, the predicate and rule application are
+derived from it. Tagging and training share ``rewrite_sentence`` and
+``initial_state``.
 """
 
 from __future__ import annotations
@@ -14,30 +19,57 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .corpus import (ModelError, ParseError, TaggedCorpus, TaggerError, Tagset,
-                     TagsetError, Token, load_tagset, serialize_tagset)
+                     TagsetError, Token, load_tagset, read_text,
+                     serialize_tagset)
 from .lexicon import (InitialRuleChain, Lexicon, default_greek_chain,
                       initial_tag, parse_lexicon, serialize_lexicon)
 
 LEXICAL_TEMPLATES = ("ADDPREF", "ADDSUF", "DELETEPREF", "DELETESUF",
                      "HASCHAR", "HASPREF", "HASSUF")
 
-# template -> arity of its argument list
-CONTEXTUAL_TEMPLATES = {
-    "PREVTAG": 1, "NEXTTAG": 1,
-    "PREV2TAG": 1, "NEXT2TAG": 1,
-    "PREV1OR2TAG": 1, "NEXT1OR2TAG": 1,
-    "PREV1OR2OR3TAG": 1, "NEXT1OR2OR3TAG": 1,
-    "PREVWD": 1, "NEXTWD": 1,
-    "SURROUNDTAG": 2, "PREVBIGRAM": 2, "NEXTBIGRAM": 2,
+WORDS, TAGS = "words", "tags"
+
+# template -> (what it reads, alternatives). Each alternative holds one
+# offset per argument; the context holds at a position when, for any one
+# alternative, the word or tag at every offset equals its argument.
+CONTEXT_TABLE = {
+    "PREVTAG": (TAGS, ((-1,),)),
+    "NEXTTAG": (TAGS, ((1,),)),
+    "PREV2TAG": (TAGS, ((-2,),)),
+    "NEXT2TAG": (TAGS, ((2,),)),
+    "PREV1OR2TAG": (TAGS, ((-1,), (-2,))),
+    "NEXT1OR2TAG": (TAGS, ((1,), (2,))),
+    "PREV1OR2OR3TAG": (TAGS, ((-1,), (-2,), (-3,))),
+    "NEXT1OR2OR3TAG": (TAGS, ((1,), (2,), (3,))),
+    "PREVWD": (WORDS, ((-1,),)),
+    "NEXTWD": (WORDS, ((1,),)),
+    "SURROUNDTAG": (TAGS, ((-1, 1),)),
+    "PREVBIGRAM": (TAGS, ((-2, -1),)),
+    "NEXTBIGRAM": (TAGS, ((1, 2),)),
 }
 
-DEFAULT_MAX_AFFIX_LEN = 4
+# template -> arity of its argument list
+CONTEXTUAL_TEMPLATES = {template: len(alternatives[0])
+                        for template, (_, alternatives) in CONTEXT_TABLE.items()}
+
+WORD_TEMPLATES = frozenset(template for template, (reads, _)
+                           in CONTEXT_TABLE.items() if reads == WORDS)
+
+# the farthest any template reads from the token it retags
+CONTEXT_WINDOW = max(abs(offset) for _, alternatives in CONTEXT_TABLE.values()
+                     for offsets in alternatives for offset in offsets)
 
 MODEL_FILES = ("TAGSET", "LEXICON", "LEXRULES", "CTXRULES", "MANIFEST")
 MODEL_FORMAT_VERSION = 1
+
+
+def _is_field(text) -> bool:
+    """True if ``text`` survives as one field of a whitespace-split line."""
+    return text.split() == [text]
 
 
 @dataclass(frozen=True)
@@ -50,8 +82,9 @@ class LexicalRule:
     def __post_init__(self):
         if self.template not in LEXICAL_TEMPLATES:
             raise TaggerError("unknown lexical template %r" % self.template)
-        if not self.arg:
-            raise TaggerError("lexical rule argument must be non-empty")
+        if not _is_field(self.arg):
+            raise TaggerError("lexical rule argument must be non-empty and "
+                              "free of whitespace, got %r" % (self.arg,))
         if self.template == "HASCHAR" and len(self.arg) != 1:
             raise TaggerError("HASCHAR takes exactly one character")
         if self.from_tag is not None and self.from_tag == self.to_tag:
@@ -75,11 +108,20 @@ class ContextualRule:
         if len(self.args) != arity:
             raise TaggerError("%s takes %d args, got %d"
                               % (self.template, arity, len(self.args)))
+        for arg in self.args:
+            if not _is_field(arg):
+                raise TaggerError("contextual rule argument must be non-empty "
+                                  "and free of whitespace, got %r" % (arg,))
         if self.from_tag == self.to_tag:
             raise TaggerError("contextual rule from_tag equals to_tag")
 
     def sort_key(self):
         return (self.template, self.args, self.from_tag, self.to_tag)
+
+    @cached_property
+    def checks(self):
+        """``context_checks`` of this rule, built once."""
+        return context_checks(self.template, self.args)
 
 
 def lexical_rule_matches(rule: LexicalRule, word: str, current_tag: str,
@@ -117,56 +159,58 @@ def apply_lexical_rules(rules, assignments: dict, lexicon: Lexicon) -> dict:
     return out
 
 
-def context_predicate(template: str, args: tuple, words, tags, pos: int) -> bool:
-    """Template predicate only; the from_tag check is the caller's job."""
-    n = len(tags)
-    t = template
-    if t == "PREVTAG":
-        return pos >= 1 and tags[pos - 1] == args[0]
-    if t == "NEXTTAG":
-        return pos + 1 < n and tags[pos + 1] == args[0]
-    if t == "PREV2TAG":
-        return pos >= 2 and tags[pos - 2] == args[0]
-    if t == "NEXT2TAG":
-        return pos + 2 < n and tags[pos + 2] == args[0]
-    if t == "PREV1OR2TAG":
-        return ((pos >= 1 and tags[pos - 1] == args[0])
-                or (pos >= 2 and tags[pos - 2] == args[0]))
-    if t == "NEXT1OR2TAG":
-        return ((pos + 1 < n and tags[pos + 1] == args[0])
-                or (pos + 2 < n and tags[pos + 2] == args[0]))
-    if t == "PREV1OR2OR3TAG":
-        return any(pos >= d and tags[pos - d] == args[0] for d in (1, 2, 3))
-    if t == "NEXT1OR2OR3TAG":
-        return any(pos + d < n and tags[pos + d] == args[0] for d in (1, 2, 3))
-    if t == "PREVWD":
-        return pos >= 1 and words[pos - 1] == args[0]
-    if t == "NEXTWD":
-        return pos + 1 < n and words[pos + 1] == args[0]
-    if t == "SURROUNDTAG":
-        return (pos >= 1 and pos + 1 < n
-                and tags[pos - 1] == args[0] and tags[pos + 1] == args[1])
-    if t == "PREVBIGRAM":
-        return (pos >= 2 and tags[pos - 2] == args[0]
-                and tags[pos - 1] == args[1])
-    if t == "NEXTBIGRAM":
-        return (pos + 2 < n and tags[pos + 1] == args[0]
-                and tags[pos + 2] == args[1])
-    raise TaggerError("unknown contextual template %r" % t)
+def context_checks(template: str, args: tuple):
+    """(reads words, alternatives) of a template instantiated with ``args``:
+    each alternative is a tuple of (offset, arg) pairs, all of which must
+    hold for it to match. Args may be names or integer codes."""
+    reads, alternatives = CONTEXT_TABLE[template]
+    return (reads == WORDS,
+            tuple(tuple(zip(offsets, args)) for offsets in alternatives))
+
+
+def context_predicate(checks, words, tags, pos: int) -> bool:
+    """True if the context described by ``checks`` (see ``context_checks``)
+    holds at ``pos``; the from_tag check is the caller's job."""
+    reads_words, alternatives = checks
+    seq = words if reads_words else tags
+    n = len(seq)
+    for alternative in alternatives:
+        for offset, arg in alternative:
+            q = pos + offset
+            if q < 0 or q >= n or seq[q] != arg:
+                break
+        else:
+            return True
+    return False
 
 
 def contextual_rule_matches(rule: ContextualRule, words, tags, pos: int) -> bool:
-    if tags[pos] != rule.from_tag:
-        return False
-    return context_predicate(rule.template, rule.args, words, tags, pos)
+    return tags[pos] == rule.from_tag and context_predicate(rule.checks, words,
+                                                            tags, pos)
+
+
+def rewrite_sentence(checks, from_tag, to_tag, words, tags):
+    """The tags of one sentence after applying a rule: its from_tag
+    positions are visited left to right, and a change at one position is
+    visible at later ones. None when no position matches; ``tags`` is left
+    unchanged. Tags may be names or integer codes."""
+    new = None
+    for pos, tag in enumerate(tags):
+        if tag == from_tag and context_predicate(
+                checks, words, tags if new is None else new, pos):
+            if new is None:
+                new = list(tags)
+            new[pos] = to_tag
+    return new
 
 
 def apply_contextual_rule(rule: ContextualRule, words, tags) -> None:
     """One left-to-right pass over a single sentence, mutating ``tags``;
     a change at position i is visible at positions > i."""
-    for pos in range(len(tags)):
-        if contextual_rule_matches(rule, words, tags, pos):
-            tags[pos] = rule.to_tag
+    new = rewrite_sentence(rule.checks, rule.from_tag, rule.to_tag, words,
+                           tags)
+    if new is not None:
+        tags[:] = new
 
 
 def apply_contextual_rules(rules, corpus_state) -> None:
@@ -186,33 +230,47 @@ class TaggerModel:
     contextual_rules: tuple
 
     def __post_init__(self):
-        for rule in self.lexical_rules:
+        for rule in (*self.lexical_rules, *self.contextual_rules):
             for tag in (rule.from_tag, rule.to_tag):
                 if tag is not None and tag not in self.tagset:
                     raise TagsetError("rule tag %r not in tagset" % tag)
-        for rule in self.contextual_rules:
-            for tag in (rule.from_tag, rule.to_tag):
-                if tag not in self.tagset:
-                    raise TagsetError("rule tag %r not in tagset" % tag)
+        for word in self.lexicon.entries:
+            if not _is_field(word):
+                raise TaggerError("lexicon word %r is empty or holds "
+                                  "whitespace" % (word,))
+        for tag in {tag for pairs in self.lexicon.entries.values()
+                    for tag, _ in pairs}:
+            if tag not in self.tagset:
+                raise TagsetError("lexicon tag %r not in tagset" % tag)
+
+
+def initial_state(sentences, lexicon: Lexicon, lexical_rules,
+                  chain: InitialRuleChain, tagset: Tagset) -> list:
+    """Per-sentence (words, tags) before the contextual rules: known words
+    get their most frequent lexicon tag, unknown word types (scoped to
+    these sentences) the initial rule chain's tag and then the lexical
+    rules."""
+    unknown = {}
+    for sent in sentences:
+        for tok in sent:
+            if tok.word not in lexicon and tok.word not in unknown:
+                unknown[tok.word] = initial_tag(tok.word, lexicon, chain,
+                                                tagset)
+    unknown = apply_lexical_rules(lexical_rules, unknown, lexicon)
+    state = []
+    for sent in sentences:
+        words = tuple(tok.word for tok in sent)
+        state.append((words, [unknown[w] if w in unknown
+                              else lexicon.most_frequent_tag(w)
+                              for w in words]))
+    return state
 
 
 def tag_corpus(raw_sentences, model: TaggerModel) -> TaggedCorpus:
     """Full pipeline: initial tags, lexical rules over unknown word types
     (scoped to this input), then contextual rules over all tokens."""
-    unknown = {}
-    for sent in raw_sentences:
-        for tok in sent:
-            if tok.word not in model.lexicon and tok.word not in unknown:
-                unknown[tok.word] = initial_tag(
-                    tok.word, model.lexicon, model.initial_chain, model.tagset)
-    unknown = apply_lexical_rules(model.lexical_rules, unknown, model.lexicon)
-
-    state = []
-    for sent in raw_sentences:
-        words = tuple(tok.word for tok in sent)
-        tags = [unknown[w] if w in unknown
-                else model.lexicon.most_frequent_tag(w) for w in words]
-        state.append((words, tags))
+    state = initial_state(raw_sentences, model.lexicon, model.lexical_rules,
+                          model.initial_chain, model.tagset)
     apply_contextual_rules(model.contextual_rules, state)
 
     sentences = tuple(
@@ -252,26 +310,24 @@ def parse_rules(text: str, tagset: Tagset):
                     raise ParseError("line %d: LEX rule needs 4 fields" % lineno,
                                      line=lineno)
                 template, arg, from_tag, to_tag = fields[1:]
-                from_tag = None if from_tag == "-" else from_tag
-                for tag in (from_tag, to_tag):
-                    if tag is not None and tag not in tagset:
-                        raise TagsetError("line %d: tag %r not in tagset"
-                                          % (lineno, tag), line=lineno)
-                lexical.append(LexicalRule(template, arg, from_tag, to_tag))
+                rule = LexicalRule(template, arg,
+                                   None if from_tag == "-" else from_tag, to_tag)
+                lexical.append(rule)
             elif kind == "CTX":
                 if len(fields) < 5:
                     raise ParseError("line %d: CTX rule needs at least 4 fields"
                                      % lineno, line=lineno)
                 template, from_tag, to_tag = fields[1:4]
-                args = tuple(fields[4:])
-                for tag in (from_tag, to_tag):
-                    if tag not in tagset:
-                        raise TagsetError("line %d: tag %r not in tagset"
-                                          % (lineno, tag), line=lineno)
-                contextual.append(ContextualRule(template, args, from_tag, to_tag))
+                rule = ContextualRule(template, tuple(fields[4:]), from_tag,
+                                      to_tag)
+                contextual.append(rule)
             else:
                 raise ParseError("line %d: rule line must start with LEX or CTX"
                                  % lineno, line=lineno)
+            for tag in (rule.from_tag, rule.to_tag):
+                if tag is not None and tag not in tagset:
+                    raise TagsetError("line %d: tag %r not in tagset"
+                                      % (lineno, tag), line=lineno)
         except TaggerError as exc:
             if isinstance(exc, ParseError):
                 raise
@@ -321,19 +377,21 @@ def load_model(path: str) -> TaggerModel:
     for name in MODEL_FILES:
         if not os.path.isfile(os.path.join(path, name)):
             raise ModelError("model directory %s is missing %s" % (path, name))
-    manifest = json.loads(_read(os.path.join(path, "MANIFEST")))
+    manifest = json.loads(read_text(os.path.join(path, "MANIFEST")))
     if not isinstance(manifest, dict):
         raise ModelError("MANIFEST must hold a JSON object, got %s"
                          % type(manifest).__name__)
     if manifest.get("format_version") != MODEL_FORMAT_VERSION:
         raise ModelError("unsupported model format version %r"
                          % manifest.get("format_version"))
-    tagset = load_tagset(_read(os.path.join(path, "TAGSET")))
-    lexicon = parse_lexicon(_read(os.path.join(path, "LEXICON")), tagset)
-    lexical, extra_ctx = parse_rules(_read(os.path.join(path, "LEXRULES")), tagset)
+    tagset = load_tagset(read_text(os.path.join(path, "TAGSET")))
+    lexicon = parse_lexicon(read_text(os.path.join(path, "LEXICON")), tagset)
+    lexical, extra_ctx = parse_rules(
+        read_text(os.path.join(path, "LEXRULES")), tagset)
     if extra_ctx:
         raise ModelError("LEXRULES contains contextual rules")
-    extra_lex, contextual = parse_rules(_read(os.path.join(path, "CTXRULES")), tagset)
+    extra_lex, contextual = parse_rules(
+        read_text(os.path.join(path, "CTXRULES")), tagset)
     if extra_lex:
         raise ModelError("CTXRULES contains lexical rules")
     return TaggerModel(tagset, lexicon, default_greek_chain(), lexical, contextual)
@@ -342,8 +400,3 @@ def load_model(path: str) -> TaggerModel:
 def _write(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()

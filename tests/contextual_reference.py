@@ -3,17 +3,23 @@ rebuilds every candidate's site list over the whole corpus.
 
 This is the learner's former per-iteration rescan, kept as a test oracle.
 Each step must pick the same (rule, RuleScore) as
-``learner._ContextualLearner.best`` on the same state.
+``learner._ContextualLearner.best`` on the same state. The templates are
+written out by hand here, not read from ``rules.CONTEXT_TABLE``, so that a
+slip in the table shows up as a disagreement.
 """
 
 import bisect
 
-from tbltagger.learner import (CONTEXT_WINDOW, RuleScore, _WORD_TEMPLATES,
-                               _simulate_sentence)
+from tbltagger.learner import RuleScore
 from tbltagger.rules import ContextualRule
 
+from oracles import simulate_sentence
 
-def has_near(sorted_positions, p, window=CONTEXT_WINDOW):
+WINDOW = 3  # the farthest tag any template reads
+WORD_TEMPLATES = ("PREVWD", "NEXTWD")
+
+
+def has_near(sorted_positions, p, window=WINDOW):
     """True if another position within `window` of p is in the sorted list."""
     i = bisect.bisect_left(sorted_positions, p - window)
     while i < len(sorted_positions) and sorted_positions[i] <= p + window:
@@ -115,7 +121,7 @@ def rescan_contextual_iteration(state, gold, threshold):
                 n_correct += 1
             else:
                 gold_counts[g] = gold_counts.get(g, 0) + 1
-        word_based = template in _WORD_TEMPLATES
+        word_based = template in WORD_TEMPLATES
         frm_in_args = not word_based and frm in it[1:]
         interacting = None  # computed lazily, shared across to_tags
         for to in to_set:
@@ -142,9 +148,9 @@ def rescan_contextual_iteration(state, gold, threshold):
                         elif g == to:
                             good += 1
                     for s in interacting:
-                        g2, b2 = _simulate_sentence(template, it[1:], to,
-                                                    state[s], gold[s],
-                                                    pos_by[(s, frm)])
+                        g2, b2 = simulate_sentence(
+                            ContextualRule(template, it[1:], frm, to),
+                            state[s], gold[s])
                         good += g2
                         bad += b2
             cand_key = (-(good - bad), (template, it[1:], frm, to))

@@ -19,11 +19,10 @@ from tbltagger.evaluate import (SynthSpec, accuracy, cross_validate,
                                 strip_tags, _summarize, FoldResult)
 from tbltagger.corpus import kfold_split, serialize_tagset
 from tbltagger.learner import (TrainConfig, apply_lexical_rule_to_states,
-                               build_tag_index, build_unknown_type_states,
-                               dynamic_contextual_score,
+                               build_unknown_type_states,
                                initial_contextual_state, learn_lexical_rules,
-                               learn_contextual_rules, score_lexical_candidate,
-                               select_best_rule, split_for_unknown_training,
+                               learn_contextual_rules,
+                               split_for_unknown_training,
                                token_errors, weighted_type_errors)
 from tbltagger.lexicon import (Lexicon, build_lexicon, default_greek_chain,
                                initial_tag, parse_lexicon, serialize_lexicon)
@@ -34,6 +33,8 @@ from tbltagger.rules import (CONTEXTUAL_TEMPLATES, ContextualRule, LexicalRule,
 from tbltagger import cli
 
 from conftest import BIG_SPEC, make_tagset
+from oracles import (build_tag_index, dynamic_contextual_score,
+                     score_lexical_candidate, select_best_rule)
 
 
 def report(num, label, ok, detail=""):

@@ -14,23 +14,24 @@ from tbltagger.learner import (RuleScore, TrainConfig, TypeState,
                                apply_lexical_rule_to_states,
                                build_affix_extension_maps,
                                build_unknown_type_states,
-                               dynamic_contextual_score,
-                               generate_contextual_candidates,
-                               generate_lexical_candidates,
                                initial_contextual_state,
                                lexical_candidate_features, learn_lexical_rules,
-                               learn_contextual_rules, score_contextual_candidate,
-                               score_lexical_candidate, select_best_rule,
+                               learn_contextual_rules,
                                split_for_unknown_training, token_errors,
                                train_model, weighted_type_errors,
                                _ContextualLearner, _lexical_iteration)
 from tbltagger.lexicon import (Lexicon, build_lexicon, default_greek_chain)
-from tbltagger.rules import (ContextualRule, LexicalRule, LEXICAL_TEMPLATES,
+from tbltagger.rules import (CONTEXT_WINDOW, ContextualRule, LexicalRule,
+                             LEXICAL_TEMPLATES, WORD_TEMPLATES,
                              apply_contextual_rule, lexical_rule_matches,
                              serialize_rules)
 
 from conftest import make_tagset
 from contextual_reference import rescan_contextual_iteration
+from oracles import (context_instantiations, dynamic_contextual_score,
+                     generate_contextual_candidates,
+                     generate_lexical_candidates, score_contextual_candidate,
+                     score_lexical_candidate, select_best_rule)
 
 
 def mini_spec(seed, **kw):
@@ -358,6 +359,50 @@ class TestIncrementalContextualLearner:
             config=TrainConfig(score_threshold=threshold,
                                max_rules_per_phase=cap))
         assert capped == unlimited[:cap]
+
+
+class TestCountMatchesTemplateTable:
+    """``_ContextualLearner._count`` is written out per template for speed;
+    the keys it emits must be exactly the instantiations the template table
+    gives, at every position and every distance from the sentence edges."""
+
+    @staticmethod
+    def _decode(learner, key):
+        template, args, frm = learner._decode(key)
+        names = (learner.word_names if template in WORD_TEMPLATES
+                 else learner.tag_names)
+        return (template, tuple(names[a] for a in args),
+                learner.tag_names[frm])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from("ABC")),
+                    min_size=1, max_size=9))
+    def test_keys_at_every_position(self, tokens):
+        words = tuple(w for w, _ in tokens)
+        tags = [t for _, t in tokens]
+        for p in range(len(tags)):
+            # the only error site is p, with a gold tag no other token has,
+            # so the keys counted under that gold tag are exactly p's keys
+            gold = list(tags)
+            gold[p] = "Z"
+            learner = _ContextualLearner([(words, tags)], [gold], 1)
+            z = learner.tag_id["Z"]
+            emitted = [key for key, fx in learner.fixes.items() if z in fx]
+            assert all(learner.fixes[key][z] == 1 for key in emitted)
+            assert {self._decode(learner, key) for key in emitted} == {
+                (template, args, tags[p]) for template, args
+                in context_instantiations(words, tags, p)}
+
+        # tag keys, and no word keys, of the sites with another token of
+        # their tag within the window to the right are marked as near
+        learner = _ContextualLearner([(words, tags)], [list(tags)], 1)
+        near = set()
+        for p in range(len(tags)):
+            if tags[p] in tags[p + 1:p + 1 + CONTEXT_WINDOW]:
+                near |= {(template, args, tags[p]) for template, args
+                         in context_instantiations(words, tags, p)
+                         if template not in WORD_TEMPLATES}
+        assert {self._decode(learner, key) for key in learner.inter} == near
 
 
 class TestContextualScoring:

@@ -1,14 +1,17 @@
 """Rule matching/application semantics, tagging pipeline, persistence."""
 
 import os
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tbltagger.corpus import TaggedCorpus, TaggerError, Token
+from tbltagger.corpus import (REQUIRED_ROLES, TaggerError, Tagset,
+                              TagsetError, Token)
 from tbltagger.lexicon import Lexicon, build_lexicon, default_greek_chain, initial_tag
-from tbltagger.rules import (CONTEXTUAL_TEMPLATES, ContextualRule, LexicalRule,
+from tbltagger.rules import (CONTEXTUAL_TEMPLATES, LEXICAL_TEMPLATES,
+                             MODEL_FILES, ContextualRule, LexicalRule,
                              ModelError, TaggerModel, apply_contextual_rule,
                              apply_contextual_rules, apply_lexical_rules,
                              contextual_rule_matches, lexical_rule_matches,
@@ -423,3 +426,103 @@ class TestModelPersistence:
             assert loaded.lexicon == model.lexicon
             assert loaded.lexical_rules == model.lexical_rules
             assert loaded.contextual_rules == model.contextual_rules
+
+
+def kept(build, items):
+    """What ``build`` makes of each item, leaving out the items it refuses."""
+    out = []
+    for item in items:
+        try:
+            out.append(build(item))
+        except TaggerError:
+            pass
+    return out
+
+
+@st.composite
+def models_st(draw):
+    """A model built from anything the in-memory types accept: names and
+    words are drawn from all of Unicode, and the types decide what stays."""
+    text = st.text(max_size=4)
+    tags = kept(lambda t: Tagset([t], {k: t for k in REQUIRED_ROLES}).tags[0],
+                draw(st.lists(text, max_size=8, unique=True)))
+    assume(tags)
+    tag = st.sampled_from(tags)
+    name = st.one_of(tag, tag, tag, text)   # now and then not a tag
+    tagset = Tagset(tags, {key: draw(tag) for key in REQUIRED_ROLES})
+    chain = default_greek_chain()
+
+    def model(entries={}, lexical=(), contextual=()):
+        return TaggerModel(tagset, Lexicon(entries), chain, tuple(lexical),
+                           tuple(contextual))
+
+    def entry(word):
+        # mostly positive integers, a few zero, negative or fractional
+        count = st.integers(-1, 60).map(lambda c: c + 0.5 if c > 50 else c)
+        counts = draw(st.dictionaries(name, count, min_size=1, max_size=3))
+        return model(entries={word: tuple(sorted(
+            counts.items(), key=lambda p: (-p[1], p[0])))}).lexicon.entries
+
+    entries = {}
+    for e in kept(entry, draw(st.lists(st.text(max_size=6), max_size=12,
+                                       unique=True))):
+        entries.update(e)
+    lexical = kept(lambda t: model(lexical=[LexicalRule(
+        t, draw(text), draw(st.one_of(st.none(), tag)), draw(tag))]
+    ).lexical_rules[0],
+        draw(st.lists(st.sampled_from(LEXICAL_TEMPLATES), max_size=8)))
+    contextual = kept(lambda t: model(contextual=[ContextualRule(
+        t, tuple(draw(st.one_of(tag, text))
+                 for _ in range(CONTEXTUAL_TEMPLATES[t])),
+        draw(tag), draw(tag))]).contextual_rules[0],
+        draw(st.lists(st.sampled_from(sorted(CONTEXTUAL_TEMPLATES)),
+                      max_size=8)))
+    return model(entries, lexical, contextual)
+
+
+class TestModelRoundTrip:
+    """Every model the in-memory types accept survives the model directory
+    unchanged; what the file formats cannot hold is refused up front."""
+
+    @given(models_st(), st.lists(st.lists(st.text(min_size=1, max_size=6),
+                                          min_size=1, max_size=5), max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_save_load_save_is_byte_identical(self, model, sentences):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = tmp + "/first", tmp + "/second"
+            save_model(model, first)
+            loaded = load_model(first)
+            save_model(loaded, second)
+            for name in MODEL_FILES:
+                with open(os.path.join(first, name), "rb") as a, \
+                        open(os.path.join(second, name), "rb") as b:
+                    assert a.read() == b.read(), name
+        assert loaded == model
+        raw = [tuple(Token(w) for w in sent) for sent in sentences]
+        assert tag_corpus(raw, loaded) == tag_corpus(raw, model)
+
+    def test_dash_is_not_a_tag_name(self):
+        # "-" marks a lexical rule without from_tag in LEXRULES
+        with pytest.raises(TagsetError):
+            make_tagset(tags=TAG_NAMES + ("-",))
+
+    def test_lexicon_tag_outside_tagset_rejected(self, tagset):
+        with pytest.raises(TagsetError):
+            TaggerModel(tagset, Lexicon({"a": (("ZZ", 1),)}),
+                        default_greek_chain(), (), ())
+
+    @pytest.mark.parametrize("build", [
+        lambda: LexicalRule("HASSUF", "a b", None, "NN"),
+        lambda: ContextualRule("PREVWD", ("a b",), "NN", "VB"),
+        lambda: ContextualRule("NEXTWD", ("a\tb",), "NN", "VB"),
+        lambda: ContextualRule("SURROUNDTAG", ("AT", ""), "NN", "VB"),
+        lambda: TaggerModel(make_tagset(), Lexicon({"a b": (("NN", 1),)}),
+                            default_greek_chain(), (), ()),
+        lambda: TaggerModel(make_tagset(), Lexicon({"\u2028": (("NN", 1),)}),
+                            default_greek_chain(), (), ()),
+        lambda: Lexicon({"a": (("NN", 1.5),)}),
+    ], ids=["lexical-arg", "prevwd-arg", "nextwd-arg", "empty-arg",
+            "lexicon-word", "lexicon-line-separator", "lexicon-count"])
+    def test_field_that_would_not_reload_rejected(self, build):
+        with pytest.raises(TaggerError):
+            build()
