@@ -209,7 +209,10 @@ def parse_raw_corpus(text: str) -> list:
 
 def read_text(path) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("%s is not UTF-8: %s" % (path, exc)) from exc
 
 
 def load_tagset(text: str) -> Tagset:
@@ -245,13 +248,6 @@ def serialize_tagset(tagset: Tagset) -> str:
     lines = ["tag %s" % t for t in tagset.tags]
     lines += ["role %s %s" % (k, tagset.roles[k]) for k in REQUIRED_ROLES]
     return "".join(line + "\n" for line in lines)
-
-
-def shuffle_sentences(corpus: TaggedCorpus, seed: int) -> TaggedCorpus:
-    """Seeded Fisher-Yates permutation of the sentence order."""
-    sents = list(corpus.sentences)
-    random.Random(seed).shuffle(sents)
-    return TaggedCorpus(tuple(sents), corpus.tagset)
 
 
 def kfold_split(corpus: TaggedCorpus, k: int, seed: int) -> FoldPlan:

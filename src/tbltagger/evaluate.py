@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .corpus import (AlignmentError, TaggedCorpus, TaggerError, Tagset, Token,
                      kfold_split, select_sentences, truncate_to_words)
 from .learner import TrainConfig, train_model
-from .lexicon import InitialRuleChain, default_greek_chain
 from .rules import tag_corpus
 
 
@@ -143,13 +142,13 @@ def _summarize(folds) -> EvalReport:
 
 
 def _run_fold(args):
-    corpus, plan, fold_id, config, chain = args
+    corpus, plan, fold_id, config = args
     test_idx = plan.fold_indices(fold_id)
     train_idx = [i for i in range(len(corpus.sentences))
                  if plan.assignments[i] != fold_id]
     train = select_sentences(corpus, train_idx)
     test = select_sentences(corpus, test_idx)
-    model = train_model(train, chain, config)
+    model = train_model(train, config)
     predicted = tag_corpus(strip_tags(test), model)
     acc, _ = accuracy(predicted, test)
 
@@ -174,18 +173,15 @@ def _run_fold(args):
 
 
 def cross_validate(corpus: TaggedCorpus, k: int = 10,
-                   config: TrainConfig = None,
-                   chain: InitialRuleChain = None, seed: int = 0,
+                   config: TrainConfig = None, seed: int = 0,
                    jobs: int = 1) -> EvalReport:
     """Train on k-1 folds and test on the held-out fold, for every rotation.
     Deterministic in (corpus, k, config, seed); jobs > 1 evaluates folds in
     parallel with identical results."""
     if config is None:
         config = TrainConfig()
-    if chain is None:
-        chain = default_greek_chain()
     plan = kfold_split(corpus, k, seed)
-    tasks = [(corpus, plan, fold_id, config, chain) for fold_id in range(k)]
+    tasks = [(corpus, plan, fold_id, config) for fold_id in range(k)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             folds = list(pool.map(_run_fold, tasks))
@@ -195,8 +191,7 @@ def cross_validate(corpus: TaggedCorpus, k: int = 10,
 
 
 def learning_curve(corpus: TaggedCorpus, word_sizes, k: int = 10,
-                   config: TrainConfig = None,
-                   chain: InitialRuleChain = None, seed: int = 0,
+                   config: TrainConfig = None, seed: int = 0,
                    jobs: int = 1) -> list:
     sizes = list(word_sizes)
     if sizes != sorted(sizes):
@@ -207,18 +202,9 @@ def learning_curve(corpus: TaggedCorpus, word_sizes, k: int = 10,
         if len(sub.sentences) < k:
             raise TaggerError("size %d leaves %d sentences, fewer than k=%d"
                               % (size, len(sub.sentences), k))
-        report = cross_validate(sub, k, config, chain, seed, jobs)
+        report = cross_validate(sub, k, config, seed, jobs)
         rows.append(CurveRow(sub.word_count, report))
     return rows
-
-
-def most_frequent_tag_baseline(corpus: TaggedCorpus, k: int = 10,
-                               chain: InitialRuleChain = None,
-                               seed: int = 0) -> float:
-    """Mean cross-validated accuracy of the initial tagger alone (lexicon
-    most-frequent tag plus the default rule chain, no learned rules)."""
-    config = TrainConfig(max_rules_per_phase=0)
-    return cross_validate(corpus, k, config, chain, seed).mean_accuracy
 
 
 def synth_tagset(spec: SynthSpec) -> Tagset:
@@ -291,38 +277,6 @@ def generate_synthetic_corpus(spec: SynthSpec):
                 tokens.append(Token(word, base_tag))
         sentences.append(tuple(tokens))
     return TaggedCorpus(tuple(sentences), tagset)
-
-
-def synthetic_oracle_tags(sentences, spec: SynthSpec) -> TaggedCorpus:
-    """Tagger hard-coded with the generating suffix map and context rule;
-    on corpora generated with context_rule_strength = 1 it is exact up to
-    the trigger coin flips it cannot observe (none at strength 1)."""
-    tagset = synth_tagset(spec)
-    suffixes = sorted(spec.suffix_paradigms, key=lambda p: -len(p[0]))
-    foreign = set(_FOREIGN_POOL)
-    proper = set(_PROPER_POOL)
-    trigger_tags = {w: t for w, t, _ in SYNTH_TRIGGERS}
-    out = []
-    for sent in sentences:
-        tokens = []
-        prev_word = None
-        for tok in sent:
-            word = tok.word
-            if word in trigger_tags:
-                tag = trigger_tags[word]
-            elif word in foreign:
-                tag = SYNTH_FOREIGN_TAG
-            elif word in proper:
-                tag = SYNTH_PROPER_TAG
-            elif prev_word in trigger_tags:
-                tag = SYNTH_ALT_TAG
-            else:
-                tag = next((t for s, t in suffixes if word.endswith(s)),
-                           spec.suffix_paradigms[0][1])
-            tokens.append(Token(word, tag))
-            prev_word = word
-        out.append(tuple(tokens))
-    return TaggedCorpus(tuple(out), tagset)
 
 
 def render_report_csv(rows) -> str:

@@ -20,10 +20,13 @@ position within the context window after it; only those sentences are
 re-simulated, and only for candidates whose argument tags include the
 rule's from_tag or to_tag.
 
-Templates come from ``rules.CONTEXT_TABLE`` and rules are applied by
-``rules.rewrite_sentence``, as in tagging; only ``_count`` spells out the
-templates, for speed, and a test pins it to the table. The brute-force
-scorers the greedy steps are checked against live under ``tests/``.
+Both stages run on the tagger's code. Lexical candidates are the arguments
+``rules.lexical_template_matches`` accepts, the current guesses advance by
+``rules.apply_lexical_rules`` and start from ``lexicon.initial_unknown_tags``.
+Contextual templates come from ``rules.CONTEXT_TABLE`` and rules are applied
+by ``rules.rewrite_sentence``; only ``_count`` spells out the templates, for
+speed, and a test pins it to the table. The brute-force scorers the greedy
+steps are checked against live under ``tests/``.
 """
 
 from __future__ import annotations
@@ -34,16 +37,17 @@ import math
 import random
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .corpus import TaggedCorpus, TaggerError, select_sentences
 from .lexicon import (InitialRuleChain, Lexicon, build_lexicon,
-                      default_greek_chain, initial_tag)
+                      default_greek_chain, initial_unknown_tags)
 from .rules import (CONTEXT_WINDOW, CONTEXTUAL_TEMPLATES, WORD_TEMPLATES,
-                    ContextualRule, LexicalRule, TaggerModel, context_checks,
-                    context_predicate, initial_state, lexical_rule_matches,
-                    rewrite_sentence)
+                    ContextualRule, LexicalRule, TaggerModel,
+                    apply_lexical_rules, build_affix_extension_maps,
+                    context_checks, context_predicate, initial_state,
+                    lexical_candidate_features, rewrite_sentence)
 
 logger = logging.getLogger(__name__)
 
@@ -77,15 +81,6 @@ class RuleScore:
         return self.good - self.bad
 
 
-@dataclass(frozen=True)
-class TypeState:
-    """Per word type during lexical learning: current guess, target tag and
-    how many tokens of the type occur in the rule-learning half."""
-    current: str
-    gold: str
-    count: int
-
-
 def split_for_unknown_training(corpus: TaggedCorpus, fraction: float,
                                seed: int):
     """Seeded sentence-level split: ceil(fraction * S) sentences build the
@@ -101,99 +96,48 @@ def split_for_unknown_training(corpus: TaggedCorpus, fraction: float,
     return select_sentences(corpus, lex_idx), select_sentences(corpus, rule_idx)
 
 
-def build_unknown_type_states(rule_part: TaggedCorpus, guess_lexicon: Lexicon,
-                              chain: InitialRuleChain) -> dict:
-    """Initial TypeState per word type of rule_part unknown to the guess
-    lexicon. Gold tag of a type is its most frequent gold tag in rule_part,
-    ties broken by ascending tag name."""
+def unknown_types(rule_part: TaggedCorpus, guess_lexicon: Lexicon,
+                  chain: InitialRuleChain):
+    """(tags, targets) for the word types of rule_part unknown to the guess
+    lexicon: tags maps each to its initial tag, targets to its gold tag and
+    its number of tokens in rule_part. The gold tag of a type is its most
+    frequent gold tag in rule_part, ties broken by ascending tag name."""
+    tags = initial_unknown_tags(rule_part.sentences, guess_lexicon, chain,
+                                rule_part.tagset)
     gold_counts = defaultdict(Counter)
     for sent in rule_part.sentences:
         for tok in sent:
-            if tok.word not in guess_lexicon:
+            if tok.word in tags:
                 gold_counts[tok.word][tok.tag] += 1
-    states = {}
-    for word, counts in gold_counts.items():
-        gold = min(counts, key=lambda t: (-counts[t], t))
-        current = initial_tag(word, guess_lexicon, chain, rule_part.tagset)
-        states[word] = TypeState(current, gold, sum(counts.values()))
-    return states
+    targets = {word: (min(counts, key=lambda t: (-counts[t], t)),
+                      sum(counts.values()))
+               for word, counts in gold_counts.items()}
+    return tags, targets
 
 
-def build_affix_extension_maps(lexicon: Lexicon, max_affix_len: int):
-    """(add_suf, add_pref): word -> affixes whose addition lands in the
-    lexicon. Lets ADDSUF/ADDPREF features be looked up without scanning the
-    lexicon per word."""
-    add_suf = defaultdict(list)
-    add_pref = defaultdict(list)
-    for other in lexicon.entries:
-        for k in range(1, min(max_affix_len, len(other) - 1) + 1):
-            add_suf[other[:-k]].append(other[-k:])
-            add_pref[other[k:]].append(other[:k])
-    return dict(add_suf), dict(add_pref)
-
-
-def lexical_candidate_features(word: str, lexicon: Lexicon,
-                               max_affix_len: int,
-                               extension_maps) -> tuple:
-    """All (template, arg) pairs that match this word: its own affixes up to
-    max_affix_len, its characters, and the affix edits that land in the
-    lexicon (``extension_maps``, from ``build_affix_extension_maps``). A
-    lexical rule (template, arg) matches the word iff the pair is in this
-    list."""
-    add_suf, add_pref = extension_maps
-    feats = []
-    n = len(word)
-    for alen in range(1, min(max_affix_len, n) + 1):
-        suf, pre = word[-alen:], word[:alen]
-        feats.append(("HASSUF", suf))
-        feats.append(("HASPREF", pre))
-        if n > alen and word[:-alen] in lexicon:
-            feats.append(("DELETESUF", suf))
-        if n > alen and word[alen:] in lexicon:
-            feats.append(("DELETEPREF", pre))
-    for ch in sorted(set(word)):
-        feats.append(("HASCHAR", ch))
-    for suf in add_suf.get(word, ()):
-        feats.append(("ADDSUF", suf))
-    for pre in add_pref.get(word, ()):
-        feats.append(("ADDPREF", pre))
-    return tuple(feats)
-
-
-def weighted_type_errors(states: dict) -> int:
-    return sum(st.count for st in states.values() if st.current != st.gold)
-
-
-def apply_lexical_rule_to_states(rule: LexicalRule, states: dict,
-                                 lexicon: Lexicon) -> dict:
-    return {
-        word: (replace(st, current=rule.to_tag)
-               if lexical_rule_matches(rule, word, st.current, lexicon) else st)
-        for word, st in states.items()
-    }
-
-
-def _lexical_iteration(states: dict, feature_cache: dict, threshold: int):
+def _lexical_iteration(tags: dict, targets: dict, features: dict,
+                       threshold: int):
     """One greedy step: best candidate by net score with the documented
     tie-break, scored via count aggregation per (feature, from_tag[, to])
     key. Equivalent to scoring every generated candidate directly."""
     fix = {}            # (feat, from_tag, to_tag) -> weighted fixes
     correct = {}        # (feat, from_tag) -> weighted matches on correct types
     correct_gold = {}   # (feat, from_tag, gold) -> subset of the above
-    for word, st in states.items():
-        feats = feature_cache[word]
-        if st.current == st.gold:
+    for word, tag in tags.items():
+        gold, count = targets[word]
+        feats = features[word]
+        if tag == gold:
             for f in feats:
-                for ft in (None, st.current):
+                for ft in (None, tag):
                     k = (f, ft)
-                    correct[k] = correct.get(k, 0) + st.count
-                    kg = (f, ft, st.gold)
-                    correct_gold[kg] = correct_gold.get(kg, 0) + st.count
+                    correct[k] = correct.get(k, 0) + count
+                    kg = (f, ft, gold)
+                    correct_gold[kg] = correct_gold.get(kg, 0) + count
         else:
             for f in feats:
-                for ft in (None, st.current):
-                    k = (f, ft, st.gold)
-                    fix[k] = fix.get(k, 0) + st.count
+                for ft in (None, tag):
+                    k = (f, ft, gold)
+                    fix[k] = fix.get(k, 0) + count
     best = None
     for (feat, ft, to), good in fix.items():
         bad = correct.get((feat, ft), 0) - correct_gold.get((feat, ft, to), 0)
@@ -223,23 +167,25 @@ def learn_lexical_rules(train: TaggedCorpus,
     lex_part, rule_part = split_for_unknown_training(
         train, config.lexicon_split_fraction, config.seed)
     guess = build_lexicon(lex_part)
-    states = build_unknown_type_states(rule_part, guess, chain)
+    tags, targets = unknown_types(rule_part, guess, chain)
     extension_maps = build_affix_extension_maps(guess, config.max_affix_len)
-    feature_cache = {
+    features = {
         word: lexical_candidate_features(word, guess, config.max_affix_len,
                                          extension_maps)
-        for word in states
+        for word in tags
     }
 
-    errors = weighted_type_errors(states)
+    errors = sum(count for word, (gold, count) in targets.items()
+                 if tags[word] != gold)
     rules = []
     while (config.max_rules_per_phase is None
            or len(rules) < config.max_rules_per_phase):
-        best = _lexical_iteration(states, feature_cache, config.score_threshold)
+        best = _lexical_iteration(tags, targets, features,
+                                  config.score_threshold)
         if best is None:
             break
         rule, score = best
-        states = apply_lexical_rule_to_states(rule, states, guess)
+        tags = apply_lexical_rules((rule,), tags, guess)
         rules.append(rule)
         errors -= score.net
         logger.info("lexical %d %s net=%d errors_remaining=%d",
@@ -629,15 +575,11 @@ def learn_contextual_rules(train: TaggedCorpus, lexicon: Lexicon,
     return tuple(rules)
 
 
-def train_model(train: TaggedCorpus, chain: InitialRuleChain = None,
-                config: TrainConfig = None) -> TaggerModel:
-    """Both training stages in order; deterministic in (train, config.seed)."""
-    if chain is None:
-        chain = default_greek_chain()
-    if config is None:
-        config = TrainConfig()
-    lexicon, lexical_rules = learn_lexical_rules(train, chain, config)
+def train_model(train: TaggedCorpus, config: TrainConfig = None) -> TaggerModel:
+    """Both training stages in order, with the default initial rule chain;
+    deterministic in (train, config.seed)."""
+    lexicon, lexical_rules = learn_lexical_rules(train, config=config)
     contextual_rules = learn_contextual_rules(train, lexicon, lexical_rules,
-                                              chain, config)
-    return TaggerModel(train.tagset, lexicon, chain, lexical_rules,
-                       contextual_rules)
+                                              config=config)
+    return TaggerModel(train.tagset, lexicon, default_greek_chain(),
+                       lexical_rules, contextual_rules)

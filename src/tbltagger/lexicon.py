@@ -120,6 +120,19 @@ def initial_tag(word: str, lexicon: Lexicon, chain: InitialRuleChain,
     raise TaggerError("initial rule chain matched no branch")  # unreachable
 
 
+def initial_unknown_tags(sentences, lexicon: Lexicon, chain: InitialRuleChain,
+                         tagset: Tagset) -> dict:
+    """word type -> initial tag, for the words of these sentences (of
+    tokens) that the lexicon does not know, in order of first occurrence."""
+    unknown = {}
+    for sent in sentences:
+        for tok in sent:
+            if tok.word not in lexicon and tok.word not in unknown:
+                unknown[tok.word] = initial_tag(tok.word, lexicon, chain,
+                                                tagset)
+    return unknown
+
+
 def serialize_lexicon(lexicon: Lexicon) -> str:
     lines = []
     for word in sorted(lexicon.entries):
@@ -140,13 +153,19 @@ def parse_lexicon(text: str, tagset: Tagset) -> Lexicon:
         word, pairs = fields[0], []
         for item in fields[1:]:
             tag, sep, count = item.rpartition(":")
-            if not sep or not tag or not count.isdigit():
+            # ASCII digits only: str.isdigit() also accepts "²" and "١"
+            if (not sep or not tag or not count.isascii()
+                    or not count.isdigit()):
                 raise ParseError("line %d: malformed tag:count item %r"
                                  % (lineno, item), line=lineno)
             if tag not in tagset:
                 raise TagsetError("line %d: tag %r not in tagset" % (lineno, tag),
                                   line=lineno)
-            count = int(count)
+            try:
+                count = int(count)
+            except ValueError as exc:  # more digits than int() converts
+                raise ParseError("line %d: count too long in %r"
+                                 % (lineno, item[:40]), line=lineno) from exc
             if count <= 0:
                 raise ParseError("line %d: non-positive count in %r"
                                  % (lineno, item), line=lineno)

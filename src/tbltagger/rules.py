@@ -8,8 +8,10 @@ Out-of-bounds context never matches (no sentinel tags).
 
 ``CONTEXT_TABLE`` defines the contextual templates once; their arity, the
 word templates, the context window, the predicate and rule application are
-derived from it. Tagging and training share ``rewrite_sentence`` and
-``initial_state``.
+derived from it. ``lexical_template_matches`` defines the lexical templates
+once; the learner's candidate features are the arguments it accepts.
+Tagging and training share ``rewrite_sentence``, ``apply_lexical_rules``
+and ``initial_state``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import os
 import shutil
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -26,7 +29,7 @@ from .corpus import (ModelError, ParseError, TaggedCorpus, TaggerError, Tagset,
                      TagsetError, Token, load_tagset, read_text,
                      serialize_tagset)
 from .lexicon import (InitialRuleChain, Lexicon, default_greek_chain,
-                      initial_tag, parse_lexicon, serialize_lexicon)
+                      initial_unknown_tags, parse_lexicon, serialize_lexicon)
 
 LEXICAL_TEMPLATES = ("ADDPREF", "ADDSUF", "DELETEPREF", "DELETESUF",
                      "HASCHAR", "HASPREF", "HASSUF")
@@ -124,28 +127,28 @@ class ContextualRule:
         return context_checks(self.template, self.args)
 
 
-def lexical_rule_matches(rule: LexicalRule, word: str, current_tag: str,
-                         lexicon: Lexicon) -> bool:
-    if rule.from_tag is not None and rule.from_tag != current_tag:
-        return False
-    t, a = rule.template, rule.arg
-    if t == "HASSUF":
-        return word.endswith(a)
-    if t == "HASPREF":
-        return word.startswith(a)
-    if t == "DELETESUF":
-        return (len(word) > len(a) and word.endswith(a)
-                and word[:-len(a)] in lexicon)
-    if t == "DELETEPREF":
-        return (len(word) > len(a) and word.startswith(a)
-                and word[len(a):] in lexicon)
-    if t == "ADDSUF":
-        return word + a in lexicon
-    if t == "ADDPREF":
-        return a + word in lexicon
-    if t == "HASCHAR":
-        return a in word
-    raise TaggerError("unknown lexical template %r" % t)
+def lexical_template_matches(template: str, arg: str, word: str,
+                             lexicon: Lexicon) -> bool:
+    """True if the lexical template instantiated with ``arg`` matches the
+    word; the from_tag check is the caller's job. Tagging and learning both
+    ask this function, the one definition of the lexical templates."""
+    if template == "HASSUF":
+        return word.endswith(arg)
+    if template == "HASPREF":
+        return word.startswith(arg)
+    if template == "DELETESUF":
+        return (len(word) > len(arg) and word.endswith(arg)
+                and word[:-len(arg)] in lexicon)
+    if template == "DELETEPREF":
+        return (len(word) > len(arg) and word.startswith(arg)
+                and word[len(arg):] in lexicon)
+    if template == "ADDSUF":
+        return word + arg in lexicon
+    if template == "ADDPREF":
+        return arg + word in lexicon
+    if template == "HASCHAR":
+        return arg in word
+    raise TaggerError("unknown lexical template %r" % template)
 
 
 def apply_lexical_rules(rules, assignments: dict, lexicon: Lexicon) -> dict:
@@ -153,10 +156,45 @@ def apply_lexical_rules(rules, assignments: dict, lexicon: Lexicon) -> dict:
     Later rules see earlier rules' retagging."""
     out = dict(assignments)
     for rule in rules:
+        from_tag = rule.from_tag
         for word, tag in out.items():
-            if lexical_rule_matches(rule, word, tag, lexicon):
+            if ((from_tag is None or tag == from_tag)
+                    and lexical_template_matches(rule.template, rule.arg,
+                                                 word, lexicon)):
                 out[word] = rule.to_tag
     return out
+
+
+def build_affix_extension_maps(lexicon: Lexicon, max_affix_len: int):
+    """(add_suf, add_pref): word -> affixes whose addition lands in the
+    lexicon, so that ADDSUF/ADDPREF arguments are found without scanning
+    the lexicon per word."""
+    add_suf = defaultdict(list)
+    add_pref = defaultdict(list)
+    for other in lexicon.entries:
+        for k in range(1, min(max_affix_len, len(other) - 1) + 1):
+            add_suf[other[:-k]].append(other[-k:])
+            add_pref[other[k:]].append(other[:k])
+    return dict(add_suf), dict(add_pref)
+
+
+def lexical_candidate_features(word: str, lexicon: Lexicon,
+                               max_affix_len: int, extension_maps) -> tuple:
+    """All (template, arg) pairs that match this word: the arguments each
+    template could take for it (its affixes up to max_affix_len, its
+    characters, the affixes from ``build_affix_extension_maps``), kept
+    where ``lexical_template_matches`` says they match."""
+    add_suf, add_pref = extension_maps
+    lengths = range(1, min(max_affix_len, len(word)) + 1)
+    suffixes = [word[-k:] for k in lengths]
+    prefixes = [word[:k] for k in lengths]
+    args = {"ADDPREF": add_pref.get(word, ()), "ADDSUF": add_suf.get(word, ()),
+            "DELETEPREF": prefixes, "DELETESUF": suffixes,
+            "HASCHAR": sorted(set(word)), "HASPREF": prefixes,
+            "HASSUF": suffixes}
+    return tuple((template, arg) for template in LEXICAL_TEMPLATES
+                 for arg in args[template]
+                 if lexical_template_matches(template, arg, word, lexicon))
 
 
 def context_checks(template: str, args: tuple):
@@ -182,11 +220,6 @@ def context_predicate(checks, words, tags, pos: int) -> bool:
         else:
             return True
     return False
-
-
-def contextual_rule_matches(rule: ContextualRule, words, tags, pos: int) -> bool:
-    return tags[pos] == rule.from_tag and context_predicate(rule.checks, words,
-                                                            tags, pos)
 
 
 def rewrite_sentence(checks, from_tag, to_tag, words, tags):
@@ -230,6 +263,10 @@ class TaggerModel:
     contextual_rules: tuple
 
     def __post_init__(self):
+        if self.initial_chain != default_greek_chain():
+            # load_model cannot restore any other chain
+            raise TaggerError("a model can only use the default initial "
+                              "rule chain, got %r" % (self.initial_chain,))
         for rule in (*self.lexical_rules, *self.contextual_rules):
             for tag in (rule.from_tag, rule.to_tag):
                 if tag is not None and tag not in self.tagset:
@@ -250,12 +287,7 @@ def initial_state(sentences, lexicon: Lexicon, lexical_rules,
     get their most frequent lexicon tag, unknown word types (scoped to
     these sentences) the initial rule chain's tag and then the lexical
     rules."""
-    unknown = {}
-    for sent in sentences:
-        for tok in sent:
-            if tok.word not in lexicon and tok.word not in unknown:
-                unknown[tok.word] = initial_tag(tok.word, lexicon, chain,
-                                                tagset)
+    unknown = initial_unknown_tags(sentences, lexicon, chain, tagset)
     unknown = apply_lexical_rules(lexical_rules, unknown, lexicon)
     state = []
     for sent in sentences:
@@ -377,13 +409,19 @@ def load_model(path: str) -> TaggerModel:
     for name in MODEL_FILES:
         if not os.path.isfile(os.path.join(path, name)):
             raise ModelError("model directory %s is missing %s" % (path, name))
-    manifest = json.loads(read_text(os.path.join(path, "MANIFEST")))
+    text = read_text(os.path.join(path, "MANIFEST"))
+    try:
+        manifest = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the JSON decoder can follow
+        raise ModelError("MANIFEST is not valid JSON: %s" % exc) from exc
     if not isinstance(manifest, dict):
         raise ModelError("MANIFEST must hold a JSON object, got %s"
                          % type(manifest).__name__)
-    if manifest.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelError("unsupported model format version %r"
-                         % manifest.get("format_version"))
+    version = manifest.get("format_version")
+    # true == 1 and 1.0 == 1 in Python; only the integer 1 is version 1
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise ModelError("unsupported model format version %r" % (version,))
     tagset = load_tagset(read_text(os.path.join(path, "TAGSET")))
     lexicon = parse_lexicon(read_text(os.path.join(path, "LEXICON")), tagset)
     lexical, extra_ctx = parse_rules(

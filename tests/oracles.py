@@ -1,20 +1,71 @@
 """Brute-force reference implementations that the learner is checked
 against: candidate generation, direct scoring of one candidate, and the
-exhaustive argmax over a candidate set.
+exhaustive argmax over a candidate set. Also the references the evaluation
+is checked against: the synthetic language's exact tagger and the
+most-frequent-tag baseline.
 
 They score each candidate on its own, by a plain pass over the corpus, so
-they share no counting with the learner. ``context_instantiations`` reads
-the template table; ``contextual_reference.py`` holds an enumeration of the
-templates written out by hand.
+they share no counting with the learner. Lexical learning is replayed on
+``TypeState`` records with its own application loop. The rule predicates
+ask the package's template definitions (``lexical_template_matches``,
+``context_predicate``); ``context_instantiations`` reads the template
+table; ``contextual_reference.py`` holds an enumeration of the templates
+written out by hand.
 """
 
 from collections import defaultdict
+from dataclasses import dataclass, replace
 
-from tbltagger.learner import (RuleScore, build_affix_extension_maps,
-                               lexical_candidate_features)
+from tbltagger.corpus import TaggedCorpus, Token
+from tbltagger.evaluate import (SYNTH_ALT_TAG, SYNTH_FOREIGN_TAG,
+                                SYNTH_PROPER_TAG, SYNTH_TRIGGERS, SynthSpec,
+                                _FOREIGN_POOL, _PROPER_POOL, cross_validate,
+                                synth_tagset)
+from tbltagger.learner import RuleScore, TrainConfig
 from tbltagger.rules import (CONTEXT_TABLE, WORDS, ContextualRule,
-                             LexicalRule, contextual_rule_matches,
-                             lexical_rule_matches)
+                             LexicalRule, build_affix_extension_maps,
+                             context_predicate, lexical_candidate_features,
+                             lexical_template_matches)
+
+
+def lexical_rule_matches(rule: LexicalRule, word: str, current_tag: str,
+                         lexicon) -> bool:
+    return ((rule.from_tag is None or rule.from_tag == current_tag)
+            and lexical_template_matches(rule.template, rule.arg, word,
+                                         lexicon))
+
+
+def contextual_rule_matches(rule: ContextualRule, words, tags, pos: int) -> bool:
+    return tags[pos] == rule.from_tag and context_predicate(rule.checks, words,
+                                                            tags, pos)
+
+
+@dataclass(frozen=True)
+class TypeState:
+    """Per word type during lexical learning: current guess, target tag and
+    how many tokens of the type occur in the rule-learning half."""
+    current: str
+    gold: str
+    count: int
+
+
+def type_states(tags: dict, targets: dict) -> dict:
+    """word -> TypeState from the learner's (tags, targets) of
+    ``learner.unknown_types``."""
+    return {word: TypeState(tag, *targets[word]) for word, tag in tags.items()}
+
+
+def weighted_type_errors(states: dict) -> int:
+    return sum(st.count for st in states.values() if st.current != st.gold)
+
+
+def apply_lexical_rule_to_states(rule: LexicalRule, states: dict,
+                                 lexicon) -> dict:
+    return {
+        word: (replace(st, current=rule.to_tag)
+               if lexical_rule_matches(rule, word, st.current, lexicon) else st)
+        for word, st in states.items()
+    }
 
 
 def generate_lexical_candidates(states: dict, lexicon, max_affix_len: int) -> set:
@@ -139,3 +190,43 @@ def simulate_sentence(rule: ContextualRule, sent_state, gtags):
             elif rule.to_tag == gtags[p]:
                 good += 1
     return good, bad
+
+
+def most_frequent_tag_baseline(corpus: TaggedCorpus, k: int = 10,
+                               seed: int = 0) -> float:
+    """Mean cross-validated accuracy of the initial tagger alone (lexicon
+    most-frequent tag plus the default rule chain, no learned rules)."""
+    config = TrainConfig(max_rules_per_phase=0)
+    return cross_validate(corpus, k, config, seed).mean_accuracy
+
+
+def synthetic_oracle_tags(sentences, spec: SynthSpec) -> TaggedCorpus:
+    """Tagger hard-coded with the generating suffix map and context rule;
+    on corpora generated with context_rule_strength = 1 it is exact up to
+    the trigger coin flips it cannot observe (none at strength 1)."""
+    tagset = synth_tagset(spec)
+    suffixes = sorted(spec.suffix_paradigms, key=lambda p: -len(p[0]))
+    foreign = set(_FOREIGN_POOL)
+    proper = set(_PROPER_POOL)
+    trigger_tags = {w: t for w, t, _ in SYNTH_TRIGGERS}
+    out = []
+    for sent in sentences:
+        tokens = []
+        prev_word = None
+        for tok in sent:
+            word = tok.word
+            if word in trigger_tags:
+                tag = trigger_tags[word]
+            elif word in foreign:
+                tag = SYNTH_FOREIGN_TAG
+            elif word in proper:
+                tag = SYNTH_PROPER_TAG
+            elif prev_word in trigger_tags:
+                tag = SYNTH_ALT_TAG
+            else:
+                tag = next((t for s, t in suffixes if word.endswith(s)),
+                           spec.suffix_paradigms[0][1])
+            tokens.append(Token(word, tag))
+            prev_word = word
+        out.append(tuple(tokens))
+    return TaggedCorpus(tuple(out), tagset)

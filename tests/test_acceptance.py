@@ -15,15 +15,12 @@ from tbltagger.corpus import (TaggedCorpus, Token, parse_tagged_corpus,
                               serialize_tagged_corpus, truncate_to_words)
 from tbltagger.evaluate import (SynthSpec, accuracy, cross_validate,
                                 generate_synthetic_corpus, learning_curve,
-                                most_frequent_tag_baseline,
                                 strip_tags, _summarize, FoldResult)
 from tbltagger.corpus import kfold_split, serialize_tagset
-from tbltagger.learner import (TrainConfig, apply_lexical_rule_to_states,
-                               build_unknown_type_states,
-                               initial_contextual_state, learn_lexical_rules,
-                               learn_contextual_rules,
-                               split_for_unknown_training,
-                               token_errors, weighted_type_errors)
+from tbltagger.learner import (TrainConfig, initial_contextual_state,
+                               learn_lexical_rules, learn_contextual_rules,
+                               split_for_unknown_training, token_errors,
+                               unknown_types)
 from tbltagger.lexicon import (Lexicon, build_lexicon, default_greek_chain,
                                initial_tag, parse_lexicon, serialize_lexicon)
 from tbltagger.rules import (CONTEXTUAL_TEMPLATES, ContextualRule, LexicalRule,
@@ -33,8 +30,10 @@ from tbltagger.rules import (CONTEXTUAL_TEMPLATES, ContextualRule, LexicalRule,
 from tbltagger import cli
 
 from conftest import BIG_SPEC, make_tagset
-from oracles import (build_tag_index, dynamic_contextual_score,
-                     score_lexical_candidate, select_best_rule)
+from oracles import (apply_lexical_rule_to_states, build_tag_index,
+                     dynamic_contextual_score, most_frequent_tag_baseline,
+                     score_lexical_candidate, select_best_rule, type_states,
+                     weighted_type_errors)
 
 
 def report(num, label, ok, detail=""):
@@ -173,7 +172,7 @@ def replay_training(corpus, config):
     lex_part, rule_part = split_for_unknown_training(
         corpus, config.lexicon_split_fraction, config.seed)
     guess = build_lexicon(lex_part)
-    states = build_unknown_type_states(rule_part, guess, chain)
+    states = type_states(*unknown_types(rule_part, guess, chain))
     for rule in lexical_rules:
         oracle = select_best_rule(
             exhaustive_lexical_candidates(states, guess, config.max_affix_len),

@@ -2,14 +2,20 @@
 
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbltagger import cli
 from tbltagger.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
-from tbltagger.corpus import (TaggerError, load_tagset, parse_tagged_corpus,
+from tbltagger.corpus import (ModelError, ParseError, TaggerError,
+                              load_tagset, parse_tagged_corpus,
                               serialize_tagged_corpus, serialize_tagset)
 from tbltagger.evaluate import generate_synthetic_corpus, synth_tagset
+from tbltagger.rules import MODEL_FILES, load_model
 
 from test_learner import mini_spec
 
@@ -175,6 +181,80 @@ class TestTag:
                      "--in", str(infile), "--out", str(outfile)]) == EXIT_OK
         assert len(outfile.read_text(encoding="utf-8").splitlines()) == 3
         assert sorted(os.listdir(tmp_path)) == ["in.txt", "out.txt"]
+
+
+@st.composite
+def damaged_st(draw, data: bytes) -> bytes:
+    """``data`` truncated, with bytes flipped, or with lines dropped, one
+    to three times over."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "flip", "drop"]))
+        if kind == "truncate":
+            data = data[:draw(st.integers(0, len(data)))]
+        elif kind == "flip" and data:
+            out = bytearray(data)
+            for _ in range(draw(st.integers(1, 4))):
+                out[draw(st.integers(0, len(out) - 1))] ^= draw(
+                    st.integers(1, 255))
+            data = bytes(out)
+        elif kind == "drop" and data:
+            lines = data.splitlines(keepends=True)
+            dropped = draw(st.sets(st.integers(0, len(lines) - 1),
+                                   min_size=1, max_size=3))
+            data = b"".join(line for i, line in enumerate(lines)
+                            if i not in dropped)
+    return data
+
+
+class TestCorruptModelFiles:
+    """A model directory with a damaged file either loads or is refused
+    with a TaggerError, and `tbltagger tag` exits 0 or 2 without raising."""
+
+    @staticmethod
+    def _load_and_tag(workspace, replaced):
+        with tempfile.TemporaryDirectory() as tmp:
+            model = Path(tmp) / "model"
+            model.mkdir()
+            for name, data in read_model_files(workspace["model"]).items():
+                (model / name).write_bytes(replaced.get(name, data))
+            infile = Path(tmp) / "in.txt"
+            infile.write_text("το ζζζος Microsoft\nΆννα ζζζει x\n",
+                              encoding="utf-8")
+            try:
+                load_model(str(model))
+                error = None
+            except TaggerError as exc:
+                error = exc
+            code = main(["tag", "--model", str(model), "--in", str(infile),
+                         "--out", str(Path(tmp) / "out.txt")])
+        return error, code
+
+    @pytest.mark.parametrize("name", MODEL_FILES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_damaged_file_loads_or_is_refused(self, workspace, name, data):
+        original = read_model_files(workspace["model"])[name]
+        damaged = data.draw(damaged_st(original))
+        error, code = self._load_and_tag(workspace, {name: damaged})
+        assert code == (EXIT_OK if error is None else EXIT_CONFIG)
+
+    @pytest.mark.parametrize("name, data, error", [
+        ("MANIFEST", b"[" * 100_000, ModelError),
+        ("MANIFEST", b"format_version: 1\n", ModelError),
+        ("MANIFEST", b'{"format_version": true}\n', ModelError),
+        ("MANIFEST", b'{"format_version": 1.0}\n', ModelError),
+        ("MANIFEST", b'{"format_version": 1' + b"0" * 5000 + b"}", ModelError),
+        ("TAGSET", b"tag \xff\n", ParseError),
+        ("LEXICON", "λέξη NNF:²\n".encode(), ParseError),
+        ("LEXICON", "λέξη NNF:١\n".encode(), ParseError),
+        ("LEXICON", b"x NNF:1" + b"0" * 5000 + b"\n", ParseError),
+    ], ids=["deep-nesting", "not-json", "version-true", "version-float",
+            "version-5001-digits", "not-utf8", "superscript-count",
+            "arabic-indic-count", "5001-digit-count"])
+    def test_damaged_file_refused(self, workspace, name, data, error, capsys):
+        got, code = self._load_and_tag(workspace, {name: data})
+        assert type(got) is error
+        assert code == EXIT_CONFIG
 
 
 class TestEval:

@@ -1,4 +1,4 @@
-"""Corpus model: parsing, serialization, shuffling, folds, truncation."""
+"""Corpus model: parsing, serialization, folds, truncation."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,7 @@ from tbltagger.corpus import (FoldPlan, ParseError, TaggedCorpus, TaggerError,
                               TagsetError, Token, kfold_split, load_tagset,
                               parse_raw_corpus, parse_tagged_corpus,
                               serialize_tagged_corpus, serialize_tagset,
-                              shuffle_sentences, truncate_to_words)
+                              truncate_to_words)
 
 from conftest import corpora_st, make_tagset
 
@@ -116,23 +116,6 @@ class TestLoadTagset:
     def test_invalid_tag_name(self):
         with pytest.raises(TagsetError):
             make_tagset(tags=("A/B", "FW", "PROP", "NNF"))
-
-
-class TestShuffleSentences:
-    def test_empty_corpus(self, tagset):
-        c = TaggedCorpus((), tagset)
-        assert shuffle_sentences(c, 42).sentences == ()
-
-    def test_deterministic(self, tiny_corpus):
-        a = shuffle_sentences(tiny_corpus, 7)
-        b = shuffle_sentences(tiny_corpus, 7)
-        assert a.sentences == b.sentences
-
-    @given(corpora_st(max_sentences=12), st.integers(0, 2**32))
-    def test_permutation(self, corpus, seed):
-        shuffled = shuffle_sentences(corpus, seed)
-        assert sorted(map(repr, shuffled.sentences)) == \
-            sorted(map(repr, corpus.sentences))
 
 
 class TestKfoldSplit:

@@ -12,11 +12,12 @@ from tbltagger.corpus import AlignmentError, TaggedCorpus, TaggerError, Token
 from tbltagger.evaluate import (CurveRow, EvalReport, FoldResult, SynthSpec,
                                 accuracy, cross_validate,
                                 generate_synthetic_corpus, learning_curve,
-                                most_frequent_tag_baseline, render_confusion_csv,
-                                render_folds_csv, render_report_csv, strip_tags,
-                                synth_tagset, synthetic_oracle_tags, _summarize)
+                                render_confusion_csv, render_folds_csv,
+                                render_report_csv, strip_tags, synth_tagset,
+                                _summarize)
 from tbltagger.learner import TrainConfig
 
+from oracles import most_frequent_tag_baseline, synthetic_oracle_tags
 from test_learner import mini_spec
 
 

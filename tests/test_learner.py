@@ -10,28 +10,28 @@ from hypothesis import strategies as st
 
 from tbltagger.corpus import TaggedCorpus, TaggerError, Token, truncate_to_words
 from tbltagger.evaluate import SynthSpec, generate_synthetic_corpus
-from tbltagger.learner import (RuleScore, TrainConfig, TypeState,
-                               apply_lexical_rule_to_states,
-                               build_affix_extension_maps,
-                               build_unknown_type_states,
-                               initial_contextual_state,
-                               lexical_candidate_features, learn_lexical_rules,
+from tbltagger.learner import (RuleScore, TrainConfig,
+                               initial_contextual_state, learn_lexical_rules,
                                learn_contextual_rules,
                                split_for_unknown_training, token_errors,
-                               train_model, weighted_type_errors,
+                               train_model, unknown_types,
                                _ContextualLearner, _lexical_iteration)
 from tbltagger.lexicon import (Lexicon, build_lexicon, default_greek_chain)
 from tbltagger.rules import (CONTEXT_WINDOW, ContextualRule, LexicalRule,
                              LEXICAL_TEMPLATES, WORD_TEMPLATES,
-                             apply_contextual_rule, lexical_rule_matches,
-                             serialize_rules)
+                             apply_contextual_rule, apply_lexical_rules,
+                             build_affix_extension_maps,
+                             lexical_candidate_features,
+                             lexical_template_matches, serialize_rules)
 
 from conftest import make_tagset
 from contextual_reference import rescan_contextual_iteration
-from oracles import (context_instantiations, dynamic_contextual_score,
+from oracles import (TypeState, apply_lexical_rule_to_states,
+                     context_instantiations, dynamic_contextual_score,
                      generate_contextual_candidates,
                      generate_lexical_candidates, score_contextual_candidate,
-                     score_lexical_candidate, select_best_rule)
+                     score_lexical_candidate, select_best_rule, type_states,
+                     weighted_type_errors)
 
 
 def mini_spec(seed, **kw):
@@ -49,14 +49,12 @@ def mini_spec(seed, **kw):
 
 
 def lexical_learning_state(corpus, config):
-    """The inputs stage one iterates on: guess lexicon and unknown-type
-    states for the rule-learning half."""
+    """The inputs stage one iterates on: guess lexicon and the (tags,
+    targets) of the unknown types of the rule-learning half."""
     lex_part, rule_part = split_for_unknown_training(
         corpus, config.lexicon_split_fraction, config.seed)
     guess = build_lexicon(lex_part)
-    chain = default_greek_chain()
-    states = build_unknown_type_states(rule_part, guess, chain)
-    return guess, states
+    return guess, unknown_types(rule_part, guess, default_greek_chain())
 
 
 class TestTrainConfig:
@@ -117,31 +115,32 @@ class TestBuildUnknownTypeStates:
         sents = ((Token("ξκρ", "VB"), Token("ξκρ", "NN"), Token("ξκρ", "NN"),
                   Token("ζλμ", "VB"), Token("ζλμ", "AT")),)
         rule_part = TaggedCorpus(sents, ts)
-        states = build_unknown_type_states(rule_part, Lexicon({}),
-                                           default_greek_chain())
-        assert states["ξκρ"].gold == "NN"
-        assert states["ξκρ"].count == 3
+        tags, targets = unknown_types(rule_part, Lexicon({}),
+                                      default_greek_chain())
+        assert targets["ξκρ"] == ("NN", 3)
         # tie between AT and VB -> ascending tag name
-        assert states["ζλμ"].gold == "AT"
+        assert targets["ζλμ"] == ("AT", 2)
         # unknown lowercase Greek word starts at the fall-through role tag
-        assert states["ξκρ"].current == ts.roles["NOUN_FEM_SG"]
+        assert tags["ξκρ"] == ts.roles["NOUN_FEM_SG"]
 
     def test_known_words_excluded(self):
         ts = make_tagset()
         rule_part = TaggedCorpus(((Token("a", "NN"), Token("b", "VB")),), ts)
-        states = build_unknown_type_states(
+        tags, targets = unknown_types(
             rule_part, Lexicon({"a": (("NN", 1),)}), default_greek_chain())
-        assert set(states) == {"b"}
+        assert set(tags) == set(targets) == {"b"}
 
 
 class TestLexicalCandidateFeatures:
     def test_matches_iff_feature_listed(self):
-        # the feature list must agree exactly with lexical_rule_matches
+        # the feature list must agree exactly with lexical_template_matches
         lexicon = Lexicon({
             "γατ": (("NN", 1),), "γατες": (("NN", 1),), "τρεχ": (("VB", 1),),
         })
         maps = build_affix_extension_maps(lexicon, 4)
-        for word in ("γατε", "γατες", "αγατ", "τρεχει"):
+        # with affixes of every length up to 4 to delete or add
+        for word in ("γατε", "γατες", "αγατ", "τρεχει", "γατακια",
+                     "ακιαγατ", "ατες", "γα"):
             feats = set(lexical_candidate_features(word, lexicon, 4, maps))
             args = {word[:k] for k in range(1, 5)}
             args |= {word[-k:] for k in range(1, 5)}
@@ -155,8 +154,8 @@ class TestLexicalCandidateFeatures:
                         continue
                     if len(arg) > 4:
                         continue
-                    rule = LexicalRule(template, arg, None, "NN")
-                    assert lexical_rule_matches(rule, word, "X", lexicon) == \
+                    assert lexical_template_matches(
+                        template, arg, word, lexicon) == \
                         ((template, arg) in feats), (word, template, arg)
 
 
@@ -231,12 +230,14 @@ class TestFastSlowEquivalence:
     def test_lexical_step(self, seed):
         corpus = generate_synthetic_corpus(mini_spec(seed))
         config = TrainConfig(score_threshold=1, seed=seed)
-        guess, states = lexical_learning_state(corpus, config)
+        guess, (tags, targets) = lexical_learning_state(corpus, config)
         maps = build_affix_extension_maps(guess, config.max_affix_len)
         cache = {w: lexical_candidate_features(w, guess, config.max_affix_len,
-                                               maps) for w in states}
+                                               maps) for w in tags}
+        states = type_states(tags, targets)
         for _ in range(4):
-            fast = _lexical_iteration(states, cache, config.score_threshold)
+            fast = _lexical_iteration(tags, targets, cache,
+                                      config.score_threshold)
             slow = select_best_rule(
                 generate_lexical_candidates(states, guess,
                                             config.max_affix_len),
@@ -245,7 +246,10 @@ class TestFastSlowEquivalence:
             assert fast == slow
             if fast is None:
                 break
+            # the learner's application routine and the oracle's agree
+            tags = apply_lexical_rules((fast[0],), tags, guess)
             states = apply_lexical_rule_to_states(fast[0], states, guess)
+            assert type_states(tags, targets) == states
 
     @pytest.mark.parametrize("seed", range(8))
     def test_contextual_step(self, seed):
@@ -468,7 +472,6 @@ class TestLearnLexicalRules:
         assert rules
         chain = default_greek_chain()
         from tbltagger.lexicon import initial_tag
-        from tbltagger.rules import apply_lexical_rules
         held_out = ("ζζζος", "ζζζη", "ζζζει")
         assert all(w not in lexicon for w in held_out)
         unknown = {w: initial_tag(w, lexicon, chain, corpus.tagset)
@@ -480,7 +483,8 @@ class TestLearnLexicalRules:
         corpus = generate_synthetic_corpus(mini_spec(5, n_sentences=60))
         config = TrainConfig(score_threshold=2, seed=2)
         _, rules = learn_lexical_rules(corpus, config=config)
-        guess, states = lexical_learning_state(corpus, config)
+        guess, unknown = lexical_learning_state(corpus, config)
+        states = type_states(*unknown)
         errors = weighted_type_errors(states)
         for rule in rules:
             states = apply_lexical_rule_to_states(rule, states, guess)
@@ -584,7 +588,8 @@ class TestTrainModel:
         assert len(logged["lexical"]) == len(model.lexical_rules) > 0
         assert len(logged["contextual"]) == len(model.contextual_rules) > 0
 
-        guess, states = lexical_learning_state(corpus, config)
+        guess, unknown = lexical_learning_state(corpus, config)
+        states = type_states(*unknown)
         recount = []
         for rule in model.lexical_rules:
             states = apply_lexical_rule_to_states(rule, states, guess)

@@ -4,22 +4,24 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from tbltagger.corpus import (REQUIRED_ROLES, TaggerError, Tagset,
                               TagsetError, Token)
-from tbltagger.lexicon import Lexicon, build_lexicon, default_greek_chain, initial_tag
+from tbltagger.lexicon import (ALWAYS, STARTS_GREEK_CAPITAL, STARTS_LATIN,
+                               InitialRuleChain, Lexicon, build_lexicon,
+                               default_greek_chain, initial_tag)
 from tbltagger.rules import (CONTEXTUAL_TEMPLATES, LEXICAL_TEMPLATES,
                              MODEL_FILES, ContextualRule, LexicalRule,
                              ModelError, TaggerModel, apply_contextual_rule,
                              apply_contextual_rules, apply_lexical_rules,
-                             contextual_rule_matches, lexical_rule_matches,
                              load_model, parse_rules, save_model,
                              serialize_rules, tag_corpus)
 from tbltagger.corpus import serialize_tagged_corpus
 
 from conftest import TAG_NAMES, corpora_st, make_tagset, words_st
+from oracles import contextual_rule_matches, lexical_rule_matches
 
 
 EMPTY_LEX = Lexicon({})
@@ -99,6 +101,12 @@ class TestApplyLexicalRules:
         rules = (LexicalRule("HASSUF", "ed", None, "VB"),)
         got = apply_lexical_rules(rules, {"walked": "NN"}, EMPTY_LEX)
         assert got == {"walked": "VB"}
+
+    def test_from_tag_condition(self):
+        rules = (LexicalRule("HASSUF", "ed", "NN", "VB"),)
+        got = apply_lexical_rules(rules, {"walked": "NN", "jumped": "AT"},
+                                  EMPTY_LEX)
+        assert got == {"walked": "VB", "jumped": "AT"}
 
     def test_order_sensitivity(self):
         # B conditions on A's output tag, so B fires only after A.
@@ -428,6 +436,12 @@ class TestModelPersistence:
             assert loaded.contextual_rules == model.contextual_rules
 
 
+# Characters the model files give a meaning: what str.split() and
+# str.splitlines() break fields and lines on (more than space and newline),
+# "-" (no from_tag in LEXRULES), ":" (LEXICON), "#" (comments) and "/".
+FORMAT_CHARS = "-:#/ \t\n\r\x0b\x0c\x1c\x1d\x1e\x85\xa0\u2028\u3000"
+
+
 def kept(build, items):
     """What ``build`` makes of each item, leaving out the items it refuses."""
     out = []
@@ -439,18 +453,36 @@ def kept(build, items):
     return out
 
 
+def chains_st():
+    branch = st.tuples(st.sampled_from((STARTS_LATIN, STARTS_GREEK_CAPITAL,
+                                        ALWAYS)),
+                       st.sampled_from(REQUIRED_ROLES))
+    return st.builds(lambda head, role: InitialRuleChain(
+        tuple(head) + ((ALWAYS, role),)),
+        st.lists(branch, max_size=3), st.sampled_from(REQUIRED_ROLES))
+
+
 @st.composite
 def models_st(draw):
     """A model built from anything the in-memory types accept: names and
-    words are drawn from all of Unicode, and the types decide what stays."""
-    text = st.text(max_size=4)
+    words are drawn from all of Unicode, ``FORMAT_CHARS`` more often, and
+    the types decide what stays."""
+    text = st.text(alphabet=st.one_of(st.sampled_from(FORMAT_CHARS),
+                                      st.characters()), max_size=4)
+    field = st.one_of(text, st.text(max_size=4))   # more often accepted
     tags = kept(lambda t: Tagset([t], {k: t for k in REQUIRED_ROLES}).tags[0],
-                draw(st.lists(text, max_size=8, unique=True)))
+                draw(st.lists(st.one_of(st.sampled_from("-:#"), text),
+                              min_size=2, max_size=8, unique=True)))
     assume(tags)
     tag = st.sampled_from(tags)
     name = st.one_of(tag, tag, tag, text)   # now and then not a tag
     tagset = Tagset(tags, {key: draw(tag) for key in REQUIRED_ROLES})
     chain = default_greek_chain()
+    # load_model restores only the default chain, so no other is accepted
+    other = draw(st.one_of(st.none(), chains_st()))
+    if other is not None and other != chain:
+        with pytest.raises(TaggerError):
+            TaggerModel(tagset, Lexicon({}), other, (), ())
 
     def model(entries={}, lexical=(), contextual=()):
         return TaggerModel(tagset, Lexicon(entries), chain, tuple(lexical),
@@ -464,13 +496,14 @@ def models_st(draw):
             counts.items(), key=lambda p: (-p[1], p[0])))}).lexicon.entries
 
     entries = {}
-    for e in kept(entry, draw(st.lists(st.text(max_size=6), max_size=12,
+    for e in kept(entry, draw(st.lists(field, min_size=1, max_size=12,
                                        unique=True))):
         entries.update(e)
     lexical = kept(lambda t: model(lexical=[LexicalRule(
-        t, draw(text), draw(st.one_of(st.none(), tag)), draw(tag))]
+        t, draw(field), draw(st.one_of(st.none(), tag)), draw(tag))]
     ).lexical_rules[0],
-        draw(st.lists(st.sampled_from(LEXICAL_TEMPLATES), max_size=8)))
+        draw(st.lists(st.sampled_from(LEXICAL_TEMPLATES), min_size=1,
+                      max_size=8)))
     contextual = kept(lambda t: model(contextual=[ContextualRule(
         t, tuple(draw(st.one_of(tag, text))
                  for _ in range(CONTEXTUAL_TEMPLATES[t])),
@@ -486,7 +519,10 @@ class TestModelRoundTrip:
 
     @given(models_st(), st.lists(st.lists(st.text(min_size=1, max_size=6),
                                           min_size=1, max_size=5), max_size=4))
-    @settings(max_examples=80, deadline=None)
+    # No shrinking: on this strategy it ran for minutes before reporting a
+    # failure, which is reported as first found instead.
+    @settings(max_examples=150, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
     def test_save_load_save_is_byte_identical(self, model, sentences):
         with tempfile.TemporaryDirectory() as tmp:
             first, second = tmp + "/first", tmp + "/second"
@@ -505,6 +541,12 @@ class TestModelRoundTrip:
         # "-" marks a lexical rule without from_tag in LEXRULES
         with pytest.raises(TagsetError):
             make_tagset(tags=TAG_NAMES + ("-",))
+
+    def test_non_default_chain_rejected(self, tagset):
+        # it would reload with the default chain and tag differently
+        with pytest.raises(TaggerError):
+            TaggerModel(tagset, Lexicon({}),
+                        InitialRuleChain(((ALWAYS, "FOREIGN"),)), (), ())
 
     def test_lexicon_tag_outside_tagset_rejected(self, tagset):
         with pytest.raises(TagsetError):
