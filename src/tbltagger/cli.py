@@ -8,8 +8,10 @@ parse error, 3 I/O error, 4 data alignment error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import logging
 import os
 import sys
 import tempfile
@@ -63,6 +65,28 @@ def _train_config(args) -> TrainConfig:
     )
 
 
+@contextlib.contextmanager
+def _log_to_stderr(level):
+    """Show the package's log records at ``level`` and above on stderr while
+    a command runs; with no level, log nothing, as the package does when no
+    handler is set up."""
+    if level is None:
+        yield
+        return
+    package = logging.getLogger("tbltagger")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(
+        logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    old_level = package.level
+    package.addHandler(handler)
+    package.setLevel(level)
+    try:
+        yield
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(old_level)
+
+
 def _add_train_flags(p):
     p.add_argument("--threshold", type=int, default=2,
                    help="minimum net score for a rule to be accepted")
@@ -75,6 +99,10 @@ def _add_train_flags(p):
                    help="maximum affix length in lexical rule arguments")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all shuffling and splitting")
+    p.add_argument("--log-level", type=str.upper, default=None,
+                   choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                   help="log to stderr at this level; INFO shows each "
+                        "accepted rule (default: no log output)")
 
 
 def cmd_train(args) -> int:
@@ -222,7 +250,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _log_to_stderr(getattr(args, "log_level", None)):
+            return args.func(args)
     except AlignmentError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA

@@ -8,17 +8,18 @@ selecting at each step the rule with the highest true (apply-and-count)
 error reduction. Both stages stop when no candidate reaches the score
 threshold.
 
-The greedy steps are exact. Lexical steps use inverted-index scoring: one
-pass over the types accumulates match counts per candidate key instead of
-re-scanning the types per candidate. Contextual learning keeps its counts
-across steps, after the rule indexing of Ramshaw & Marcus (1994) and fnTBL
-(Ngai & Florian 2001): one pass over the tokens counts the match sites of
-every candidate key; accepting a rule re-derives the counts of only the
-sentences it changed and rescores only the keys they touch. The dynamic net
-equals the static count except where a match site has another from_tag
-position within the context window after it; only those sentences are
-re-simulated, and only for candidates whose argument tags include the
-rule's from_tag or to_tag.
+The greedy steps are exact. Both stages keep their counts across steps,
+after the rule indexing of Ramshaw & Marcus (1994) and fnTBL (Ngai &
+Florian 2001). Lexical learning counts the matched types of every candidate
+key once; accepting a rule recounts only the types it retagged, found
+through an index from each feature to the types holding it, and rescores
+only the keys they touch. Contextual learning counts the match sites of
+every candidate key in one pass over the tokens; accepting a rule
+re-derives the counts of only the sentences it changed and rescores only
+the keys they touch. The dynamic net equals the static count except where a
+match site has another from_tag position within the context window after
+it; only those sentences are re-simulated, and only for candidates whose
+argument tags include the rule's from_tag or to_tag.
 
 Both stages run on the tagger's code. Lexical candidates are the arguments
 ``rules.lexical_template_matches`` accepts, the current guesses advance by
@@ -115,42 +116,120 @@ def unknown_types(rule_part: TaggedCorpus, guess_lexicon: Lexicon,
     return tags, targets
 
 
-def _lexical_iteration(tags: dict, targets: dict, features: dict,
-                       threshold: int):
-    """One greedy step: best candidate by net score with the documented
-    tie-break, scored via count aggregation per (feature, from_tag[, to])
-    key. Equivalent to scoring every generated candidate directly."""
-    fix = {}            # (feat, from_tag, to_tag) -> weighted fixes
-    correct = {}        # (feat, from_tag) -> weighted matches on correct types
-    correct_gold = {}   # (feat, from_tag, gold) -> subset of the above
-    for word, tag in tags.items():
-        gold, count = targets[word]
-        feats = features[word]
-        if tag == gold:
-            for f in feats:
-                for ft in (None, tag):
-                    k = (f, ft)
-                    correct[k] = correct.get(k, 0) + count
-                    kg = (f, ft, gold)
-                    correct_gold[kg] = correct_gold.get(kg, 0) + count
-        else:
-            for f in feats:
-                for ft in (None, tag):
-                    k = (f, ft, gold)
-                    fix[k] = fix.get(k, 0) + count
-    best = None
-    for (feat, ft, to), good in fix.items():
-        bad = correct.get((feat, ft), 0) - correct_gold.get((feat, ft, to), 0)
-        key = (-(good - bad), (feat[0], feat[1], ft or "", to))
-        if best is None or key < best[0]:
-            best = (key, (feat, ft, to), good, bad)
-    if best is None:
-        return None
-    _, (feat, ft, to), good, bad = best
-    score = RuleScore(good, bad)
-    if score.net < threshold:
-        return None
-    return LexicalRule(feat[0], feat[1], ft, to), score
+class _LexicalLearner:
+    """Exact greedy lexical learning that keeps its counts across steps.
+
+    A candidate key is ``(feature, from_tag)``, a feature being a
+    ``(template, arg)`` pair and from_tag None for an unconditioned rule.
+    Each unknown type adds its token count under every key it matches: the
+    unconditioned one and the one conditioned on its current tag. Per key
+    the learner keeps, by gold tag, the counts of the types in error
+    (``fixes``: the good count of the rule retagging to that gold tag) and
+    of the types already correct (``correct``: a rule retagging to another
+    tag breaks them, one retagging to their own tag leaves them be).
+
+    Accepting a rule retags only the types that hold its feature (``index``)
+    and satisfy its from_tag. For each type it retagged, the counts under
+    the old tag are subtracted and those under the new tag added, and only
+    the keys so touched are scored again. Candidates reaching the threshold
+    are kept in ``live``.
+    """
+
+    def __init__(self, tags: dict, targets: dict, features: dict,
+                 lexicon: Lexicon, threshold: int):
+        self.tags = dict(tags)
+        self.targets = targets
+        self.features = features
+        self.lexicon = lexicon
+        self.threshold = threshold
+        self.fixes = {}     # key -> {gold tag: tokens of matched types in error}
+        self.correct = {}   # key -> {tag: tokens of matched correct types}
+        self.live = {}      # key -> {to_tag: (good, bad)}, net >= threshold
+        self.index = defaultdict(list)  # feature -> types holding it
+        for word, tag in self.tags.items():
+            for feat in features[word]:
+                self.index[feat].append(word)
+            self._count(word, tag, 1, None)
+        for key in self.fixes:
+            self._rescore(key)
+
+    def _count(self, word, tag, sign, touched):
+        """Add (sign 1) or subtract (sign -1) the counts of one type under
+        ``tag``; every key seen goes into ``touched`` (unless None)."""
+        gold, count = self.targets[word]
+        table = self.correct if tag == gold else self.fixes
+        delta = sign * count
+        keys = [(feat, frm) for feat in self.features[word]
+                for frm in (None, tag)]
+        for key in keys:
+            by_gold = table.get(key)
+            if by_gold is None:
+                table[key] = {gold: delta}
+                continue
+            c = by_gold.get(gold, 0) + delta
+            if c:
+                by_gold[gold] = c
+            elif len(by_gold) > 1:
+                del by_gold[gold]
+            else:
+                del table[key]
+        if touched is not None:
+            touched.update(keys)
+
+    def _rescore(self, key):
+        self.live.pop(key, None)
+        fx = self.fixes.get(key)
+        if fx is None:
+            return
+        correct = self.correct.get(key, {})
+        matched = sum(correct.values())
+        live = {}
+        for to, good in fx.items():
+            bad = matched - correct.get(to, 0)
+            if good - bad >= self.threshold:
+                live[to] = (good, bad)
+        if live:
+            self.live[key] = live
+
+    def best(self):
+        """(rule, score) with the highest net, ties broken by the rule sort
+        key; None when no candidate reaches the threshold."""
+        best = None
+        for (feat, frm), live in self.live.items():
+            for to, (good, bad) in live.items():
+                order = (bad - good, feat[0], feat[1], frm or "", to)
+                if best is None or order < best[0]:
+                    best = (order, feat, frm, to, good, bad)
+        if best is None:
+            return None
+        _, (template, arg), frm, to, good, bad = best
+        return LexicalRule(template, arg, frm, to), RuleScore(good, bad)
+
+    def apply(self, rule: LexicalRule) -> None:
+        """Apply a rule to the types holding its feature and bring the
+        counts and scores of everything it retagged up to date."""
+        old = {word: self.tags[word]
+               for word in self.index.get((rule.template, rule.arg), ())}
+        touched = set()
+        for word, tag in apply_lexical_rules((rule,), old,
+                                             self.lexicon).items():
+            if tag != old[word]:
+                self._count(word, old[word], -1, touched)
+                self._count(word, tag, 1, touched)
+                self.tags[word] = tag
+        for key in touched:
+            self._rescore(key)
+
+
+def _accept(errors: int, rule, score: RuleScore) -> int:
+    """The error count left after accepting a rule. Every accepted rule
+    nets at least the threshold (>= 1), so the count falling below zero
+    means applying the rules and scoring them disagree; fail then rather
+    than loop for ever."""
+    if score.net > errors:
+        raise RuntimeError("internal error: accepting %s (net %d) leaves "
+                           "%d errors below zero" % (rule, score.net, errors))
+    return errors - score.net
 
 
 def learn_lexical_rules(train: TaggedCorpus,
@@ -174,20 +253,23 @@ def learn_lexical_rules(train: TaggedCorpus,
                                          extension_maps)
         for word in tags
     }
-
+    # only the features need the maps: free them before the learner's
+    # counts are built
+    del extension_maps
+    learner = _LexicalLearner(tags, targets, features, guess,
+                              config.score_threshold)
     errors = sum(count for word, (gold, count) in targets.items()
                  if tags[word] != gold)
     rules = []
     while (config.max_rules_per_phase is None
            or len(rules) < config.max_rules_per_phase):
-        best = _lexical_iteration(tags, targets, features,
-                                  config.score_threshold)
+        best = learner.best()
         if best is None:
             break
         rule, score = best
-        tags = apply_lexical_rules((rule,), tags, guess)
+        errors = _accept(errors, rule, score)
+        learner.apply(rule)
         rules.append(rule)
-        errors -= score.net
         logger.info("lexical %d %s net=%d errors_remaining=%d",
                     len(rules), rule, score.net, errors)
     return build_lexicon(train), tuple(rules)
@@ -567,9 +649,9 @@ def learn_contextual_rules(train: TaggedCorpus, lexicon: Lexicon,
         if best is None:
             break
         rule, score = best
+        errors = _accept(errors, rule, score)
         learner.apply(rule)
         rules.append(rule)
-        errors -= score.net
         logger.info("contextual %d %s net=%d errors_remaining=%d",
                     len(rules), rule, score.net, errors)
     return tuple(rules)

@@ -26,6 +26,11 @@ _GREEK_CAPITALS = frozenset(
     chr(c) for c in range(0x0391, 0x03AA) if c != 0x03A2
 ) | frozenset("ΆΈΉΊΌΎΏΪΫ")
 
+# Python's limit on the digits of an int converted to text is never below
+# 640 (sys.int_info.str_digits_check_threshold), so smaller counts always
+# serialize.
+_WRITABLE_BELOW = 10 ** 640
+
 
 class Lexicon:
     """word type -> ((tag, count), ...) ordered by count desc, tag name asc."""
@@ -40,6 +45,14 @@ class Lexicon:
                 if not isinstance(count, int) or count <= 0:
                     raise TaggerError("count in entry for %r is not a positive "
                                       "integer" % word)
+                if count >= _WRITABLE_BELOW:
+                    try:
+                        "%d" % count
+                    except ValueError as exc:
+                        # more digits than the interpreter converts to
+                        # text, so serialize_lexicon could not write it
+                        raise TaggerError("count in entry for %r is too "
+                                          "long" % word) from exc
             if list(pairs) != sorted(pairs, key=lambda p: (-p[1], p[0])):
                 raise TaggerError("entry for %r not in frequency order" % word)
             cleaned[word] = pairs

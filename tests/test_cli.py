@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
 import json
+import logging
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -88,6 +90,53 @@ class TestTrain:
         assert main(args + ["--out", str(tmp_path / "m2")]) == EXIT_OK
         assert read_model_files(tmp_path / "m1") == \
             read_model_files(tmp_path / "m2")
+
+
+class TestLogLevel:
+    RULE_LINE = re.compile(r"INFO tbltagger\.learner: (lexical|contextual) "
+                           r"\d+ .* net=\d+ errors_remaining=\d+$")
+
+    def _run(self, workspace, tmp_path, command, *extra):
+        args = [command, "--corpus", str(workspace["corpus"]),
+                "--tagset", str(workspace["tagset"]), *extra]
+        if command == "train":
+            args += ["--out", str(tmp_path / "m")]
+        else:
+            args += ["--k", "3", "--out", str(tmp_path / "out.csv")]
+        if command == "curve":
+            args += ["--sizes", "100,200"]
+        return main(args)
+
+    def test_train_logs_each_accepted_rule(self, workspace, tmp_path, capsys):
+        assert self._run(workspace, tmp_path, "train",
+                         "--log-level", "info") == EXIT_OK
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert lines and all(self.RULE_LINE.match(l) for l in lines), lines
+        counts = dict(l.split(": ") for l in captured.out.splitlines())
+        for phase in ("lexical", "contextual"):
+            assert sum(1 for l in lines if ": %s " % phase in l) == \
+                int(counts["%s rules" % phase])
+        assert not logging.getLogger("tbltagger").handlers
+
+    @pytest.mark.parametrize("command", ["crossval", "curve"])
+    def test_evaluation_commands_log(self, workspace, tmp_path, capsys,
+                                     command):
+        assert self._run(workspace, tmp_path, command,
+                         "--log-level", "INFO") == EXIT_OK
+        lines = capsys.readouterr().err.splitlines()
+        assert lines and all(self.RULE_LINE.match(l) for l in lines), lines
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "curve"])
+    def test_silent_by_default(self, workspace, tmp_path, capsys, command):
+        assert self._run(workspace, tmp_path, command) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_warning_level_hides_rule_lines(self, workspace, tmp_path,
+                                            capsys):
+        assert self._run(workspace, tmp_path, "train",
+                         "--log-level", "warning") == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 class TestTag:

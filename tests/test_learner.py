@@ -15,7 +15,7 @@ from tbltagger.learner import (RuleScore, TrainConfig,
                                learn_contextual_rules,
                                split_for_unknown_training, token_errors,
                                train_model, unknown_types,
-                               _ContextualLearner, _lexical_iteration)
+                               _ContextualLearner, _LexicalLearner)
 from tbltagger.lexicon import (Lexicon, build_lexicon, default_greek_chain)
 from tbltagger.rules import (CONTEXT_WINDOW, ContextualRule, LexicalRule,
                              LEXICAL_TEMPLATES, WORD_TEMPLATES,
@@ -26,6 +26,7 @@ from tbltagger.rules import (CONTEXT_WINDOW, ContextualRule, LexicalRule,
 
 from conftest import make_tagset
 from contextual_reference import rescan_contextual_iteration
+from lexical_reference import rescan_lexical_iteration
 from oracles import (TypeState, apply_lexical_rule_to_states,
                      context_instantiations, dynamic_contextual_score,
                      generate_contextual_candidates,
@@ -48,6 +49,12 @@ def mini_spec(seed, **kw):
     return SynthSpec(**params)
 
 
+# suffixes that end in one another, so that lexical rules retag types
+# that earlier rules retagged
+OVERLAPPING_SUFFIXES = (("ος", "NNM"), ("ιος", "ADJ"), ("η", "NNF"),
+                        ("ει", "VRB"), ("α", "NFP"), ("μα", "NNT"))
+
+
 def lexical_learning_state(corpus, config):
     """The inputs stage one iterates on: guess lexicon and the (tags,
     targets) of the unknown types of the rule-learning half."""
@@ -55,6 +62,13 @@ def lexical_learning_state(corpus, config):
         corpus, config.lexicon_split_fraction, config.seed)
     guess = build_lexicon(lex_part)
     return guess, unknown_types(rule_part, guess, default_greek_chain())
+
+
+def candidate_features(words, guess, max_affix_len):
+    """word -> its lexical candidate features, as the learner lists them."""
+    maps = build_affix_extension_maps(guess, max_affix_len)
+    return {w: lexical_candidate_features(w, guess, max_affix_len, maps)
+            for w in words}
 
 
 class TestTrainConfig:
@@ -231,25 +245,27 @@ class TestFastSlowEquivalence:
         corpus = generate_synthetic_corpus(mini_spec(seed))
         config = TrainConfig(score_threshold=1, seed=seed)
         guess, (tags, targets) = lexical_learning_state(corpus, config)
-        maps = build_affix_extension_maps(guess, config.max_affix_len)
-        cache = {w: lexical_candidate_features(w, guess, config.max_affix_len,
-                                               maps) for w in tags}
+        cache = candidate_features(tags, guess, config.max_affix_len)
+        learner = _LexicalLearner(tags, targets, cache, guess,
+                                  config.score_threshold)
         states = type_states(tags, targets)
         for _ in range(4):
-            fast = _lexical_iteration(tags, targets, cache,
-                                      config.score_threshold)
+            fast = rescan_lexical_iteration(tags, targets, cache,
+                                            config.score_threshold)
             slow = select_best_rule(
                 generate_lexical_candidates(states, guess,
                                             config.max_affix_len),
                 lambda r: score_lexical_candidate(r, states, guess),
                 config.score_threshold)
-            assert fast == slow
+            assert learner.best() == fast == slow
             if fast is None:
                 break
             # the learner's application routine and the oracle's agree
+            learner.apply(fast[0])
             tags = apply_lexical_rules((fast[0],), tags, guess)
             states = apply_lexical_rule_to_states(fast[0], states, guess)
-            assert type_states(tags, targets) == states
+            assert type_states(learner.tags, targets) == \
+                type_states(tags, targets) == states
 
     @pytest.mark.parametrize("seed", range(8))
     def test_contextual_step(self, seed):
@@ -363,6 +379,106 @@ class TestIncrementalContextualLearner:
             config=TrainConfig(score_threshold=threshold,
                                max_rules_per_phase=cap))
         assert capped == unlimited[:cap]
+
+
+def assert_lexical_steps_agree(tags, targets, features, guess, threshold,
+                               steps):
+    """Each step of the incremental lexical learner must pick the same
+    (rule, RuleScore) as the full rescan, and leave the tag map that
+    ``apply_lexical_rules`` gives over every type. Returns the rules
+    accepted."""
+    learner = _LexicalLearner(tags, targets, features, guess, threshold)
+    rules = []
+    for _ in range(steps):
+        got = learner.best()
+        assert got == rescan_lexical_iteration(tags, targets, features,
+                                               threshold)
+        if got is None:
+            break
+        learner.apply(got[0])
+        tags = apply_lexical_rules((got[0],), tags, guess)
+        assert learner.tags == tags
+        rules.append(got[0])
+    return rules
+
+
+class TestIncrementalLexicalLearner:
+    """The incremental lexical learner against the full rescan it
+    replaces."""
+
+    @pytest.mark.parametrize("threshold", [1, 2])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_corpora(self, seed, threshold):
+        corpus = generate_synthetic_corpus(mini_spec(
+            seed, n_sentences=60, suffix_paradigms=OVERLAPPING_SUFFIXES))
+        config = TrainConfig(score_threshold=threshold, seed=seed)
+        guess, (tags, targets) = lexical_learning_state(corpus, config)
+        features = candidate_features(tags, guess, config.max_affix_len)
+        rules = assert_lexical_steps_agree(tags, targets, features, guess,
+                                           threshold, steps=200)
+        assert 0 < len(rules) < 200
+        _, learned = learn_lexical_rules(corpus, config=config)
+        assert learned == tuple(rules)
+
+    @pytest.mark.parametrize("cap", [0, 1, 3])
+    @pytest.mark.parametrize("threshold", [1, 2])
+    def test_rule_cap_keeps_the_greedy_prefix(self, cap, threshold):
+        corpus = generate_synthetic_corpus(mini_spec(
+            4, n_sentences=80, suffix_paradigms=OVERLAPPING_SUFFIXES))
+        config = TrainConfig(score_threshold=threshold)
+        lexicon, unlimited = learn_lexical_rules(corpus, config=config)
+        assert len(unlimited) > 3
+        capped_lexicon, capped = learn_lexical_rules(
+            corpus, config=TrainConfig(score_threshold=threshold,
+                                       max_rules_per_phase=cap))
+        assert capped == unlimited[:cap]
+        assert capped_lexicon == lexicon
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.text("abc", min_size=1, max_size=4),
+                           st.tuples(st.sampled_from("ABC"),
+                                     st.sampled_from("ABC"),
+                                     st.integers(1, 3)),
+                           min_size=1, max_size=25),
+           st.lists(st.text("abc", min_size=1, max_size=5), max_size=10),
+           st.sampled_from([1, 2]), st.sampled_from([1, 2, 3]))
+    def test_hypothesis_corpora(self, types, known, threshold, max_affix_len):
+        # (tag, gold, count) per type over small alphabets, so that types
+        # share affixes and the known words give DELETE/ADD matches
+        guess = Lexicon({w: (("A", 1),) for w in known})
+        types = {w: v for w, v in types.items() if w not in guess}
+        tags = {w: tag for w, (tag, _, _) in types.items()}
+        targets = {w: (gold, count) for w, (_, gold, count) in types.items()}
+        features = candidate_features(tags, guess, max_affix_len)
+        assert_lexical_steps_agree(tags, targets, features, guess, threshold,
+                                   steps=40)
+
+    def test_unconditioned_rule_over_types_already_at_its_to_tag(self):
+        # "za" matches HASCHAR a and already holds A: the unconditioned rule
+        # to A fixes "xa" and "ya" and leaves "za" correct, so it beats
+        # each conditioned one (one fix apiece)
+        tags = {"xa": "B", "ya": "C", "za": "A", "wb": "C"}
+        targets = {"xa": ("A", 1), "ya": ("A", 1), "za": ("A", 2),
+                   "wb": ("C", 1)}
+        guess = Lexicon({})
+        features = candidate_features(tags, guess, 4)
+        learner = _LexicalLearner(tags, targets, features, guess, 2)
+        assert learner.best() == (LexicalRule("HASCHAR", "a", None, "A"),
+                                  RuleScore(2, 0))
+        rules = assert_lexical_steps_agree(tags, targets, features, guess,
+                                           threshold=2, steps=5)
+        assert rules == [LexicalRule("HASCHAR", "a", None, "A")]
+
+    def test_no_rule_reaches_threshold(self):
+        # one token in error per feature: every candidate nets at most 1
+        tags = {"ab": "B", "cd": "A"}
+        targets = {"ab": ("A", 1), "cd": ("B", 1)}
+        guess = Lexicon({})
+        features = candidate_features(tags, guess, 4)
+        assert assert_lexical_steps_agree(tags, targets, features, guess,
+                                          threshold=2, steps=3) == []
+        assert assert_lexical_steps_agree(tags, targets, features, guess,
+                                          threshold=1, steps=3)
 
 
 class TestCountMatchesTemplateTable:
@@ -539,6 +655,47 @@ class TestLearnContextualRules:
             assert errors - after == score.net
             assert score.net >= config.score_threshold
             errors = after
+
+
+class TestNonConvergence:
+    """Every accepted rule nets at least the threshold, so the initial
+    error count bounds the number of rules. If applying a rule left the
+    counts unchanged, learning must fail within that bound, not loop."""
+
+    @staticmethod
+    def _no_op_apply(steps, bound):
+        def apply(self, rule):
+            steps.append(rule)
+            if len(steps) > bound:
+                raise AssertionError("learning did not stop")
+        return apply
+
+    def test_lexical_learning_fails(self, monkeypatch):
+        corpus = generate_synthetic_corpus(mini_spec(5, n_sentences=60))
+        config = TrainConfig(score_threshold=1, seed=2)
+        _, (tags, targets) = lexical_learning_state(corpus, config)
+        initial_errors = sum(count for word, (gold, count) in targets.items()
+                             if tags[word] != gold)
+        steps = []
+        monkeypatch.setattr(_LexicalLearner, "apply",
+                            self._no_op_apply(steps, initial_errors + 1))
+        with pytest.raises(RuntimeError, match="LexicalRule"):
+            learn_lexical_rules(corpus, config=config)
+        assert 0 < len(steps) <= initial_errors
+
+    def test_contextual_learning_fails(self, monkeypatch):
+        corpus = generate_synthetic_corpus(mini_spec(6, n_sentences=80))
+        config = TrainConfig(score_threshold=1, seed=3)
+        lexicon, lexical = learn_lexical_rules(corpus, config=config)
+        state, gold = initial_contextual_state(corpus, lexicon, lexical,
+                                               default_greek_chain())
+        initial_errors = token_errors(state, gold)
+        steps = []
+        monkeypatch.setattr(_ContextualLearner, "apply",
+                            self._no_op_apply(steps, initial_errors + 1))
+        with pytest.raises(RuntimeError, match="ContextualRule"):
+            learn_contextual_rules(corpus, lexicon, lexical, config=config)
+        assert 0 < len(steps) <= initial_errors
 
 
 class TestTrainModel:

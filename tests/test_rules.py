@@ -1,6 +1,7 @@
 """Rule matching/application semantics, tagging pipeline, persistence."""
 
 import os
+import sys
 import tempfile
 
 import pytest
@@ -11,7 +12,8 @@ from tbltagger.corpus import (REQUIRED_ROLES, TaggerError, Tagset,
                               TagsetError, Token)
 from tbltagger.lexicon import (ALWAYS, STARTS_GREEK_CAPITAL, STARTS_LATIN,
                                InitialRuleChain, Lexicon, build_lexicon,
-                               default_greek_chain, initial_tag)
+                               default_greek_chain, initial_tag,
+                               parse_lexicon, serialize_lexicon)
 from tbltagger.rules import (CONTEXTUAL_TEMPLATES, LEXICAL_TEMPLATES,
                              MODEL_FILES, ContextualRule, LexicalRule,
                              ModelError, TaggerModel, apply_contextual_rule,
@@ -563,8 +565,16 @@ class TestModelRoundTrip:
         lambda: TaggerModel(make_tagset(), Lexicon({"\u2028": (("NN", 1),)}),
                             default_greek_chain(), (), ()),
         lambda: Lexicon({"a": (("NN", 1.5),)}),
+        lambda: Lexicon({"a": (("NN", 10 ** 5000),)}),
     ], ids=["lexical-arg", "prevwd-arg", "nextwd-arg", "empty-arg",
-            "lexicon-word", "lexicon-line-separator", "lexicon-count"])
+            "lexicon-word", "lexicon-line-separator", "lexicon-count",
+            "lexicon-count-too-long"])
     def test_field_that_would_not_reload_rejected(self, build):
         with pytest.raises(TaggerError):
             build()
+
+    def test_longest_writable_count_round_trips(self, tagset):
+        # the most digits the interpreter converts (0: no limit)
+        count = 10 ** ((sys.get_int_max_str_digits() or 4300) - 1)
+        lexicon = Lexicon({"a": (("NN", count),)})
+        assert parse_lexicon(serialize_lexicon(lexicon), tagset) == lexicon
