@@ -88,16 +88,20 @@ def _log_to_stderr(level):
 
 
 def _add_train_flags(p):
-    p.add_argument("--threshold", type=int, default=2,
+    p.add_argument("--threshold", type=int,
+                   default=TrainConfig.score_threshold,
                    help="minimum net score for a rule to be accepted")
-    p.add_argument("--max-rules", type=int, default=None,
+    p.add_argument("--max-rules", type=int,
+                   default=TrainConfig.max_rules_per_phase,
                    help="cap on learned rules per phase (default unlimited)")
-    p.add_argument("--lexicon-split", type=float, default=0.5,
+    p.add_argument("--lexicon-split", type=float,
+                   default=TrainConfig.lexicon_split_fraction,
                    help="fraction of sentences building the guess lexicon "
                         "during lexical-rule learning")
-    p.add_argument("--max-affix-len", type=int, default=4,
+    p.add_argument("--max-affix-len", type=int,
+                   default=TrainConfig.max_affix_len,
                    help="maximum affix length in lexical rule arguments")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=TrainConfig.seed,
                    help="seed for all shuffling and splitting")
     p.add_argument("--log-level", type=str.upper, default=None,
                    choices=("DEBUG", "INFO", "WARNING", "ERROR"),
@@ -158,7 +162,13 @@ def cmd_crossval(args) -> int:
 def cmd_curve(args) -> int:
     tagset = load_tagset(read_text(args.tagset))
     corpus = parse_tagged_corpus(read_text(args.corpus), tagset)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        sizes = []
+    if not sizes:
+        raise TaggerError("--sizes must be comma-separated integers, got %r"
+                          % args.sizes)
     rows = learning_curve(corpus, sizes, k=args.k, config=_train_config(args),
                           seed=args.seed, jobs=args.jobs)
     csv = render_report_csv(rows)
@@ -170,11 +180,18 @@ def cmd_curve(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    raw = json.loads(read_text(args.spec))
-    if "suffix_paradigms" in raw:
+    try:
+        raw = json.loads(read_text(args.spec))
+    except RecursionError as exc:
+        raise TaggerError("synthetic spec nests too deeply") from exc
+    if not isinstance(raw, dict):
+        raise TaggerError("synthetic spec must be a JSON object")
+    # JSON arrays become the tuples SynthSpec holds; it refuses the rest
+    if isinstance(raw.get("suffix_paradigms"), list):
         raw["suffix_paradigms"] = tuple(
-            (s, t) for s, t in raw["suffix_paradigms"])
-    if "sentence_len_range" in raw:
+            tuple(pair) if isinstance(pair, list) else pair
+            for pair in raw["suffix_paradigms"])
+    if isinstance(raw.get("sentence_len_range"), list):
         raw["sentence_len_range"] = tuple(raw["sentence_len_range"])
     try:
         spec = SynthSpec(**raw)

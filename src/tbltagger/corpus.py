@@ -46,12 +46,23 @@ class ModelError(TaggerError):
     """A model directory is missing files or internally inconsistent."""
 
 
+def is_utf8_encodable(text) -> bool:
+    """False if ``text`` holds a lone surrogate, which no UTF-8 file, and
+    so no model file, can hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _check_tag_name(name):
     # "-" stands for "no from_tag" in the LEXRULES file format
     if (not name or name == "-" or "/" in name
-            or any(c.isspace() for c in name)):
-        raise TagsetError("invalid tag name %r (empty, '-', whitespace or '/')"
-                          % name)
+            or any(c.isspace() for c in name)
+            or not is_utf8_encodable(name)):
+        raise TagsetError("invalid tag name %r (empty, '-', whitespace, '/' "
+                          "or a lone surrogate)" % name)
 
 
 class Tagset:

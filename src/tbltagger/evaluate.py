@@ -65,20 +65,47 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_stems", "n_sentences", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise TaggerError("%s must be an integer, got %r"
+                                  % (name, getattr(self, name)))
         if self.n_stems < 1 or self.n_sentences < 1:
             raise TaggerError("n_stems and n_sentences must be >= 1")
-        if not self.suffix_paradigms:
-            raise TaggerError("need at least one suffix paradigm")
-        suffixes = [s for s, _ in self.suffix_paradigms]
-        tags = [t for _, t in self.suffix_paradigms]
+        if self.n_stems > _MAX_STEMS:
+            # the generator draws stems until it has n_stems distinct ones
+            raise TaggerError("n_stems must be <= %d, the number of distinct "
+                              "stems, got %d" % (_MAX_STEMS, self.n_stems))
+        paradigms = self.suffix_paradigms
+        if not isinstance(paradigms, tuple) or not paradigms:
+            raise TaggerError("suffix_paradigms must hold at least one "
+                              "[suffix, tag] pair")
+        for pair in paradigms:
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(isinstance(x, str) for x in pair)):
+                raise TaggerError("suffix_paradigms: %r is not a [suffix, "
+                                  "tag] pair of strings" % (pair,))
+        suffixes = [s for s, _ in paradigms]
+        tags = [t for _, t in paradigms]
         if any(not s for s in suffixes) or len(set(tags)) != len(tags):
             raise TaggerError("suffixes must be non-empty and tags distinct")
-        for rate in (self.ambiguity_rate, self.context_rule_strength):
-            if not 0.0 <= rate <= 1.0:
-                raise TaggerError("rates must be in [0, 1]")
-        lo, hi = self.sentence_len_range
+        for name in ("ambiguity_rate", "context_rule_strength"):
+            rate = getattr(self, name)
+            if (not isinstance(rate, (int, float)) or isinstance(rate, bool)
+                    or not 0.0 <= rate <= 1.0):
+                raise TaggerError("%s must be a number in [0, 1], got %r"
+                                  % (name, rate))
+        lengths = self.sentence_len_range
+        if not (isinstance(lengths, tuple) and len(lengths) == 2
+                and all(map(_is_int, lengths))):
+            raise TaggerError("sentence_len_range must be a pair of "
+                              "integers, got %r" % (lengths,))
+        lo, hi = lengths
         if lo < 1 or hi < lo:
             raise TaggerError("bad sentence_len_range")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 SYNTH_ALT_TAG = "ALT"
@@ -93,6 +120,9 @@ _FOREIGN_PROB = 0.02
 _PROPER_PROB = 0.02
 _COMPOUND_PROB = 0.15   # two-stem compounds keep the vocabulary open-ended
 _GREEK_LOWER = "αβγδεζηθικλμνξοπρστυφχψω"
+_STEM_LENGTHS = (3, 6)
+_MAX_STEMS = sum(len(_GREEK_LOWER) ** n
+                 for n in range(_STEM_LENGTHS[0], _STEM_LENGTHS[1] + 1))
 _FOREIGN_POOL = ("Microsoft", "Internet", "manager", "Sheffield", "email",
                  "online", "Windows", "Web")
 _PROPER_POOL = ("Άννα", "Γιώργος", "Μαρία", "Νίκος", "Ελένη", "Κώστας")
@@ -173,13 +203,11 @@ def _run_fold(args):
 
 
 def cross_validate(corpus: TaggedCorpus, k: int = 10,
-                   config: TrainConfig = None, seed: int = 0,
+                   config: TrainConfig = TrainConfig(), seed: int = 0,
                    jobs: int = 1) -> EvalReport:
     """Train on k-1 folds and test on the held-out fold, for every rotation.
     Deterministic in (corpus, k, config, seed); jobs > 1 evaluates folds in
     parallel with identical results."""
-    if config is None:
-        config = TrainConfig()
     plan = kfold_split(corpus, k, seed)
     tasks = [(corpus, plan, fold_id, config) for fold_id in range(k)]
     if jobs > 1:
@@ -191,7 +219,7 @@ def cross_validate(corpus: TaggedCorpus, k: int = 10,
 
 
 def learning_curve(corpus: TaggedCorpus, word_sizes, k: int = 10,
-                   config: TrainConfig = None, seed: int = 0,
+                   config: TrainConfig = TrainConfig(), seed: int = 0,
                    jobs: int = 1) -> list:
     sizes = list(word_sizes)
     if sizes != sorted(sizes):
@@ -227,7 +255,7 @@ def generate_synthetic_corpus(spec: SynthSpec):
     stems = set()
     while len(stems) < spec.n_stems:
         stems.add("".join(rnd.choice(_GREEK_LOWER)
-                          for _ in range(rnd.randint(3, 6))))
+                          for _ in range(rnd.randint(*_STEM_LENGTHS))))
     stems = sorted(stems)
 
     word_types = []  # (word, base_tag, ambiguous)

@@ -6,7 +6,8 @@ that the guess lexicon does not know simulate unknown words. Stage two
 learns contextual rules over tokens against the full training corpus,
 selecting at each step the rule with the highest true (apply-and-count)
 error reduction. Both stages stop when no candidate reaches the score
-threshold.
+threshold. One loop, ``_greedy``, drives both stages, and one argmax,
+``_best``, ranks the candidates of both.
 
 The greedy steps are exact. Both stages keep their counts across steps,
 after the rule indexing of Ramshaw & Marcus (1994) and fnTBL (Ngai &
@@ -119,14 +120,15 @@ def unknown_types(rule_part: TaggedCorpus, guess_lexicon: Lexicon,
 class _LexicalLearner:
     """Exact greedy lexical learning that keeps its counts across steps.
 
-    A candidate key is ``(feature, from_tag)``, a feature being a
-    ``(template, arg)`` pair and from_tag None for an unconditioned rule.
-    Each unknown type adds its token count under every key it matches: the
-    unconditioned one and the one conditioned on its current tag. Per key
-    the learner keeps, by gold tag, the counts of the types in error
-    (``fixes``: the good count of the rule retagging to that gold tag) and
-    of the types already correct (``correct``: a rule retagging to another
-    tag breaks them, one retagging to their own tag leaves them be).
+    A candidate key is ``(template, arg, from_tag)``, from_tag "" for an
+    unconditioned rule, so that keys sort like the rules they stand for;
+    ``(template, arg)`` is the key's feature. Each unknown type adds its
+    token count under every key it matches: the unconditioned one and the
+    one conditioned on its current tag. Per key the learner keeps, by gold
+    tag, the counts of the types in error (``fixes``: the good count of the
+    rule retagging to that gold tag) and of the types already correct
+    (``correct``: a rule retagging to another tag breaks them, one
+    retagging to their own tag leaves them be).
 
     Accepting a rule retags only the types that hold its feature (``index``)
     and satisfy its from_tag. For each type it retagged, the counts under
@@ -159,8 +161,8 @@ class _LexicalLearner:
         gold, count = self.targets[word]
         table = self.correct if tag == gold else self.fixes
         delta = sign * count
-        keys = [(feat, frm) for feat in self.features[word]
-                for frm in (None, tag)]
+        keys = [feat + (frm,) for feat in self.features[word]
+                for frm in ("", tag)]
         for key in keys:
             by_gold = table.get(key)
             if by_gold is None:
@@ -192,18 +194,13 @@ class _LexicalLearner:
             self.live[key] = live
 
     def best(self):
-        """(rule, score) with the highest net, ties broken by the rule sort
-        key; None when no candidate reaches the threshold."""
-        best = None
-        for (feat, frm), live in self.live.items():
-            for to, (good, bad) in live.items():
-                order = (bad - good, feat[0], feat[1], frm or "", to)
-                if best is None or order < best[0]:
-                    best = (order, feat, frm, to, good, bad)
+        """(rule, score) of the candidate ``_best`` picks; None when no
+        candidate reaches the threshold."""
+        best = _best(self.live)
         if best is None:
             return None
-        _, (template, arg), frm, to, good, bad = best
-        return LexicalRule(template, arg, frm, to), RuleScore(good, bad)
+        (template, arg, frm), to, score = best
+        return LexicalRule(template, arg, frm or None, to), score
 
     def apply(self, rule: LexicalRule) -> None:
         """Apply a rule to the types holding its feature and bring the
@@ -221,26 +218,51 @@ class _LexicalLearner:
             self._rescore(key)
 
 
-def _accept(errors: int, rule, score: RuleScore) -> int:
-    """The error count left after accepting a rule. Every accepted rule
-    nets at least the threshold (>= 1), so the count falling below zero
-    means applying the rules and scoring them disagree; fail then rather
-    than loop for ever."""
-    if score.net > errors:
-        raise RuntimeError("internal error: accepting %s (net %d) leaves "
-                           "%d errors below zero" % (rule, score.net, errors))
-    return errors - score.net
+def _best(live):
+    """(key, to_tag, score) of the candidate in ``live`` (key -> {to_tag:
+    (good, bad)}) with the highest net, ties broken by ascending key, then
+    to_tag; both learners key candidates so that this is the rule sort
+    order. None when ``live`` is empty."""
+    best = min((((bad - good, key, to), good, bad)
+                for key, cands in live.items()
+                for to, (good, bad) in cands.items()), default=None)
+    if best is None:
+        return None
+    (_, key, to), good, bad = best
+    return key, to, RuleScore(good, bad)
+
+
+def _greedy(stage: str, learner, errors: int, config: TrainConfig) -> tuple:
+    """The rules a learner accepts, in order: at each step the candidate
+    its ``best()`` returns, until none reaches the threshold or
+    ``config.max_rules_per_phase`` are accepted. ``errors`` is the error
+    count before the first step. Every accepted rule nets at least the
+    threshold (>= 1), so the count falling below zero means applying the
+    rules and scoring them disagree; fail then rather than loop for ever."""
+    rules = []
+    while (config.max_rules_per_phase is None
+           or len(rules) < config.max_rules_per_phase):
+        best = learner.best()
+        if best is None:
+            break
+        rule, score = best
+        if score.net > errors:
+            raise RuntimeError("internal error: accepting %s (net %d) leaves "
+                               "%d errors below zero"
+                               % (rule, score.net, errors))
+        errors -= score.net
+        learner.apply(rule)
+        rules.append(rule)
+        logger.info("%s %d %s net=%d errors_remaining=%d",
+                    stage, len(rules), rule, score.net, errors)
+    return tuple(rules)
 
 
 def learn_lexical_rules(train: TaggedCorpus,
-                        chain: InitialRuleChain = None,
-                        config: TrainConfig = None):
+                        chain: InitialRuleChain = default_greek_chain(),
+                        config: TrainConfig = TrainConfig()):
     """Returns (lexicon built from the FULL training corpus, ordered lexical
     rules learned on the held-out-lexicon split)."""
-    if chain is None:
-        chain = default_greek_chain()
-    if config is None:
-        config = TrainConfig()
     if not train.sentences:
         raise TaggerError("cannot train on an empty corpus")
     lex_part, rule_part = split_for_unknown_training(
@@ -260,19 +282,7 @@ def learn_lexical_rules(train: TaggedCorpus,
                               config.score_threshold)
     errors = sum(count for word, (gold, count) in targets.items()
                  if tags[word] != gold)
-    rules = []
-    while (config.max_rules_per_phase is None
-           or len(rules) < config.max_rules_per_phase):
-        best = learner.best()
-        if best is None:
-            break
-        rule, score = best
-        errors = _accept(errors, rule, score)
-        learner.apply(rule)
-        rules.append(rule)
-        logger.info("lexical %d %s net=%d errors_remaining=%d",
-                    len(rules), rule, score.net, errors)
-    return build_lexicon(train), tuple(rules)
+    return build_lexicon(train), _greedy("lexical", learner, errors, config)
 
 
 def initial_contextual_state(train: TaggedCorpus, lexicon: Lexicon,
@@ -560,25 +570,18 @@ class _ContextualLearner:
                 own[a] = (og + sign * dg, ob + sign * db)
 
     def best(self):
-        """(rule, score) with the highest net, ties broken by the rule sort
-        key; None when no candidate reaches the threshold."""
-        best = None
-        T = self.T
-        for key, live in self.live.items():
-            for to, (good, bad) in live.items():
-                order = (bad - good, key * T + to)
-                if best is None or order < best[0]:
-                    best = (order, good, bad)
+        """(rule, score) of the candidate ``_best`` picks; None when no
+        candidate reaches the threshold."""
+        best = _best(self.live)
         if best is None:
             return None
-        (_, cand), good, bad = best
-        key, to = divmod(cand, T)
+        key, to, score = best
         template, args, frm = self._decode(key)
         names = (self.word_names if template in WORD_TEMPLATES
                  else self.tag_names)
         rule = ContextualRule(template, tuple(names[a] for a in args),
                               self.tag_names[frm], self.tag_names[to])
-        return rule, RuleScore(good, bad)
+        return rule, score
 
     def apply(self, rule: ContextualRule) -> None:
         """Apply a rule to the sentences holding its from_tag and bring the
@@ -631,33 +634,18 @@ class _ContextualLearner:
 
 
 def learn_contextual_rules(train: TaggedCorpus, lexicon: Lexicon,
-                           lexical_rules, chain: InitialRuleChain = None,
-                           config: TrainConfig = None) -> tuple:
-    if chain is None:
-        chain = default_greek_chain()
-    if config is None:
-        config = TrainConfig()
+                           lexical_rules,
+                           chain: InitialRuleChain = default_greek_chain(),
+                           config: TrainConfig = TrainConfig()) -> tuple:
     if not train.sentences:
         raise TaggerError("cannot train on an empty corpus")
     state, gold = initial_contextual_state(train, lexicon, lexical_rules, chain)
     learner = _ContextualLearner(state, gold, config.score_threshold)
-    errors = token_errors(state, gold)
-    rules = []
-    while (config.max_rules_per_phase is None
-           or len(rules) < config.max_rules_per_phase):
-        best = learner.best()
-        if best is None:
-            break
-        rule, score = best
-        errors = _accept(errors, rule, score)
-        learner.apply(rule)
-        rules.append(rule)
-        logger.info("contextual %d %s net=%d errors_remaining=%d",
-                    len(rules), rule, score.net, errors)
-    return tuple(rules)
+    return _greedy("contextual", learner, token_errors(state, gold), config)
 
 
-def train_model(train: TaggedCorpus, config: TrainConfig = None) -> TaggerModel:
+def train_model(train: TaggedCorpus,
+                config: TrainConfig = TrainConfig()) -> TaggerModel:
     """Both training stages in order, with the default initial rule chain;
     deterministic in (train, config.seed)."""
     lexicon, lexical_rules = learn_lexical_rules(train, config=config)

@@ -26,8 +26,8 @@ from functools import cached_property
 from typing import Optional
 
 from .corpus import (ModelError, ParseError, TaggedCorpus, TaggerError, Tagset,
-                     TagsetError, Token, load_tagset, read_text,
-                     serialize_tagset)
+                     TagsetError, Token, is_utf8_encodable, load_tagset,
+                     read_text, serialize_tagset)
 from .lexicon import (InitialRuleChain, Lexicon, default_greek_chain,
                       initial_unknown_tags, parse_lexicon, serialize_lexicon)
 
@@ -71,8 +71,9 @@ MODEL_FORMAT_VERSION = 1
 
 
 def _is_field(text) -> bool:
-    """True if ``text`` survives as one field of a whitespace-split line."""
-    return text.split() == [text]
+    """True if ``text`` survives as one field of a whitespace-split line
+    of a UTF-8 file."""
+    return text.split() == [text] and is_utf8_encodable(text)
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,12 @@ class LexicalRule:
             raise TaggerError("unknown lexical template %r" % self.template)
         if not _is_field(self.arg):
             raise TaggerError("lexical rule argument must be non-empty and "
-                              "free of whitespace, got %r" % (self.arg,))
+                              "free of whitespace and lone surrogates, got "
+                              "%r" % (self.arg,))
         if self.template == "HASCHAR" and len(self.arg) != 1:
             raise TaggerError("HASCHAR takes exactly one character")
         if self.from_tag is not None and self.from_tag == self.to_tag:
             raise TaggerError("lexical rule from_tag equals to_tag")
-
-    def sort_key(self):
-        return (self.template, self.arg, self.from_tag or "", self.to_tag)
 
 
 @dataclass(frozen=True)
@@ -114,12 +113,10 @@ class ContextualRule:
         for arg in self.args:
             if not _is_field(arg):
                 raise TaggerError("contextual rule argument must be non-empty "
-                                  "and free of whitespace, got %r" % (arg,))
+                                  "and free of whitespace and lone "
+                                  "surrogates, got %r" % (arg,))
         if self.from_tag == self.to_tag:
             raise TaggerError("contextual rule from_tag equals to_tag")
-
-    def sort_key(self):
-        return (self.template, self.args, self.from_tag, self.to_tag)
 
     @cached_property
     def checks(self):
@@ -274,7 +271,7 @@ class TaggerModel:
         for word in self.lexicon.entries:
             if not _is_field(word):
                 raise TaggerError("lexicon word %r is empty or holds "
-                                  "whitespace" % (word,))
+                                  "whitespace or a lone surrogate" % (word,))
         for tag in {tag for pairs in self.lexicon.entries.values()
                     for tag, _ in pairs}:
             if tag not in self.tagset:

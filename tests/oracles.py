@@ -97,13 +97,21 @@ def score_lexical_candidate(rule: LexicalRule, states: dict,
     return RuleScore(good, bad)
 
 
+def rule_sort_key(rule):
+    """(template, args, from_tag, to_tag), a lexical rule without from_tag
+    sorting before those with one."""
+    if isinstance(rule, LexicalRule):
+        return (rule.template, rule.arg, rule.from_tag or "", rule.to_tag)
+    return (rule.template, rule.args, rule.from_tag, rule.to_tag)
+
+
 def select_best_rule(candidates, scorer, threshold: int):
     """Maximal net score; ties broken by the rule sort key (template, args,
     from_tag, to_tag ascending). None when the best net is below threshold."""
     best = None
     for rule in candidates:
         score = scorer(rule)
-        key = (-score.net, rule.sort_key())
+        key = (-score.net, rule_sort_key(rule))
         if best is None or key < best[0]:
             best = (key, rule, score)
     if best is None or best[2].net < threshold:

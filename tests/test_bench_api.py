@@ -1,7 +1,8 @@
 """The benchmark under ``bench/`` imports names from the package and calls
 them. A change that moves or renames one of them, or drops or adds a
 parameter its calls rely on, must fail here, in the package's own suite,
-and not only in the benchmark's tests."""
+and not only in the benchmark's tests. So must a change that makes
+``SynthSpec`` refuse a workload spec the benchmark records."""
 
 import ast
 import importlib
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from tbltagger.evaluate import SynthSpec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = ["traced", "session"]
@@ -29,22 +32,36 @@ def parse(module):
     return ast.parse((BENCH / (module + ".py")).read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_package_names_the_benchmark_imports_resolve(module, monkeypatch):
+@pytest.fixture
+def import_bench(monkeypatch):
+    """Imports a benchmark module as the benchmark does, and unloads every
+    benchmark module afterwards."""
+    # the benchmark's modules import each other by their bare names
+    monkeypatch.syspath_prepend(str(BENCH))
+    yield importlib.import_module
+    for name, loaded in list(sys.modules.items()):
+        if Path(getattr(loaded, "__file__", None) or "/").parent == BENCH:
+            del sys.modules[name]
+
+
+@pytest.mark.parametrize("module", MODULES + ["workloads"])
+def test_package_names_the_benchmark_imports_resolve(module, import_bench):
     imported = package_imports(parse(module))
     assert imported
     for package_module, name in imported.values():
         assert hasattr(importlib.import_module(package_module), name), \
             "%s.%s" % (package_module, name)
+    import_bench(module)
 
-    # the benchmark's modules import each other by their bare names
-    monkeypatch.syspath_prepend(str(BENCH))
-    try:
-        importlib.import_module(module)
-    finally:
-        for name, loaded in list(sys.modules.items()):
-            if Path(getattr(loaded, "__file__", None) or "/").parent == BENCH:
-                del sys.modules[name]
+
+@pytest.mark.parametrize("smoke", [False, True])
+def test_package_accepts_every_recorded_workload_spec(smoke, import_bench):
+    # SynthSpec refusing a spec recorded in bench/workloads.json fails
+    # here rather than in a benchmark run
+    workloads = import_bench("workloads").load_workloads(smoke=smoke)
+    assert workloads
+    for w in workloads.values():
+        assert isinstance(w.spec, SynthSpec)
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -17,6 +17,7 @@ from tbltagger.corpus import (ModelError, ParseError, TaggerError,
                               load_tagset, parse_tagged_corpus,
                               serialize_tagged_corpus, serialize_tagset)
 from tbltagger.evaluate import generate_synthetic_corpus, synth_tagset
+from tbltagger.learner import TrainConfig
 from tbltagger.rules import MODEL_FILES, load_model
 
 from test_learner import mini_spec
@@ -369,6 +370,28 @@ class TestCurve:
         first, second = (int(l.split(",")[0]) for l in lines[1:])
         assert first <= second
 
+    @pytest.mark.parametrize("sizes", ["abc", "100,x", ","])
+    def test_bad_sizes_exit_2_naming_the_flag(self, sizes, workspace,
+                                              capsys):
+        code = main(["curve", "--corpus", str(workspace["corpus"]),
+                     "--tagset", str(workspace["tagset"]),
+                     "--sizes", sizes, "--k", "3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "--sizes" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--out", "m"],
+    ["crossval"],
+    ["curve", "--sizes", "100"],
+])
+def test_train_flag_defaults_are_the_config_defaults(command):
+    args = cli.build_parser().parse_args(
+        command[:1] + ["--corpus", "c", "--tagset", "t"] + command[1:])
+    assert cli._train_config(args) == TrainConfig()
+
 
 class TestSynth:
     def test_generates_corpus_and_tagset(self, tmp_path, capsys):
@@ -397,6 +420,41 @@ class TestSynth:
         code = main(["synth", "--spec", str(spec_path),
                      "--out", str(tmp_path / "x.txt")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("spec, named", [
+        ('{"suffix_paradigms": 7}', "suffix_paradigms"),
+        ('{"sentence_len_range": 5}', "sentence_len_range"),
+        ('{"n_sentences": 2.5}', "n_sentences"),
+        # float inf, and one stem more than there are: the generator
+        # would draw stems for ever
+        ('{"n_stems": 1e400}', "n_stems"),
+        ('{"n_stems": 199411201}', "n_stems"),
+        ('{"n_stems": "5"}', "n_stems"),
+        ('{"n_stems": true}', "n_stems"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"ambiguity_rate": "0.3"}', "ambiguity_rate"),
+        ('{"context_rule_strength": NaN}', "context_rule_strength"),
+        ('{"suffix_paradigms": [["ος"]]}', "suffix_paradigms"),
+        ('{"suffix_paradigms": [["ος", 3]]}', "suffix_paradigms"),
+        ('{"sentence_len_range": [4, 9.5]}', "sentence_len_range"),
+        ('[1]', "spec"),
+        ('5', "spec"),
+        ('[' * 100000, "spec"),
+    ], ids=["paradigms-int", "length-range-int", "sentences-float",
+            "stems-inf", "stems-too-many", "stems-str", "stems-bool",
+            "seed-float", "rate-str", "rate-nan", "paradigm-short",
+            "paradigm-tag-int", "length-float", "not-object-array",
+            "not-object-int", "too-deep"])
+    def test_ill_typed_spec_exits_2_naming_the_field(self, spec, named,
+                                                     tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec, encoding="utf-8")
+        code = main(["synth", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "x.txt")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
 
 
 class TestAlignmentExit:

@@ -566,9 +566,15 @@ class TestModelRoundTrip:
                             default_greek_chain(), (), ()),
         lambda: Lexicon({"a": (("NN", 1.5),)}),
         lambda: Lexicon({"a": (("NN", 10 ** 5000),)}),
+        # a lone surrogate cannot be written as UTF-8
+        lambda: make_tagset(tags=TAG_NAMES + ("B\udc36",)),
+        lambda: TaggerModel(make_tagset(), Lexicon({"w\udc36": (("NN", 1),)}),
+                            default_greek_chain(), (), ()),
+        lambda: LexicalRule("HASSUF", "x\udc36", None, "NN"),
     ], ids=["lexical-arg", "prevwd-arg", "nextwd-arg", "empty-arg",
             "lexicon-word", "lexicon-line-separator", "lexicon-count",
-            "lexicon-count-too-long"])
+            "lexicon-count-too-long", "surrogate-tag", "surrogate-word",
+            "surrogate-arg"])
     def test_field_that_would_not_reload_rejected(self, build):
         with pytest.raises(TaggerError):
             build()
