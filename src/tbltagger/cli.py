@@ -65,6 +65,12 @@ def _train_config(args) -> TrainConfig:
     )
 
 
+def _jobs(args) -> int:
+    if args.jobs < 1:
+        raise TaggerError("--jobs must be at least 1, got %d" % args.jobs)
+    return args.jobs
+
+
 @contextlib.contextmanager
 def _log_to_stderr(level):
     """Show the package's log records at ``level`` and above on stderr while
@@ -148,7 +154,7 @@ def cmd_crossval(args) -> int:
     tagset = load_tagset(read_text(args.tagset))
     corpus = parse_tagged_corpus(read_text(args.corpus), tagset)
     report = cross_validate(corpus, k=args.k, config=_train_config(args),
-                            seed=args.seed, jobs=args.jobs)
+                            seed=args.seed, jobs=_jobs(args))
     csv = render_folds_csv(report)
     if args.out:
         _write(args.out, csv)
@@ -170,7 +176,7 @@ def cmd_curve(args) -> int:
         raise TaggerError("--sizes must be comma-separated integers, got %r"
                           % args.sizes)
     rows = learning_curve(corpus, sizes, k=args.k, config=_train_config(args),
-                          seed=args.seed, jobs=args.jobs)
+                          seed=args.seed, jobs=_jobs(args))
     csv = render_report_csv(rows)
     if args.out:
         _write(args.out, csv)

@@ -10,8 +10,14 @@ Out-of-bounds context never matches (no sentinel tags).
 word templates, the context window, the predicate and rule application are
 derived from it. ``lexical_template_matches`` defines the lexical templates
 once; the learner's candidate features are the arguments it accepts.
-Tagging and training share ``rewrite_sentence``, ``apply_lexical_rules``
-and ``initial_state``.
+
+A model compiles its ``Tagger`` once (``TaggerModel.tagger``), and
+``tag_corpus`` calls it. The tagger maps known words to their lexicon tag,
+memoises the tag of each unknown word type it has seen, and skips the
+contextual rules whose from_tag a sentence does not hold. Tagging and
+training share ``rewrite_sentence``, ``apply_lexical_rules`` and
+``initial_tag``; the learner starts from ``initial_state``, which the test
+suite also uses to build the tagger's reference output.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from .corpus import (ModelError, ParseError, TaggedCorpus, TaggerError, Tagset,
                      TagsetError, Token, is_utf8_encodable, load_tagset,
                      read_text, serialize_tagset)
 from .lexicon import (InitialRuleChain, Lexicon, default_greek_chain,
-                      initial_unknown_tags, parse_lexicon, serialize_lexicon)
+                      initial_tag, initial_unknown_tags, parse_lexicon,
+                      serialize_lexicon)
 
 LEXICAL_TEMPLATES = ("ADDPREF", "ADDSUF", "DELETEPREF", "DELETESUF",
                      "HASCHAR", "HASPREF", "HASSUF")
@@ -175,12 +182,19 @@ def build_affix_extension_maps(lexicon: Lexicon, max_affix_len: int):
     return dict(add_suf), dict(add_pref)
 
 
+# The only templates whose candidate arguments can fail to match: the
+# others' arguments are the word's own affixes and characters, or affixes
+# whose addition lands in the lexicon.
+_CHECKED_FEATURES = frozenset(("DELETEPREF", "DELETESUF"))
+
+
 def lexical_candidate_features(word: str, lexicon: Lexicon,
                                max_affix_len: int, extension_maps) -> tuple:
     """All (template, arg) pairs that match this word: the arguments each
     template could take for it (its affixes up to max_affix_len, its
-    characters, the affixes from ``build_affix_extension_maps``), kept
-    where ``lexical_template_matches`` says they match."""
+    characters, the affixes from ``build_affix_extension_maps``), the
+    DELETEPREF and DELETESUF ones kept where ``lexical_template_matches``
+    says they match."""
     add_suf, add_pref = extension_maps
     lengths = range(1, min(max_affix_len, len(word)) + 1)
     suffixes = [word[-k:] for k in lengths]
@@ -191,7 +205,8 @@ def lexical_candidate_features(word: str, lexicon: Lexicon,
             "HASSUF": suffixes}
     return tuple((template, arg) for template in LEXICAL_TEMPLATES
                  for arg in args[template]
-                 if lexical_template_matches(template, arg, word, lexicon))
+                 if template not in _CHECKED_FEATURES
+                 or lexical_template_matches(template, arg, word, lexicon))
 
 
 def context_checks(template: str, args: tuple):
@@ -277,6 +292,11 @@ class TaggerModel:
             if tag not in self.tagset:
                 raise TagsetError("lexicon tag %r not in tagset" % tag)
 
+    @cached_property
+    def tagger(self) -> "Tagger":
+        """The ``Tagger`` of this model, built once."""
+        return Tagger(self)
+
 
 def initial_state(sentences, lexicon: Lexicon, lexical_rules,
                   chain: InitialRuleChain, tagset: Tagset) -> list:
@@ -295,17 +315,61 @@ def initial_state(sentences, lexicon: Lexicon, lexical_rules,
     return state
 
 
-def tag_corpus(raw_sentences, model: TaggerModel) -> TaggedCorpus:
-    """Full pipeline: initial tags, lexical rules over unknown word types
-    (scoped to this input), then contextual rules over all tokens."""
-    state = initial_state(raw_sentences, model.lexicon, model.lexical_rules,
-                          model.initial_chain, model.tagset)
-    apply_contextual_rules(model.contextual_rules, state)
+class Tagger:
+    """A model's tagging pipeline, built once per model (``model.tagger``).
 
-    sentences = tuple(
-        tuple(Token(w, t) for w, t in zip(words, tags))
-        for words, tags in state)
-    return TaggedCorpus(sentences, model.tagset)
+    ``tags`` maps each known word to its most frequent lexicon tag, and
+    each unknown word type already seen to its tag after the initial rule
+    chain and the lexical rules. That tag is a pure function of the word
+    and the model, so the memo is exact; it grows with the distinct
+    unknown types tagged. Contextual rules run per sentence, skipping any
+    rule whose from_tag the sentence does not hold: no rule creates its
+    own from_tag, so a superset of the tags present is enough."""
+
+    def __init__(self, model: TaggerModel):
+        self.lexicon = model.lexicon
+        self.chain = model.initial_chain
+        self.tagset = model.tagset
+        self.lexical_rules = model.lexical_rules
+        self.contextual_rules = tuple(
+            (rule.checks, rule.from_tag, rule.to_tag)
+            for rule in model.contextual_rules)
+        self.tags = {word: pairs[0][0]
+                     for word, pairs in model.lexicon.entries.items()}
+
+    def tag(self, raw_sentences) -> TaggedCorpus:
+        tags = self.tags
+        sentences = [tuple(tok.word for tok in sent) for sent in raw_sentences]
+        # All new unknown types of the call go through the lexical rules in
+        # one apply_lexical_rules call: one call per word was slower.
+        fresh = {}
+        for words in sentences:
+            for word in words:
+                if word not in tags and word not in fresh:
+                    fresh[word] = initial_tag(word, self.lexicon, self.chain,
+                                              self.tagset)
+        if fresh:
+            tags.update(apply_lexical_rules(self.lexical_rules, fresh,
+                                            self.lexicon))
+        out = []
+        for words in sentences:
+            sent_tags = [tags[word] for word in words]
+            present = set(sent_tags)
+            for checks, from_tag, to_tag in self.contextual_rules:
+                if from_tag in present:
+                    new = rewrite_sentence(checks, from_tag, to_tag, words,
+                                           sent_tags)
+                    if new is not None:
+                        sent_tags = new
+                        present.add(to_tag)
+            out.append(tuple(map(Token, words, sent_tags)))
+        return TaggedCorpus(tuple(out), self.tagset)
+
+
+def tag_corpus(raw_sentences, model: TaggerModel) -> TaggedCorpus:
+    """Full pipeline: initial tags, lexical rules over unknown word types,
+    then contextual rules over all tokens; see ``Tagger``."""
+    return model.tagger.tag(raw_sentences)
 
 
 def serialize_rules(lexical_rules=(), contextual_rules=()) -> str:

@@ -1,8 +1,8 @@
 """Brute-force reference implementations that the learner is checked
 against: candidate generation, direct scoring of one candidate, and the
-exhaustive argmax over a candidate set. Also the references the evaluation
-is checked against: the synthetic language's exact tagger and the
-most-frequent-tag baseline.
+exhaustive argmax over a candidate set. Also the reference the tagger is
+checked against, and the references the evaluation is checked against: the
+synthetic language's exact tagger and the most-frequent-tag baseline.
 
 They score each candidate on its own, by a plain pass over the corpus, so
 they share no counting with the learner. Lexical learning is replayed on
@@ -23,8 +23,9 @@ from tbltagger.evaluate import (SYNTH_ALT_TAG, SYNTH_FOREIGN_TAG,
                                 synth_tagset)
 from tbltagger.learner import RuleScore, TrainConfig
 from tbltagger.rules import (CONTEXT_TABLE, WORDS, ContextualRule,
-                             LexicalRule, build_affix_extension_maps,
-                             context_predicate, lexical_candidate_features,
+                             LexicalRule, apply_contextual_rules,
+                             build_affix_extension_maps, context_predicate,
+                             initial_state, lexical_candidate_features,
                              lexical_template_matches)
 
 
@@ -198,6 +199,18 @@ def simulate_sentence(rule: ContextualRule, sent_state, gtags):
             elif rule.to_tag == gtags[p]:
                 good += 1
     return good, bad
+
+
+def reference_tag_corpus(raw_sentences, model) -> TaggedCorpus:
+    """What ``rules.Tagger`` must output: the initial and lexical stages
+    over the unknown types of this input alone, then each contextual rule
+    in turn over every sentence."""
+    state = initial_state(raw_sentences, model.lexicon, model.lexical_rules,
+                          model.initial_chain, model.tagset)
+    apply_contextual_rules(model.contextual_rules, state)
+    return TaggedCorpus(
+        tuple(tuple(Token(w, t) for w, t in zip(words, tags))
+              for words, tags in state), model.tagset)
 
 
 def most_frequent_tag_baseline(corpus: TaggedCorpus, k: int = 10,

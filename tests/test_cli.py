@@ -5,6 +5,7 @@ import logging
 import os
 import re
 import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -307,6 +308,38 @@ class TestCorruptModelFiles:
         assert code == EXIT_CONFIG
 
 
+class TestDamagedTagAndEvalInputs:
+    """`tbltagger tag` and `eval` given a damaged raw, gold or model file
+    exit with a documented code, raise nothing and finish in bounded
+    time."""
+
+    GOLD_SENTENCES = 8
+
+    @pytest.mark.parametrize("target", ("raw", "gold") + MODEL_FILES)
+    @settings(max_examples=40, deadline=timedelta(seconds=20))
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, workspace, target, data):
+        gold = "".join(workspace["corpus"].read_text(encoding="utf-8")
+                       .splitlines(keepends=True)[:self.GOLD_SENTENCES])
+        files = {"gold": gold.encode(), "raw": "".join(
+            " ".join(item.rpartition("/")[0] for item in line.split()) + "\n"
+            for line in gold.splitlines()).encode()}
+        files.update(read_model_files(workspace["model"]))
+        files[target] = data.draw(damaged_st(files[target]))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "model").mkdir()
+            for name, content in files.items():
+                path = root / ("model" if name in MODEL_FILES else "") / name
+                path.write_bytes(content)
+            codes = [main(["tag", "--model", str(root / "model"),
+                           "--in", str(root / "raw"),
+                           "--out", str(root / "out")]),
+                     main(["eval", "--model", str(root / "model"),
+                           "--gold", str(root / "gold")])]
+        assert set(codes) <= {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA}
+
+
 class TestEval:
     def test_perfect_model_prints_one(self, workspace, tmp_path, capsys):
         # evaluate against the model's own deterministic output
@@ -343,6 +376,19 @@ class TestCrossval:
         assert len(lines) == 1 + 4 + 1
         assert lines[0].startswith("fold_id,accuracy")
         assert lines[-1].startswith("mean,")
+
+    @pytest.mark.parametrize("command", ["crossval", "curve"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2_naming_the_flag(self, workspace, capsys,
+                                                   command, jobs):
+        sizes = ["--sizes", "100"] if command == "curve" else []
+        code = main([command, "--corpus", str(workspace["corpus"]),
+                     "--tagset", str(workspace["tagset"]), "--k", "3",
+                     "--jobs", jobs] + sizes)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "--jobs" in err
+        assert "Traceback" not in err
 
     def test_deterministic_csv(self, workspace, tmp_path):
         args = ["crossval", "--corpus", str(workspace["corpus"]),

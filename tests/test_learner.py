@@ -145,6 +145,19 @@ class TestBuildUnknownTypeStates:
         assert set(tags) == set(targets) == {"b"}
 
 
+def fully_checked_features(word, lexicon, max_affix_len) -> set:
+    """Every (template, arg) that ``lexical_template_matches`` accepts for
+    the word, among args up to max_affix_len long: the word's characters
+    and the affixes of the word and of every lexicon word."""
+    args = set(word)
+    for other in (word, *lexicon.entries):
+        for k in range(1, max_affix_len + 1):
+            args |= {other[:k], other[-k:]}
+    return {(template, arg) for template in LEXICAL_TEMPLATES for arg in args
+            if (template != "HASCHAR" or len(arg) == 1)
+            and lexical_template_matches(template, arg, word, lexicon)}
+
+
 class TestLexicalCandidateFeatures:
     def test_matches_iff_feature_listed(self):
         # the feature list must agree exactly with lexical_template_matches
@@ -156,21 +169,25 @@ class TestLexicalCandidateFeatures:
         for word in ("γατε", "γατες", "αγατ", "τρεχει", "γατακια",
                      "ακιαγατ", "ατες", "γα"):
             feats = set(lexical_candidate_features(word, lexicon, 4, maps))
-            args = {word[:k] for k in range(1, 5)}
-            args |= {word[-k:] for k in range(1, 5)}
-            args |= set(word)
-            for other in lexicon.entries:
-                args |= {other[:k] for k in range(1, 5)}
-                args |= {other[-k:] for k in range(1, 5)}
-            for template in LEXICAL_TEMPLATES:
-                for arg in args:
-                    if not arg or (template == "HASCHAR" and len(arg) != 1):
-                        continue
-                    if len(arg) > 4:
-                        continue
-                    assert lexical_template_matches(
-                        template, arg, word, lexicon) == \
-                        ((template, arg) in feats), (word, template, arg)
+            assert feats == fully_checked_features(word, lexicon, 4), word
+
+    @given(st.lists(st.text("aβγδ", min_size=1, max_size=7), min_size=1,
+                    max_size=8, unique=True),
+           st.lists(st.text("aβγδ", min_size=1, max_size=7), max_size=6),
+           st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_features_are_the_fully_checked_list(self, entries, words,
+                                                 max_affix_len):
+        # only DELETEPREF and DELETESUF arguments are checked; the others
+        # must match by construction
+        lexicon = Lexicon({w: (("NN", 1),) for w in entries})
+        for word, feats in candidate_features(words + entries, lexicon,
+                                              max_affix_len).items():
+            assert len(set(feats)) == len(feats)
+            assert set(feats) == fully_checked_features(word, lexicon,
+                                                        max_affix_len)
+            order = [LEXICAL_TEMPLATES.index(t) for t, _ in feats]
+            assert order == sorted(order)
 
 
 class TestScoreLexicalCandidate:

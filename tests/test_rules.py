@@ -3,13 +3,14 @@
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from tbltagger.corpus import (REQUIRED_ROLES, TaggerError, Tagset,
-                              TagsetError, Token)
+from tbltagger.corpus import (REQUIRED_ROLES, TaggedCorpus, TaggerError,
+                              Tagset, TagsetError, Token)
 from tbltagger.lexicon import (ALWAYS, STARTS_GREEK_CAPITAL, STARTS_LATIN,
                                InitialRuleChain, Lexicon, build_lexicon,
                                default_greek_chain, initial_tag,
@@ -23,7 +24,8 @@ from tbltagger.rules import (CONTEXTUAL_TEMPLATES, LEXICAL_TEMPLATES,
 from tbltagger.corpus import serialize_tagged_corpus
 
 from conftest import TAG_NAMES, corpora_st, make_tagset, words_st
-from oracles import contextual_rule_matches, lexical_rule_matches
+from oracles import (contextual_rule_matches, lexical_rule_matches,
+                     reference_tag_corpus)
 
 
 EMPTY_LEX = Lexicon({})
@@ -227,7 +229,8 @@ class TestApplyContextualRules:
 
 
 class TestTagCorpus:
-    def _model(self, corpus, lexical=(), contextual=()):
+    @staticmethod
+    def _model(corpus, lexical=(), contextual=()):
         return TaggerModel(corpus.tagset, build_lexicon(corpus),
                            default_greek_chain(), tuple(lexical),
                            tuple(contextual))
@@ -277,10 +280,9 @@ class TestTagCorpus:
         assert [[t.tag for t in s] for s in got.sentences] == want
 
 
-def lexical_rules_st():
-    affix = words_st(max_size=4)
-    tag_pairs = st.tuples(st.one_of(st.none(), st.sampled_from(TAG_NAMES)),
-                          st.sampled_from(TAG_NAMES)).filter(
+def lexical_rules_st(affix=words_st(max_size=4), tags=TAG_NAMES):
+    tag_pairs = st.tuples(st.one_of(st.none(), st.sampled_from(tags)),
+                          st.sampled_from(tags)).filter(
                               lambda p: p[0] != p[1])
 
     def build(template, arg, pair):
@@ -295,9 +297,9 @@ def lexical_rules_st():
                      affix, tag_pairs)
 
 
-def contextual_rules_st():
-    tag_pairs = st.tuples(st.sampled_from(TAG_NAMES),
-                          st.sampled_from(TAG_NAMES)).filter(
+def contextual_rules_st(word=words_st(max_size=5), tags=TAG_NAMES):
+    tag_pairs = st.tuples(st.sampled_from(tags),
+                          st.sampled_from(tags)).filter(
                               lambda p: p[0] != p[1])
 
     def build(template, args, pair):
@@ -305,9 +307,86 @@ def contextual_rules_st():
                               tuple(args[:CONTEXTUAL_TEMPLATES[template]]),
                               pair[0], pair[1])
 
-    arg = st.one_of(st.sampled_from(TAG_NAMES), words_st(max_size=5))
+    arg = st.one_of(st.sampled_from(tags), word)
     return st.builds(build, st.sampled_from(sorted(CONTEXTUAL_TEMPLATES)),
                      st.tuples(arg, arg), tag_pairs)
+
+
+# Latin-initial, Greek-capital-initial and other words, and tags, few
+# enough that drawn rules fire, often on tags earlier rules made, and drawn
+# corpora share words
+TAGGING_CHARS = "abαβΆ"
+TAGGING_TAGS = ("NN", "VB", "FW", "NNF")
+
+
+def tagged_sentences_st(word, max_sentences):
+    token = st.builds(Token, word, st.sampled_from(TAGGING_TAGS))
+    return st.lists(st.lists(token, min_size=1, max_size=8).map(tuple),
+                    min_size=1, max_size=max_sentences).map(tuple)
+
+
+@st.composite
+def tagging_cases_st(draw):
+    """(model, other, first, second): a model over a few characters, one
+    that differs from it only in its rules, and two raw corpora mixing its
+    known words with unknown ones."""
+    word = st.text(TAGGING_CHARS, min_size=1, max_size=4)
+    affix = st.text(TAGGING_CHARS, min_size=1, max_size=2)
+    corpus = TaggedCorpus(draw(tagged_sentences_st(word, 5)), make_tagset())
+    lexicon = build_lexicon(corpus)
+
+    def rules():
+        return (tuple(draw(st.lists(lexical_rules_st(affix, TAGGING_TAGS),
+                                    max_size=5))),
+                tuple(draw(st.lists(contextual_rules_st(word, TAGGING_TAGS),
+                                    max_size=8))))
+
+    model = TaggerModel(corpus.tagset, lexicon, default_greek_chain(),
+                        *rules())
+    lexical, contextual = rules()
+    other = replace(model, lexical_rules=lexical, contextual_rules=contextual)
+    raw = st.one_of(st.sampled_from(sorted(lexicon.entries)), word)
+    first, second = (draw(tagged_sentences_st(raw, 5)) for _ in range(2))
+    first, second = ([tuple(Token(t.word) for t in sent) for sent in sents]
+                     for sents in (first, second))
+    return model, other, first, second
+
+
+class TestTagger:
+    """``rules.Tagger`` against the reference pipeline, cold and with its
+    memo of unknown types warm."""
+
+    @given(tagging_cases_st())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference(self, case):
+        model, other, first, second = case
+        want = reference_tag_corpus(second, model)
+        assert tag_corpus(second, replace(model)) == want
+        for sent in second:
+            assert tag_corpus([sent], model) == \
+                reference_tag_corpus([sent], model)
+        warm = replace(model)
+        tag_corpus(first, warm)
+        assert tag_corpus(second, warm) == want
+        # a model differing only in its rules starts from its own memo
+        assert tag_corpus(second, other) == reference_tag_corpus(second, other)
+        assert other.tagger.tags is not model.tagger.tags
+
+    def test_rule_fires_on_a_tag_an_earlier_rule_made(self, tiny_corpus):
+        # "ο γάτα" starts as AT NN: the first rule makes the VB that the
+        # second rule needs
+        model = TestTagCorpus._model(tiny_corpus, contextual=(
+            ContextualRule("PREVTAG", ("AT",), "NN", "VB"),
+            ContextualRule("PREVTAG", ("AT",), "VB", "PUNCT")))
+        tagged = tag_corpus([(Token("ο"), Token("γάτα"))], model)
+        assert [t.tag for t in tagged.sentences[0]] == ["AT", "PUNCT"]
+
+    def test_built_once_per_model(self, tiny_corpus):
+        model = TestTagCorpus._model(tiny_corpus)
+        assert model.tagger is model.tagger
+        assert replace(model).tagger is not model.tagger
+        tag_corpus([(Token("Άννα"), Token("ο"))], model)
+        assert set(model.tagger.tags) - set(model.lexicon.entries) == {"Άννα"}
 
 
 class TestRuleSerialization:
