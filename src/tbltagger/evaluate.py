@@ -207,10 +207,12 @@ def cross_validate(corpus: TaggedCorpus, k: int = 10,
                    jobs: int = 1) -> EvalReport:
     """Train on k-1 folds and test on the held-out fold, for every rotation.
     Deterministic in (corpus, k, config, seed); jobs > 1 evaluates folds in
-    parallel with identical results."""
+    parallel, in at most k processes, with identical results."""
     plan = kfold_split(corpus, k, seed)
     tasks = [(corpus, plan, fold_id, config) for fold_id in range(k)]
+    jobs = min(jobs, k)
     if jobs > 1:
+        # a fork pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             folds = list(pool.map(_run_fold, tasks))
     else:

@@ -23,12 +23,13 @@ it; only those sentences are re-simulated, and only for candidates whose
 argument tags include the rule's from_tag or to_tag.
 
 Both stages run on the tagger's code. Lexical candidates are the arguments
-``rules.lexical_template_matches`` accepts, the current guesses advance by
-``rules.apply_lexical_rules`` and start from ``lexicon.initial_unknown_tags``.
-Contextual templates come from ``rules.CONTEXT_TABLE`` and rules are applied
-by ``rules.rewrite_sentence``; only ``_count`` spells out the templates, for
-speed, and a test pins it to the table. The brute-force scorers the greedy
-steps are checked against live under ``tests/``.
+``rules.lexical_template_matches`` accepts and the current guesses advance
+by ``rules.apply_lexical_rules``. Contextual training starts from the
+tagger's ``rules.Tagger.initial``, templates come from ``CONTEXT_TABLE``
+and rules are applied by ``rules.rewrite_sentence``; only ``_count`` spells
+out the templates, for speed, and a test pins it to the table. The
+brute-force scorers the greedy steps are checked against live under
+``tests/``.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ from typing import Optional
 
 from .corpus import TaggedCorpus, TaggerError, select_sentences
 from .lexicon import (InitialRuleChain, Lexicon, build_lexicon,
-                      default_greek_chain, initial_unknown_tags)
+                      default_greek_chain, initial_tag)
 from .rules import (CONTEXT_WINDOW, CONTEXTUAL_TEMPLATES, WORD_TEMPLATES,
                     ContextualRule, LexicalRule, TaggerModel,
                     apply_lexical_rules, build_affix_extension_maps,
-                    context_checks, context_predicate, initial_state,
+                    context_checks, context_predicate,
                     lexical_candidate_features, rewrite_sentence)
 
 logger = logging.getLogger(__name__)
@@ -103,14 +104,15 @@ def unknown_types(rule_part: TaggedCorpus, guess_lexicon: Lexicon,
     """(tags, targets) for the word types of rule_part unknown to the guess
     lexicon: tags maps each to its initial tag, targets to its gold tag and
     its number of tokens in rule_part. The gold tag of a type is its most
-    frequent gold tag in rule_part, ties broken by ascending tag name."""
-    tags = initial_unknown_tags(rule_part.sentences, guess_lexicon, chain,
-                                rule_part.tagset)
+    frequent gold tag in rule_part, ties broken by ascending tag name. Both
+    hold the types in order of first occurrence."""
     gold_counts = defaultdict(Counter)
     for sent in rule_part.sentences:
         for tok in sent:
-            if tok.word in tags:
+            if tok.word not in guess_lexicon:
                 gold_counts[tok.word][tok.tag] += 1
+    tags = {word: initial_tag(word, guess_lexicon, chain, rule_part.tagset)
+            for word in gold_counts}
     targets = {word: (min(counts, key=lambda t: (-counts[t], t)),
                       sum(counts.values()))
                for word, counts in gold_counts.items()}
@@ -287,11 +289,12 @@ def learn_lexical_rules(train: TaggedCorpus,
 
 def initial_contextual_state(train: TaggedCorpus, lexicon: Lexicon,
                              lexical_rules, chain: InitialRuleChain):
-    """(state, gold): per-sentence (words, tags) after the initial + lexical
-    stages, and the gold tag lists, token-aligned."""
-    state = initial_state(train.sentences, lexicon, lexical_rules, chain,
-                          train.tagset)
-    return state, [[tok.tag for tok in sent] for sent in train.sentences]
+    """(state, gold): per-sentence (words, tags) from ``Tagger.initial`` of
+    a model with these parts, which refuses any but the default chain, and
+    the gold tag lists, token-aligned."""
+    model = TaggerModel(train.tagset, lexicon, chain, lexical_rules, ())
+    return (list(model.tagger.initial(train.sentences)),
+            [[tok.tag for tok in sent] for sent in train.sentences])
 
 
 def token_errors(state, gold) -> int:

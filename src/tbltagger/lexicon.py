@@ -133,19 +133,6 @@ def initial_tag(word: str, lexicon: Lexicon, chain: InitialRuleChain,
     raise TaggerError("initial rule chain matched no branch")  # unreachable
 
 
-def initial_unknown_tags(sentences, lexicon: Lexicon, chain: InitialRuleChain,
-                         tagset: Tagset) -> dict:
-    """word type -> initial tag, for the words of these sentences (of
-    tokens) that the lexicon does not know, in order of first occurrence."""
-    unknown = {}
-    for sent in sentences:
-        for tok in sent:
-            if tok.word not in lexicon and tok.word not in unknown:
-                unknown[tok.word] = initial_tag(tok.word, lexicon, chain,
-                                                tagset)
-    return unknown
-
-
 def serialize_lexicon(lexicon: Lexicon) -> str:
     lines = []
     for word in sorted(lexicon.entries):

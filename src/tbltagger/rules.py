@@ -14,10 +14,11 @@ once; the learner's candidate features are the arguments it accepts.
 A model compiles its ``Tagger`` once (``TaggerModel.tagger``), and
 ``tag_corpus`` calls it. The tagger maps known words to their lexicon tag,
 memoises the tag of each unknown word type it has seen, and skips the
-contextual rules whose from_tag a sentence does not hold. Tagging and
-training share ``rewrite_sentence``, ``apply_lexical_rules`` and
-``initial_tag``; the learner starts from ``initial_state``, which the test
-suite also uses to build the tagger's reference output.
+contextual rules whose from_tag a sentence does not hold. ``Tagger.initial``
+is the one place where a token gets its starting tag: tagging runs the
+contextual rules on its output, and the learner starts contextual training
+from it. Tagging and training share ``rewrite_sentence`` and
+``apply_lexical_rules``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .corpus import (ModelError, ParseError, TaggedCorpus, TaggerError, Tagset,
                      TagsetError, Token, is_utf8_encodable, load_tagset,
                      read_text, serialize_tagset)
 from .lexicon import (InitialRuleChain, Lexicon, default_greek_chain,
-                      initial_tag, initial_unknown_tags, parse_lexicon,
-                      serialize_lexicon)
+                      initial_tag, parse_lexicon, serialize_lexicon)
 
 LEXICAL_TEMPLATES = ("ADDPREF", "ADDSUF", "DELETEPREF", "DELETESUF",
                      "HASCHAR", "HASPREF", "HASSUF")
@@ -298,23 +298,6 @@ class TaggerModel:
         return Tagger(self)
 
 
-def initial_state(sentences, lexicon: Lexicon, lexical_rules,
-                  chain: InitialRuleChain, tagset: Tagset) -> list:
-    """Per-sentence (words, tags) before the contextual rules: known words
-    get their most frequent lexicon tag, unknown word types (scoped to
-    these sentences) the initial rule chain's tag and then the lexical
-    rules."""
-    unknown = initial_unknown_tags(sentences, lexicon, chain, tagset)
-    unknown = apply_lexical_rules(lexical_rules, unknown, lexicon)
-    state = []
-    for sent in sentences:
-        words = tuple(tok.word for tok in sent)
-        state.append((words, [unknown[w] if w in unknown
-                              else lexicon.most_frequent_tag(w)
-                              for w in words]))
-    return state
-
-
 class Tagger:
     """A model's tagging pipeline, built once per model (``model.tagger``).
 
@@ -337,7 +320,9 @@ class Tagger:
         self.tags = {word: pairs[0][0]
                      for word, pairs in model.lexicon.entries.items()}
 
-    def tag(self, raw_sentences) -> TaggedCorpus:
+    def initial(self, raw_sentences):
+        """Yields each sentence's (words, tags) before the contextual rules;
+        see the class docstring."""
         tags = self.tags
         sentences = [tuple(tok.word for tok in sent) for sent in raw_sentences]
         # All new unknown types of the call go through the lexical rules in
@@ -351,9 +336,12 @@ class Tagger:
         if fresh:
             tags.update(apply_lexical_rules(self.lexical_rules, fresh,
                                             self.lexicon))
-        out = []
         for words in sentences:
-            sent_tags = [tags[word] for word in words]
+            yield words, [tags[word] for word in words]
+
+    def tag(self, raw_sentences) -> TaggedCorpus:
+        out = []
+        for words, sent_tags in self.initial(raw_sentences):
             present = set(sent_tags)
             for checks, from_tag, to_tag in self.contextual_rules:
                 if from_tag in present:

@@ -1,8 +1,10 @@
 """Brute-force reference implementations that the learner is checked
 against: candidate generation, direct scoring of one candidate, and the
-exhaustive argmax over a candidate set. Also the reference the tagger is
-checked against, and the references the evaluation is checked against: the
-synthetic language's exact tagger and the most-frequent-tag baseline.
+exhaustive argmax over a candidate set. Also the reference the tagger and
+the learner's starting state are checked against (``initial_state``, which
+never calls ``rules.Tagger``), and the references the evaluation is checked
+against: the synthetic language's exact tagger and the most-frequent-tag
+baseline.
 
 They score each candidate on its own, by a plain pass over the corpus, so
 they share no counting with the learner. Lexical learning is replayed on
@@ -22,10 +24,11 @@ from tbltagger.evaluate import (SYNTH_ALT_TAG, SYNTH_FOREIGN_TAG,
                                 _FOREIGN_POOL, _PROPER_POOL, cross_validate,
                                 synth_tagset)
 from tbltagger.learner import RuleScore, TrainConfig
+from tbltagger.lexicon import initial_tag
 from tbltagger.rules import (CONTEXT_TABLE, WORDS, ContextualRule,
                              LexicalRule, apply_contextual_rules,
-                             build_affix_extension_maps, context_predicate,
-                             initial_state, lexical_candidate_features,
+                             apply_lexical_rules, build_affix_extension_maps,
+                             context_predicate, lexical_candidate_features,
                              lexical_template_matches)
 
 
@@ -199,6 +202,27 @@ def simulate_sentence(rule: ContextualRule, sent_state, gtags):
             elif rule.to_tag == gtags[p]:
                 good += 1
     return good, bad
+
+
+def initial_state(sentences, lexicon, lexical_rules, chain, tagset) -> list:
+    """Per-sentence (words, tags) before the contextual rules: known words
+    get their most frequent lexicon tag, unknown word types (scoped to
+    these sentences) the initial rule chain's tag and then the lexical
+    rules."""
+    unknown = {}
+    for sent in sentences:
+        for tok in sent:
+            if tok.word not in lexicon and tok.word not in unknown:
+                unknown[tok.word] = initial_tag(tok.word, lexicon, chain,
+                                                tagset)
+    unknown = apply_lexical_rules(lexical_rules, unknown, lexicon)
+    state = []
+    for sent in sentences:
+        words = tuple(tok.word for tok in sent)
+        state.append((words, [unknown[w] if w in unknown
+                              else lexicon.most_frequent_tag(w)
+                              for w in words]))
+    return state
 
 
 def reference_tag_corpus(raw_sentences, model) -> TaggedCorpus:

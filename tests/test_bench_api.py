@@ -2,7 +2,9 @@
 them. A change that moves or renames one of them, or drops or adds a
 parameter its calls rely on, must fail here, in the package's own suite,
 and not only in the benchmark's tests. So must a change that makes
-``SynthSpec`` refuse a workload spec the benchmark records."""
+``SynthSpec`` refuse a workload spec the benchmark records, or one that
+makes the benchmark's traced stages, which read attributes of the
+package's objects, compute something other than the package."""
 
 import ast
 import importlib
@@ -12,7 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from tbltagger.evaluate import SynthSpec
+from tbltagger.corpus import kfold_split
+from tbltagger.evaluate import (SynthSpec, cross_validate,
+                                generate_synthetic_corpus, strip_tags)
+from tbltagger.learner import TrainConfig, train_model
+from tbltagger.rules import tag_corpus
+
+from test_learner import mini_spec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = ["traced", "session"]
@@ -83,3 +91,23 @@ def test_benchmark_calls_bind_to_package_signatures(module):
         except TypeError as exc:
             pytest.fail("bench/%s.py line %d: %s.%s(...): %s"
                         % (module, call.lineno, package_module, name, exc))
+
+
+def test_traced_stages_compute_what_the_package_does(import_bench):
+    traced = import_bench("traced")
+    corpus = generate_synthetic_corpus(mini_spec(6, n_sentences=40))
+    config = TrainConfig()
+    tr = traced.Tracer()
+    model, _, _ = traced.traced_train(tr, corpus, config)
+    assert model == train_model(corpus, config)
+    assert model.lexical_rules and model.contextual_rules
+    # another seed draws other stems, so most of its words are unknown
+    raw = strip_tags(generate_synthetic_corpus(mini_spec(7, n_sentences=10)))
+    counts = {"unknown_types": 0, "tags_changed_contextual": 0}
+    assert traced.traced_tag(tr, raw, model, counts) == tag_corpus(raw, model)
+    assert counts["unknown_types"] and counts["tags_changed_contextual"]
+    plan = kfold_split(corpus, 3, config.seed)
+    folds = [traced.traced_fold((corpus, plan, fold_id, config))[:2]
+             for fold_id in range(3)]
+    report = cross_validate(corpus, 3, config, config.seed)
+    assert folds == [(f.accuracy, f.test_tokens) for f in report.folds]

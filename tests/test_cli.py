@@ -340,6 +340,69 @@ class TestDamagedTagAndEvalInputs:
         assert set(codes) <= {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA}
 
 
+# Small ints keep a generated corpus small; any JSON value may stand in
+# for any field.
+SMALL_INTS = st.integers(1, 12)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 12), st.floats(),
+              st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=2)),
+    max_leaves=6)
+SPEC_FIELDS = {
+    "n_stems": SMALL_INTS,
+    "n_sentences": SMALL_INTS,
+    "seed": SMALL_INTS,
+    "ambiguity_rate": st.floats(0, 1),
+    "context_rule_strength": st.floats(0, 1),
+    "sentence_len_range": st.lists(SMALL_INTS, min_size=2, max_size=2),
+    "suffix_paradigms": st.lists(st.lists(st.text(min_size=1, max_size=3),
+                                          min_size=2, max_size=2),
+                                 min_size=1, max_size=3),
+}
+
+
+class TestDamagedTrainAndSynthInputs:
+    """`tbltagger train` given a damaged corpus or tagset, and `synth`
+    given a spec whose fields may hold any JSON type, exit with a
+    documented code, raise nothing and finish in bounded time."""
+
+    TRAIN_SENTENCES = 8
+
+    @pytest.mark.parametrize("target", ["corpus", "tagset"])
+    @settings(max_examples=25, deadline=timedelta(seconds=20))
+    @given(data=st.data())
+    def test_train_exit_code_is_documented(self, workspace, target, data):
+        files = {"corpus": "".join(
+            workspace["corpus"].read_text(encoding="utf-8")
+            .splitlines(keepends=True)[:self.TRAIN_SENTENCES]).encode(),
+            "tagset": workspace["tagset"].read_bytes()}
+        files[target] = data.draw(damaged_st(files[target]))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, content in files.items():
+                (root / name).write_bytes(content)
+            code = main(["train", "--corpus", str(root / "corpus"),
+                         "--tagset", str(root / "tagset"),
+                         "--out", str(root / "model")])
+        assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA}
+
+    @settings(max_examples=60, deadline=timedelta(seconds=20))
+    # a field mostly holds its own type, so that some specs are accepted
+    @given(spec=st.fixed_dictionaries({}, optional={
+        name: st.one_of(valid, valid, valid, JSON_VALUES)
+        for name, valid in SPEC_FIELDS.items()}))
+    def test_synth_exit_code_is_documented(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "spec.json").write_text(json.dumps(spec),
+                                            encoding="utf-8")
+            code = main(["synth", "--spec", str(root / "spec.json"),
+                         "--out", str(root / "synth.txt")])
+        assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA}
+
+
 class TestEval:
     def test_perfect_model_prints_one(self, workspace, tmp_path, capsys):
         # evaluate against the model's own deterministic output

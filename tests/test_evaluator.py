@@ -8,6 +8,7 @@ import statistics
 
 import pytest
 
+from tbltagger import evaluate
 from tbltagger.corpus import AlignmentError, TaggedCorpus, TaggerError, Token
 from tbltagger.evaluate import (CurveRow, EvalReport, FoldResult, SynthSpec,
                                 accuracy, cross_validate,
@@ -138,6 +139,31 @@ class TestCrossValidate:
         seq = cross_validate(corpus, k=3, seed=0, jobs=1)
         par = cross_validate(corpus, k=3, seed=0, jobs=2)
         assert seq == par
+
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (100_000, 3)])
+    def test_pool_holds_at_most_one_worker_per_fold(self, corpus, monkeypatch,
+                                                    jobs, workers):
+        # A fork pool starts all its workers at the first submit, so the
+        # pool must be capped before it is built; this one runs in-process.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", InProcessPool)
+        report = cross_validate(corpus, k=3, seed=0, jobs=jobs)
+        assert sizes == [workers]
+        assert report == cross_validate(corpus, k=3, seed=0)
 
     def test_too_small(self, tagset):
         c = TaggedCorpus(((Token("a", "NN"),),), tagset)

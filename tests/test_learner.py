@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbltagger.corpus import TaggedCorpus, TaggerError, Token, truncate_to_words
+from tbltagger.corpus import (TaggedCorpus, TaggerError, Token,
+                              select_sentences, truncate_to_words)
 from tbltagger.evaluate import SynthSpec, generate_synthetic_corpus
 from tbltagger.learner import (RuleScore, TrainConfig,
                                initial_contextual_state, learn_lexical_rules,
@@ -30,9 +31,11 @@ from lexical_reference import rescan_lexical_iteration
 from oracles import (TypeState, apply_lexical_rule_to_states,
                      context_instantiations, dynamic_contextual_score,
                      generate_contextual_candidates,
-                     generate_lexical_candidates, score_contextual_candidate,
-                     score_lexical_candidate, select_best_rule, type_states,
-                     weighted_type_errors)
+                     generate_lexical_candidates, initial_state,
+                     score_contextual_candidate, score_lexical_candidate,
+                     select_best_rule, type_states, weighted_type_errors)
+from test_rules import (TAGGING_CHARS, TAGGING_TAGS, lexical_rules_st,
+                        tagged_sentences_st)
 
 
 def mini_spec(seed, **kw):
@@ -143,6 +146,44 @@ class TestBuildUnknownTypeStates:
         tags, targets = unknown_types(
             rule_part, Lexicon({"a": (("NN", 1),)}), default_greek_chain())
         assert set(tags) == set(targets) == {"b"}
+
+    def test_first_occurrence_order(self):
+        ts = make_tagset()
+        sents = ((Token("β", "NN"), Token("a", "NN"), Token("γ", "VB")),
+                 (Token("γ", "NN"), Token("α", "AT"), Token("β", "VB")))
+        tags, targets = unknown_types(
+            TaggedCorpus(sents, ts), Lexicon({"a": (("NN", 1),)}),
+            default_greek_chain())
+        assert list(tags) == list(targets) == ["β", "γ", "α"]
+
+
+@st.composite
+def start_state_cases_st(draw):
+    """(corpus, lexicon, lexical rules): a lexicon built from a prefix of
+    the corpus, so that the rest may hold unknown words, and rules over
+    the corpus's few characters."""
+    word = st.text(TAGGING_CHARS, min_size=1, max_size=4)
+    affix = st.text(TAGGING_CHARS, min_size=1, max_size=2)
+    corpus = TaggedCorpus(draw(tagged_sentences_st(word, 6)), make_tagset())
+    known = draw(st.integers(0, len(corpus.sentences)))
+    lexicon = (build_lexicon(select_sentences(corpus, range(known)))
+               if known else Lexicon({}))
+    lexical = draw(st.lists(lexical_rules_st(affix, TAGGING_TAGS),
+                            max_size=5))
+    return corpus, lexicon, tuple(lexical)
+
+
+class TestInitialContextualState:
+    @given(start_state_cases_st())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_reference(self, case):
+        corpus, lexicon, lexical = case
+        chain = default_greek_chain()
+        state, gold = initial_contextual_state(corpus, lexicon, lexical, chain)
+        assert state == initial_state(corpus.sentences, lexicon, lexical,
+                                      chain, corpus.tagset)
+        assert gold == [[tok.tag for tok in sent]
+                        for sent in corpus.sentences]
 
 
 def fully_checked_features(word, lexicon, max_affix_len) -> set:

@@ -15,6 +15,7 @@ from tbltagger.lexicon import (ALWAYS, STARTS_GREEK_CAPITAL, STARTS_LATIN,
                                InitialRuleChain, Lexicon, build_lexicon,
                                default_greek_chain, initial_tag,
                                parse_lexicon, serialize_lexicon)
+from tbltagger.learner import initial_contextual_state
 from tbltagger.rules import (CONTEXTUAL_TEMPLATES, LEXICAL_TEMPLATES,
                              MODEL_FILES, ContextualRule, LexicalRule,
                              ModelError, TaggerModel, apply_contextual_rule,
@@ -628,6 +629,14 @@ class TestModelRoundTrip:
         with pytest.raises(TaggerError):
             TaggerModel(tagset, Lexicon({}),
                         InitialRuleChain(((ALWAYS, "FOREIGN"),)), (), ())
+
+    def test_non_default_chain_rejected_for_training(self, tiny_corpus):
+        # contextual training starts from a model's tagger, so the model
+        # refuses the chain there too
+        chain = InitialRuleChain(((ALWAYS, "FOREIGN"),))
+        with pytest.raises(TaggerError):
+            initial_contextual_state(tiny_corpus, build_lexicon(tiny_corpus),
+                                     (), chain)
 
     def test_lexicon_tag_outside_tagset_rejected(self, tagset):
         with pytest.raises(TagsetError):
