@@ -56,6 +56,12 @@ def is_utf8_encodable(text) -> bool:
     return True
 
 
+def is_field(text) -> bool:
+    """True if ``text`` survives as one field of a whitespace-split line
+    of a UTF-8 file: non-empty, with no whitespace or lone surrogate."""
+    return text.split() == [text] and is_utf8_encodable(text)
+
+
 def _check_tag_name(name):
     # "-" stands for "no from_tag" in the LEXRULES file format
     if (not name or name == "-" or "/" in name

@@ -13,7 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .corpus import (AlignmentError, TaggedCorpus, TaggerError, Tagset, Token,
-                     kfold_split, select_sentences, truncate_to_words)
+                     is_field, kfold_split, select_sentences,
+                     truncate_to_words)
 from .learner import TrainConfig, train_model
 from .rules import tag_corpus
 
@@ -84,10 +85,15 @@ class SynthSpec:
                     and all(isinstance(x, str) for x in pair)):
                 raise TaggerError("suffix_paradigms: %r is not a [suffix, "
                                   "tag] pair of strings" % (pair,))
-        suffixes = [s for s, _ in paradigms]
+        for suffix, _ in paradigms:
+            # a suffix ends a token of the written corpus
+            if not is_field(suffix):
+                raise TaggerError("suffix_paradigms: suffix %r is empty or "
+                                  "holds whitespace or a lone surrogate"
+                                  % (suffix,))
         tags = [t for _, t in paradigms]
-        if any(not s for s in suffixes) or len(set(tags)) != len(tags):
-            raise TaggerError("suffixes must be non-empty and tags distinct")
+        if len(set(tags)) != len(tags):
+            raise TaggerError("suffix_paradigms: tags must be distinct")
         for name in ("ambiguity_rate", "context_rule_strength"):
             rate = getattr(self, name)
             if (not isinstance(rate, (int, float)) or isinstance(rate, bool)

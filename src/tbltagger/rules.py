@@ -18,7 +18,10 @@ contextual rules whose from_tag a sentence does not hold. ``Tagger.initial``
 is the one place where a token gets its starting tag: tagging runs the
 contextual rules on its output, and the learner starts contextual training
 from it. Tagging and training share ``rewrite_sentence`` and
-``apply_lexical_rules``.
+``LexicalRuleIndex``, which indexes each lexical rule by the affix,
+character or lexicon extension a word must hold for it to match, so that a
+word is checked only against the rules it can match;
+``apply_lexical_rules`` runs through it.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from functools import cached_property
 from typing import Optional
 
 from .corpus import (ModelError, ParseError, TaggedCorpus, TaggerError, Tagset,
-                     TagsetError, Token, is_utf8_encodable, load_tagset,
-                     read_text, serialize_tagset)
+                     TagsetError, Token, is_field, load_tagset, read_text,
+                     serialize_tagset)
 from .lexicon import (InitialRuleChain, Lexicon, default_greek_chain,
                       initial_tag, parse_lexicon, serialize_lexicon)
 
@@ -77,12 +80,6 @@ MODEL_FILES = ("TAGSET", "LEXICON", "LEXRULES", "CTXRULES", "MANIFEST")
 MODEL_FORMAT_VERSION = 1
 
 
-def _is_field(text) -> bool:
-    """True if ``text`` survives as one field of a whitespace-split line
-    of a UTF-8 file."""
-    return text.split() == [text] and is_utf8_encodable(text)
-
-
 @dataclass(frozen=True)
 class LexicalRule:
     template: str
@@ -93,7 +90,7 @@ class LexicalRule:
     def __post_init__(self):
         if self.template not in LEXICAL_TEMPLATES:
             raise TaggerError("unknown lexical template %r" % self.template)
-        if not _is_field(self.arg):
+        if not is_field(self.arg):
             raise TaggerError("lexical rule argument must be non-empty and "
                               "free of whitespace and lone surrogates, got "
                               "%r" % (self.arg,))
@@ -118,7 +115,7 @@ class ContextualRule:
             raise TaggerError("%s takes %d args, got %d"
                               % (self.template, arity, len(self.args)))
         for arg in self.args:
-            if not _is_field(arg):
+            if not is_field(arg):
                 raise TaggerError("contextual rule argument must be non-empty "
                                   "and free of whitespace and lone "
                                   "surrogates, got %r" % (arg,))
@@ -155,18 +152,90 @@ def lexical_template_matches(template: str, arg: str, word: str,
     raise TaggerError("unknown lexical template %r" % template)
 
 
+class LexicalRuleIndex:
+    """Lexical rules compiled once, each indexed by the key a word must
+    hold for the rule to match (the rule indexing of fnTBL, Ngai & Florian
+    2001):
+
+    - HASSUF, DELETESUF: the word's suffix of the argument's length;
+    - HASPREF, DELETEPREF: its prefix of the argument's length;
+    - HASCHAR: the argument among its characters;
+    - ADDPREF, ADDSUF: the argument, where adding it to the word gives a
+      lexicon entry.
+
+    Affix keys are looked up by the word's affix of each argument length.
+    The other keys are probed once per distinct argument, so compiling
+    reads no lexicon entry. Every template's match implies its key, so the
+    rules whose keys a word holds include every rule that matches it: the
+    index is an exact pre-filter. ``apply`` visits only those rules, in
+    rule order, checks each one's from_tag against the running tag and
+    confirms the match with ``lexical_template_matches``."""
+
+    def __init__(self, rules, lexicon: Lexicon):
+        self.rules = tuple((rule.template, rule.arg, rule.from_tag,
+                            rule.to_tag) for rule in rules)
+        self.lexicon = lexicon
+        # key -> ascending indices of the rules it admits
+        self.suffixes, self.prefixes = {}, {}
+        chars, add_pref, add_suf = {}, {}, {}
+        buckets = {"HASSUF": self.suffixes, "DELETESUF": self.suffixes,
+                   "HASPREF": self.prefixes, "DELETEPREF": self.prefixes,
+                   "HASCHAR": chars, "ADDPREF": add_pref, "ADDSUF": add_suf}
+        for i, (template, arg, _, _) in enumerate(self.rules):
+            buckets[template].setdefault(arg, []).append(i)
+        self.suffix_lengths = sorted({len(arg) for arg in self.suffixes})
+        self.prefix_lengths = sorted({len(arg) for arg in self.prefixes})
+        self.chars = tuple(chars.items())
+        self.add_pref = tuple(add_pref.items())
+        self.add_suf = tuple(add_suf.items())
+
+    def candidates(self, word: str) -> list:
+        """Ascending indices of the rules whose keys ``word`` holds."""
+        found = []
+        n = len(word)
+        suffixes = self.suffixes
+        for k in self.suffix_lengths:
+            if k > n:
+                break
+            found += suffixes.get(word[-k:], ())
+        prefixes = self.prefixes
+        for k in self.prefix_lengths:
+            if k > n:
+                break
+            found += prefixes.get(word[:k], ())
+        for char, indices in self.chars:
+            if char in word:
+                found += indices
+        entries = self.lexicon.entries
+        for arg, indices in self.add_pref:
+            if arg + word in entries:
+                found += indices
+        for arg, indices in self.add_suf:
+            if word + arg in entries:
+                found += indices
+        found.sort()
+        return found
+
+    def apply(self, word: str, tag: str) -> str:
+        """The tag of ``word`` after the rules in order, starting from
+        ``tag``."""
+        rules = self.rules
+        for i in self.candidates(word):
+            template, arg, from_tag, to_tag = rules[i]
+            if ((from_tag is None or from_tag == tag)
+                    and lexical_template_matches(template, arg, word,
+                                                 self.lexicon)):
+                tag = to_tag
+        return tag
+
+
 def apply_lexical_rules(rules, assignments: dict, lexicon: Lexicon) -> dict:
     """Apply rules in order to a word-type -> tag map for unknown words.
-    Later rules see earlier rules' retagging."""
-    out = dict(assignments)
-    for rule in rules:
-        from_tag = rule.from_tag
-        for word, tag in out.items():
-            if ((from_tag is None or tag == from_tag)
-                    and lexical_template_matches(rule.template, rule.arg,
-                                                 word, lexicon)):
-                out[word] = rule.to_tag
-    return out
+    Later rules see earlier rules' retagging. A rule's match depends on
+    the word alone, so each word runs through the rules on its own, by
+    ``LexicalRuleIndex.apply``."""
+    index = LexicalRuleIndex(rules, lexicon)
+    return {word: index.apply(word, tag) for word, tag in assignments.items()}
 
 
 def build_affix_extension_maps(lexicon: Lexicon, max_affix_len: int):
@@ -284,7 +353,7 @@ class TaggerModel:
                 if tag is not None and tag not in self.tagset:
                     raise TagsetError("rule tag %r not in tagset" % tag)
         for word in self.lexicon.entries:
-            if not _is_field(word):
+            if not is_field(word):
                 raise TaggerError("lexicon word %r is empty or holds "
                                   "whitespace or a lone surrogate" % (word,))
         for tag in {tag for pairs in self.lexicon.entries.values()
@@ -305,15 +374,19 @@ class Tagger:
     each unknown word type already seen to its tag after the initial rule
     chain and the lexical rules. That tag is a pure function of the word
     and the model, so the memo is exact; it grows with the distinct
-    unknown types tagged. Contextual rules run per sentence, skipping any
-    rule whose from_tag the sentence does not hold: no rule creates its
-    own from_tag, so a superset of the tags present is enough."""
+    unknown types tagged. A new unknown type goes through the model's
+    ``LexicalRuleIndex``, compiled here once, which visits only the
+    lexical rules whose keys the word holds. Contextual rules run per
+    sentence, skipping any rule whose from_tag the sentence does not hold:
+    no rule creates its own from_tag, so a superset of the tags present is
+    enough."""
 
     def __init__(self, model: TaggerModel):
         self.lexicon = model.lexicon
         self.chain = model.initial_chain
         self.tagset = model.tagset
-        self.lexical_rules = model.lexical_rules
+        self.lexical_rules = LexicalRuleIndex(model.lexical_rules,
+                                              model.lexicon)
         self.contextual_rules = tuple(
             (rule.checks, rule.from_tag, rule.to_tag)
             for rule in model.contextual_rules)
@@ -324,19 +397,13 @@ class Tagger:
         """Yields each sentence's (words, tags) before the contextual rules;
         see the class docstring."""
         tags = self.tags
-        sentences = [tuple(tok.word for tok in sent) for sent in raw_sentences]
-        # All new unknown types of the call go through the lexical rules in
-        # one apply_lexical_rules call: one call per word was slower.
-        fresh = {}
-        for words in sentences:
+        for sent in raw_sentences:
+            words = tuple(tok.word for tok in sent)
             for word in words:
-                if word not in tags and word not in fresh:
-                    fresh[word] = initial_tag(word, self.lexicon, self.chain,
-                                              self.tagset)
-        if fresh:
-            tags.update(apply_lexical_rules(self.lexical_rules, fresh,
-                                            self.lexicon))
-        for words in sentences:
+                if word not in tags:
+                    tags[word] = self.lexical_rules.apply(
+                        word, initial_tag(word, self.lexicon, self.chain,
+                                          self.tagset))
             yield words, [tags[word] for word in words]
 
     def tag(self, raw_sentences) -> TaggedCorpus:

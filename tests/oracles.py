@@ -1,10 +1,11 @@
 """Brute-force reference implementations that the learner is checked
 against: candidate generation, direct scoring of one candidate, and the
-exhaustive argmax over a candidate set. Also the reference the tagger and
+exhaustive argmax over a candidate set. Also the references the tagger and
 the learner's starting state are checked against (``initial_state``, which
-never calls ``rules.Tagger``), and the references the evaluation is checked
-against: the synthetic language's exact tagger and the most-frequent-tag
-baseline.
+never calls ``rules.Tagger``, and ``reference_apply_lexical_rules``, which
+never calls ``rules.LexicalRuleIndex``), and the references the evaluation
+is checked against: the synthetic language's exact tagger and the
+most-frequent-tag baseline.
 
 They score each candidate on its own, by a plain pass over the corpus, so
 they share no counting with the learner. Lexical learning is replayed on
@@ -27,7 +28,7 @@ from tbltagger.learner import RuleScore, TrainConfig
 from tbltagger.lexicon import initial_tag
 from tbltagger.rules import (CONTEXT_TABLE, WORDS, ContextualRule,
                              LexicalRule, apply_contextual_rules,
-                             apply_lexical_rules, build_affix_extension_maps,
+                             build_affix_extension_maps,
                              context_predicate, lexical_candidate_features,
                              lexical_template_matches)
 
@@ -51,6 +52,17 @@ class TypeState:
     current: str
     gold: str
     count: int
+
+
+def reference_apply_lexical_rules(rules, assignments: dict, lexicon) -> dict:
+    """What ``rules.apply_lexical_rules`` must return: each rule in turn
+    over every word, later rules seeing earlier rules' retagging."""
+    out = dict(assignments)
+    for rule in rules:
+        for word, tag in out.items():
+            if lexical_rule_matches(rule, word, tag, lexicon):
+                out[word] = rule.to_tag
+    return out
 
 
 def type_states(tags: dict, targets: dict) -> dict:
@@ -215,7 +227,7 @@ def initial_state(sentences, lexicon, lexical_rules, chain, tagset) -> list:
             if tok.word not in lexicon and tok.word not in unknown:
                 unknown[tok.word] = initial_tag(tok.word, lexicon, chain,
                                                 tagset)
-    unknown = apply_lexical_rules(lexical_rules, unknown, lexicon)
+    unknown = reference_apply_lexical_rules(lexical_rules, unknown, lexicon)
     state = []
     for sent in sentences:
         words = tuple(tok.word for tok in sent)

@@ -403,6 +403,42 @@ class TestDamagedTrainAndSynthInputs:
         assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA}
 
 
+class TestDamagedCrossvalAndCurveInputs:
+    """`tbltagger crossval` and `curve` given a damaged corpus or tagset
+    exit with a documented code, raise nothing and finish in bounded
+    time."""
+
+    SENTENCES = 12
+
+    @pytest.mark.parametrize("command", ["crossval", "curve"])
+    @pytest.mark.parametrize("target", ["corpus", "tagset"])
+    @settings(max_examples=15, deadline=timedelta(seconds=20))
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, workspace, command, target, data):
+        files = {"corpus": "".join(
+            workspace["corpus"].read_text(encoding="utf-8")
+            .splitlines(keepends=True)[:self.SENTENCES]).encode(),
+            "tagset": workspace["tagset"].read_bytes()}
+        # most damage is refused at parsing; a whole file lets the folds
+        # run on the drawn --k and --sizes
+        files[target] = data.draw(st.one_of(damaged_st(files[target]),
+                                            st.just(files[target])))
+        k = data.draw(st.integers(2, 3))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, content in files.items():
+                (root / name).write_bytes(content)
+            argv = [command, "--corpus", str(root / "corpus"),
+                    "--tagset", str(root / "tagset"), "--k", str(k),
+                    "--jobs", "1", "--out", str(root / "report.csv")]
+            if command == "curve":
+                # word counts around the undamaged corpus's ~80 words
+                sizes = data.draw(st.lists(st.integers(1, 120), min_size=1,
+                                           max_size=2))
+                argv += ["--sizes", ",".join(map(str, sizes))]
+            code = main(argv)
+        assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA}
+
 class TestEval:
     def test_perfect_model_prints_one(self, workspace, tmp_path, capsys):
         # evaluate against the model's own deterministic output
@@ -516,6 +552,20 @@ class TestSynth:
         corpus = parse_tagged_corpus(out.read_text(encoding="utf-8"), tagset)
         assert len(corpus.sentences) == 15
 
+    def test_corpus_with_a_slash_suffix_trains(self, tmp_path, capsys):
+        # the tag follows the last '/', so a suffix may end in one
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "n_stems": 3, "n_sentences": 3,
+            "suffix_paradigms": [["a/", "X"], ["/", "Y"]],
+        }), encoding="utf-8")
+        out = tmp_path / "synth.txt"
+        assert main(["synth", "--spec", str(spec_path),
+                     "--out", str(out)]) == EXIT_OK
+        assert main(["train", "--corpus", str(out),
+                     "--tagset", str(tmp_path / "synth.txt.tagset"),
+                     "--out", str(tmp_path / "model")]) == EXIT_OK
+
     def test_bad_spec_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{"no_such_field": 1}', encoding="utf-8")
@@ -549,11 +599,23 @@ class TestSynth:
         ('[1]', "spec"),
         ('5', "spec"),
         ('[' * 100000, "spec"),
+        # a suffix ends a written token: whitespace would split it, and
+        # UTF-8 cannot encode a lone surrogate
+        ('{"suffix_paradigms": [["a b", "X"], ["/", "Y"]]}',
+         "suffix_paradigms"),
+        ('{"suffix_paradigms": [["ος", "X"], ["\\u2028", "Y"]]}',
+         "suffix_paradigms"),
+        ('{"suffix_paradigms": [["\\udc36", "X"]]}', "suffix_paradigms"),
+        ('{"suffix_paradigms": [["", "X"]]}', "suffix_paradigms"),
+        ('{"suffix_paradigms": [["ος", "X"], ["η", "X"]]}',
+         "suffix_paradigms"),
     ], ids=["paradigms-int", "length-range-int", "sentences-float",
             "stems-inf", "stems-too-many", "stems-str", "stems-bool",
             "seed-float", "rate-str", "rate-nan", "paradigm-short",
             "paradigm-tag-int", "length-float", "not-object-array",
-            "not-object-int", "too-deep"])
+            "not-object-int", "too-deep", "suffix-space",
+            "suffix-line-separator", "suffix-surrogate", "suffix-empty",
+            "tags-repeated"])
     def test_ill_typed_spec_exits_2_naming_the_field(self, spec, named,
                                                      tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -16,17 +16,19 @@ from tbltagger.lexicon import (ALWAYS, STARTS_GREEK_CAPITAL, STARTS_LATIN,
                                default_greek_chain, initial_tag,
                                parse_lexicon, serialize_lexicon)
 from tbltagger.learner import initial_contextual_state
+from tbltagger import rules as rules_module
 from tbltagger.rules import (CONTEXTUAL_TEMPLATES, LEXICAL_TEMPLATES,
                              MODEL_FILES, ContextualRule, LexicalRule,
-                             ModelError, TaggerModel, apply_contextual_rule,
-                             apply_contextual_rules, apply_lexical_rules,
+                             LexicalRuleIndex, ModelError, TaggerModel,
+                             apply_contextual_rule, apply_contextual_rules,
+                             apply_lexical_rules, lexical_template_matches,
                              load_model, parse_rules, save_model,
                              serialize_rules, tag_corpus)
 from tbltagger.corpus import serialize_tagged_corpus
 
 from conftest import TAG_NAMES, corpora_st, make_tagset, words_st
 from oracles import (contextual_rule_matches, lexical_rule_matches,
-                     reference_tag_corpus)
+                     reference_apply_lexical_rules, reference_tag_corpus)
 
 
 EMPTY_LEX = Lexicon({})
@@ -388,6 +390,132 @@ class TestTagger:
         assert replace(model).tagger is not model.tagger
         tag_corpus([(Token("Άννα"), Token("ο"))], model)
         assert set(model.tagger.tags) - set(model.lexicon.entries) == {"Άννα"}
+
+
+# Args of up to 6 characters reach past every lexicon entry (at most 4)
+# and past the learner's default max_affix_len of 4.
+INDEX_CHARS = "abαΆ"
+INDEX_ARG_MAX = 6
+
+
+@st.composite
+def lexical_index_cases_st(draw):
+    """(rules, assignments, lexicon): rules of all seven templates with
+    duplicates and to_tag -> from_tag chains among them, and words that
+    hold their keys. Some args are pieces of lexicon entries, and some
+    words are entries with a rule's arg added or taken away, so that ADD
+    and DELETE rules match."""
+    affix = st.text(INDEX_CHARS, min_size=1, max_size=INDEX_ARG_MAX)
+    entries = draw(st.lists(st.text(INDEX_CHARS, min_size=1, max_size=4),
+                            max_size=5, unique=True))
+    lexicon = Lexicon({e: (("NN", 1),) for e in entries})
+    pieces = sorted({e[:k] for e in entries for k in range(1, len(e))}
+                    | {e[k:] for e in entries for k in range(1, len(e))})
+    if pieces:
+        affix = st.one_of(affix, st.sampled_from(pieces))
+    rules = draw(st.lists(lexical_rules_st(affix, TAGGING_TAGS),
+                          max_size=8))
+    if rules:
+        rules += draw(st.lists(st.sampled_from(rules), max_size=2))
+        # a rule whose from_tag is a drawn rule's to_tag
+        from_tag = draw(st.sampled_from(rules)).to_tag
+        base = draw(lexical_rules_st(affix, TAGGING_TAGS))
+        rules.append(LexicalRule(base.template, base.arg, from_tag, draw(
+            st.sampled_from([t for t in TAGGING_TAGS if t != from_tag]))))
+        rules = draw(st.permutations(rules))
+    # words that an ADD rule extends to an entry, or a DELETE rule
+    # shortens to one
+    shortened = sorted({word for rule in rules for e in entries
+                        for word in (e.removeprefix(rule.arg),
+                                     e.removesuffix(rule.arg))}
+                       - {""} - set(entries))
+    extended = sorted({word for rule in rules for e in entries
+                       for word in (rule.arg + e, e + rule.arg)})
+    words = draw(st.lists(st.text(INDEX_CHARS, min_size=1, max_size=8),
+                          max_size=4))
+    for pool in (entries, shortened, extended):
+        if pool:
+            words += draw(st.lists(st.sampled_from(pool), max_size=4))
+    tag = st.sampled_from(TAGGING_TAGS)
+    return tuple(rules), {word: draw(tag) for word in words}, lexicon
+
+
+class TestLexicalRuleIndex:
+    """``rules.LexicalRuleIndex`` against the per-rule scan, and the
+    number of rules it asks ``lexical_template_matches`` about."""
+
+    # No shrinking, as in TestModelRoundTrip: shrinking a failure of this
+    # strategy took minutes.
+    @given(lexical_index_cases_st())
+    @settings(max_examples=200, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_apply_equals_reference(self, case):
+        rules, assignments, lexicon = case
+        assert apply_lexical_rules(rules, assignments, lexicon) == \
+            reference_apply_lexical_rules(rules, assignments, lexicon)
+
+    @given(lexical_index_cases_st())
+    @settings(max_examples=200, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_candidates_hold_every_match(self, case):
+        rules, assignments, lexicon = case
+        index = LexicalRuleIndex(rules, lexicon)
+        for word in (*assignments, *lexicon.entries):
+            found = index.candidates(word)
+            assert found == sorted(set(found))
+            assert set(found) >= {
+                i for i, rule in enumerate(rules)
+                if lexical_template_matches(rule.template, rule.arg, word,
+                                            lexicon)}
+
+    RULES = (LexicalRule("HASSUF", "ος", None, "NN"),
+             LexicalRule("DELETESUF", "ων", None, "VB"),
+             LexicalRule("HASPREF", "προ", None, "VB"),
+             LexicalRule("DELETEPREF", "ξε", None, "VB"),
+             LexicalRule("HASCHAR", "ψ", None, "NN"),
+             LexicalRule("ADDPREF", "α", None, "VB"),
+             LexicalRule("ADDSUF", "ι", None, "VB"))
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        """The (template, arg, word) of every ``lexical_template_matches``
+        call the package makes."""
+        calls = []
+        real = rules_module.lexical_template_matches
+
+        def counted(template, arg, word, lexicon):
+            calls.append((template, arg, word))
+            return real(template, arg, word, lexicon)
+
+        monkeypatch.setattr(rules_module, "lexical_template_matches", counted)
+        return calls
+
+    def test_word_without_keys_asks_no_rule(self, tiny_corpus, asked):
+        model = TestTagCorpus._model(tiny_corpus, self.RULES)
+        tag_corpus([(Token("βιβλίο"), Token("ο"), Token("δέντρα"))], model)
+        assert set(model.tagger.tags) - set(model.lexicon.entries) == {
+            "βιβλίο", "δέντρα"}
+        assert asked == []
+
+    def test_word_with_one_suffix_asks_that_rule(self, tiny_corpus, asked):
+        model = TestTagCorpus._model(tiny_corpus, self.RULES)
+        tagged = tag_corpus([(Token("λόγος"),)], model)
+        assert asked == [("HASSUF", "ος", "λόγος")]
+        assert tagged.sentences[0][0].tag == "NN"
+
+    def test_index_built_once_per_model(self, tiny_corpus, monkeypatch):
+        built = []
+
+        class Counted(LexicalRuleIndex):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(rules_module, "LexicalRuleIndex", Counted)
+        model = TestTagCorpus._model(tiny_corpus, self.RULES)
+        for word in ("λόγος", "βιβλίο", "λόγος", "ψάρι"):
+            tag_corpus([(Token(word),)], model)
+        assert len(built) == 1
 
 
 class TestRuleSerialization:
