@@ -165,6 +165,18 @@ class FoldPlan:
         return [i for i, f in enumerate(self.assignments) if f == fold_id]
 
 
+class Memo(dict):
+    """key -> ``make(key)``, made on first use and kept."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def _normalize(word):
     return unicodedata.normalize("NFC", word)
 
@@ -215,12 +227,14 @@ def serialize_tagged_corpus(corpus: TaggedCorpus) -> str:
 
 def parse_raw_corpus(text: str) -> list:
     """Parse untagged one-sentence-per-line text; no tokenization beyond
-    whitespace splitting."""
+    whitespace splitting. Each distinct raw word is NFC-normalized and
+    wrapped once per call: its occurrences share one ``Token``."""
+    tokens = Memo(lambda word: Token(_normalize(word)))
     sentences = []
     for line in text.splitlines():
-        words = [_normalize(w) for w in line.split()]
+        words = line.split()
         if words:
-            sentences.append(tuple(Token(w) for w in words))
+            sentences.append(tuple(map(tokens.__getitem__, words)))
     return sentences
 
 

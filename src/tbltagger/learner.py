@@ -49,8 +49,8 @@ from .lexicon import (InitialRuleChain, Lexicon, build_lexicon,
 from .rules import (CONTEXT_WINDOW, CONTEXTUAL_TEMPLATES, WORD_TEMPLATES,
                     ContextualRule, LexicalRule, TaggerModel,
                     apply_lexical_rules, build_affix_extension_maps,
-                    context_checks, context_predicate,
-                    lexical_candidate_features, rewrite_sentence)
+                    context_checks, lexical_candidate_features,
+                    rewrite_sentence)
 
 logger = logging.getLogger(__name__)
 
@@ -547,24 +547,22 @@ class _ContextualLearner:
         _, args, frm = self._decode(key)
         words, gtags = self.words[s], self.gold[s]
         positions = [p for p, t in enumerate(tags) if t == frm]
-        static = [p for p in positions
-                  if context_predicate(checks, words, tags, p)]
+        # moving to frm itself changes nothing: the static match sites
+        _, static = rewrite_sentence(checks, frm, words, tags, positions)
         if frm in args:
-            new = rewrite_sentence(checks, frm, -1, words, tags) or tags
-            for p in positions:
-                if new[p] != tags[p]:
-                    moved[gtags[p]] = moved.get(gtags[p], 0) + sign
+            _, dynamic = rewrite_sentence(checks, -1, words, tags, positions)
+            for p in dynamic:
+                moved[gtags[p]] = moved.get(gtags[p], 0) + sign
             for p in static:
                 moved[gtags[p]] = moved.get(gtags[p], 0) - sign
         for a in set(args):
             if a == frm:
                 continue
-            new = rewrite_sentence(checks, frm, a, words, tags) or tags
+            _, dynamic = rewrite_sentence(checks, a, words, tags, positions)
             dg = db = 0
-            for p in positions:
-                if new[p] != tags[p]:
-                    dg += gtags[p] == a
-                    db += gtags[p] == frm
+            for p in dynamic:
+                dg += gtags[p] == a
+                db += gtags[p] == frm
             for p in static:
                 dg -= gtags[p] == a
                 db -= gtags[p] == frm
@@ -598,17 +596,19 @@ class _ContextualLearner:
         holders = self.holders[frm]
         for s in list(holders):
             old = self.tags[s]
-            new = rewrite_sentence(checks, frm, to, self.words[s], old)
+            positions = [p for p, t in enumerate(old) if t == frm]
+            new, moved = rewrite_sentence(checks, to, self.words[s], old,
+                                          positions)
             if new is None:
                 continue
             self.tags[s] = new
-            if frm not in new:
+            if len(moved) == len(positions):
                 holders.discard(s)
             self.holders[to].add(s)
-            for p, g in enumerate(self.gold[s]):
-                if new[p] != old[p]:
-                    self.confusion[frm][g] -= 1
-                    self.confusion[to][g] += 1
+            gtags = self.gold[s]
+            for p in moved:
+                self.confusion[frm][gtags[p]] -= 1
+                self.confusion[to][gtags[p]] += 1
             was_near, now_near = set(), set()
             self._count(s, old, -1, touched, was_near)
             self._count(s, new, 1, touched, now_near)

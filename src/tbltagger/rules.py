@@ -7,20 +7,24 @@ sentence left to right with immediate effect, sentences independent.
 Out-of-bounds context never matches (no sentinel tags).
 
 ``CONTEXT_TABLE`` defines the contextual templates once; their arity, the
-word templates, the context window, the predicate and rule application are
-derived from it. ``lexical_template_matches`` defines the lexical templates
-once; the learner's candidate features are the arguments it accepts.
+word templates, the context window and rule application are derived from
+it. ``rewrite_sentence`` is the one application of a contextual rule: it
+visits the from_tag positions it is given, with the context walk inline.
+``lexical_template_matches`` defines the lexical templates once; the
+learner's candidate features are the arguments it accepts.
 
 A model compiles its ``Tagger`` once (``TaggerModel.tagger``), and
-``tag_corpus`` calls it. The tagger maps known words to their lexicon tag,
-memoises the tag of each unknown word type it has seen, and skips the
-contextual rules whose from_tag a sentence does not hold. ``Tagger.initial``
-is the one place where a token gets its starting tag: tagging runs the
-contextual rules on its output, and the learner starts contextual training
-from it. Tagging and training share ``rewrite_sentence`` and
-``LexicalRuleIndex``, which indexes each lexical rule by the affix,
-character or lexicon extension a word must hold for it to match, so that a
-word is checked only against the rules it can match;
+``tag_corpus`` calls it. The tagger maps known words to their lexicon tag
+and memoises the tag of each unknown word type it has seen. Per sentence it
+keeps a map from each tag to the positions holding it, so that a contextual
+rule visits only its from_tag positions and is skipped when there are none.
+It reuses one memoised ``Token`` per word for every output token that keeps
+its word's starting tag. ``Tagger.initial`` is the one place where a token
+gets its starting tag: tagging runs the contextual rules on its output, and
+the learner starts contextual training from it. Tagging and training share
+``rewrite_sentence`` and ``LexicalRuleIndex``, which indexes each lexical
+rule by the affix, character or lexicon extension a word must hold for it
+to match, so that a word is checked only against the rules it can match;
 ``apply_lexical_rules`` runs through it.
 """
 
@@ -35,9 +39,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .corpus import (ModelError, ParseError, TaggedCorpus, TaggerError, Tagset,
-                     TagsetError, Token, is_field, load_tagset, read_text,
-                     serialize_tagset)
+from .corpus import (Memo, ModelError, ParseError, TaggedCorpus, TaggerError,
+                     Tagset, TagsetError, Token, is_field, load_tagset,
+                     read_text, serialize_tagset)
 from .lexicon import (InitialRuleChain, Lexicon, default_greek_chain,
                       initial_tag, parse_lexicon, serialize_lexicon)
 
@@ -287,42 +291,47 @@ def context_checks(template: str, args: tuple):
             tuple(tuple(zip(offsets, args)) for offsets in alternatives))
 
 
-def context_predicate(checks, words, tags, pos: int) -> bool:
-    """True if the context described by ``checks`` (see ``context_checks``)
-    holds at ``pos``; the from_tag check is the caller's job."""
+def rewrite_sentence(checks, to_tag, words, tags, positions):
+    """(new tags, moved positions) of one sentence after applying a rule
+    whose context is ``checks`` (see ``context_checks``) at ``positions``,
+    the ascending positions that hold its from_tag. They are visited left
+    to right, and a change at one position is visible at later ones;
+    context out of bounds never matches. ``tags`` is left unchanged, and
+    the new tags are None when nothing moved. A ``to_tag`` equal to the
+    from_tag changes nothing, so the positions moved are then those whose
+    context holds in ``tags`` as given. Tags may be names or integer
+    codes."""
     reads_words, alternatives = checks
     seq = words if reads_words else tags
-    n = len(seq)
-    for alternative in alternatives:
-        for offset, arg in alternative:
-            q = pos + offset
-            if q < 0 or q >= n or seq[q] != arg:
+    n = len(tags)
+    new = None
+    moved = []
+    for pos in positions:
+        for alternative in alternatives:
+            for offset, arg in alternative:
+                q = pos + offset
+                if q < 0 or q >= n or seq[q] != arg:
+                    break
+            else:
                 break
         else:
-            return True
-    return False
-
-
-def rewrite_sentence(checks, from_tag, to_tag, words, tags):
-    """The tags of one sentence after applying a rule: its from_tag
-    positions are visited left to right, and a change at one position is
-    visible at later ones. None when no position matches; ``tags`` is left
-    unchanged. Tags may be names or integer codes."""
-    new = None
-    for pos, tag in enumerate(tags):
-        if tag == from_tag and context_predicate(
-                checks, words, tags if new is None else new, pos):
-            if new is None:
-                new = list(tags)
-            new[pos] = to_tag
-    return new
+            continue
+        if new is None:
+            new = list(tags)
+            if not reads_words:
+                seq = new
+        new[pos] = to_tag
+        moved.append(pos)
+    return new, moved
 
 
 def apply_contextual_rule(rule: ContextualRule, words, tags) -> None:
     """One left-to-right pass over a single sentence, mutating ``tags``;
     a change at position i is visible at positions > i."""
-    new = rewrite_sentence(rule.checks, rule.from_tag, rule.to_tag, words,
-                           tags)
+    from_tag = rule.from_tag
+    new, _ = rewrite_sentence(
+        rule.checks, rule.to_tag, words, tags,
+        [pos for pos, tag in enumerate(tags) if tag == from_tag])
     if new is not None:
         tags[:] = new
 
@@ -376,10 +385,16 @@ class Tagger:
     and the model, so the memo is exact; it grows with the distinct
     unknown types tagged. A new unknown type goes through the model's
     ``LexicalRuleIndex``, compiled here once, which visits only the
-    lexical rules whose keys the word holds. Contextual rules run per
-    sentence, skipping any rule whose from_tag the sentence does not hold:
-    no rule creates its own from_tag, so a superset of the tags present is
-    enough."""
+    lexical rules whose keys the word holds.
+
+    Contextual rules run per sentence through a map from each tag to the
+    ascending positions holding it: a rule whose from_tag no position holds
+    is skipped, and the others visit only their from_tag positions
+    (``rewrite_sentence``). The map follows the positions each rule moves.
+    ``tokens`` memoises, per word, the ``Token`` of its starting tag; an
+    output token whose tag is its word's starting tag is that one object,
+    which is exact because ``Token`` is frozen. It grows with the distinct
+    words output."""
 
     def __init__(self, model: TaggerModel):
         self.lexicon = model.lexicon
@@ -390,8 +405,9 @@ class Tagger:
         self.contextual_rules = tuple(
             (rule.checks, rule.from_tag, rule.to_tag)
             for rule in model.contextual_rules)
-        self.tags = {word: pairs[0][0]
-                     for word, pairs in model.lexicon.entries.items()}
+        tags = self.tags = {word: pairs[0][0]
+                            for word, pairs in model.lexicon.entries.items()}
+        self.tokens = Memo(lambda word: Token(word, tags[word]))
 
     def initial(self, raw_sentences):
         """Yields each sentence's (words, tags) before the contextual rules;
@@ -407,17 +423,35 @@ class Tagger:
             yield words, [tags[word] for word in words]
 
     def tag(self, raw_sentences) -> TaggedCorpus:
+        rules = self.contextual_rules
+        tokens = self.tokens
         out = []
-        for words, sent_tags in self.initial(raw_sentences):
-            present = set(sent_tags)
-            for checks, from_tag, to_tag in self.contextual_rules:
-                if from_tag in present:
-                    new = rewrite_sentence(checks, from_tag, to_tag, words,
-                                           sent_tags)
-                    if new is not None:
-                        sent_tags = new
-                        present.add(to_tag)
-            out.append(tuple(map(Token, words, sent_tags)))
+        for words, start in self.initial(raw_sentences):
+            tags = start
+            if rules:
+                where = {}
+                for pos, tag in enumerate(start):
+                    if tag in where:
+                        where[tag].append(pos)
+                    else:
+                        where[tag] = [pos]
+                for checks, from_tag, to_tag in rules:
+                    positions = where.get(from_tag)
+                    if positions:
+                        new, moved = rewrite_sentence(checks, to_tag, words,
+                                                      tags, positions)
+                        if new is not None:
+                            tags = new
+                            where[from_tag] = [pos for pos in positions
+                                               if new[pos] == from_tag]
+                            where[to_tag] = sorted(where.get(to_tag, [])
+                                                   + moved)
+            if tags is start:
+                out.append(tuple(map(tokens.__getitem__, words)))
+            else:
+                out.append(tuple([tokens[word] if tag == first
+                                  else Token(word, tag) for word, tag, first
+                                  in zip(words, tags, start)]))
         return TaggedCorpus(tuple(out), self.tagset)
 
 

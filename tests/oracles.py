@@ -2,8 +2,10 @@
 against: candidate generation, direct scoring of one candidate, and the
 exhaustive argmax over a candidate set. Also the references the tagger and
 the learner's starting state are checked against (``initial_state``, which
-never calls ``rules.Tagger``, and ``reference_apply_lexical_rules``, which
-never calls ``rules.LexicalRuleIndex``), and the references the evaluation
+never calls ``rules.Tagger``, ``reference_apply_lexical_rules``, which
+never calls ``rules.LexicalRuleIndex``, and
+``reference_apply_contextual_rules``, which never calls
+``rules.rewrite_sentence``), and the references the evaluation
 is checked against: the synthetic language's exact tagger and the
 most-frequent-tag baseline.
 
@@ -11,9 +13,10 @@ They score each candidate on its own, by a plain pass over the corpus, so
 they share no counting with the learner. Lexical learning is replayed on
 ``TypeState`` records with its own application loop. The rule predicates
 ask the package's template definitions (``lexical_template_matches``,
-``context_predicate``); ``context_instantiations`` reads the template
-table; ``contextual_reference.py`` holds an enumeration of the templates
-written out by hand.
+and ``ContextualRule.checks``, which ``context_predicate`` here reads);
+``context_instantiations`` reads the template table;
+``contextual_reference.py`` holds an enumeration of the templates written
+out by hand.
 """
 
 from collections import defaultdict
@@ -27,9 +30,8 @@ from tbltagger.evaluate import (SYNTH_ALT_TAG, SYNTH_FOREIGN_TAG,
 from tbltagger.learner import RuleScore, TrainConfig
 from tbltagger.lexicon import initial_tag
 from tbltagger.rules import (CONTEXT_TABLE, WORDS, ContextualRule,
-                             LexicalRule, apply_contextual_rules,
-                             build_affix_extension_maps,
-                             context_predicate, lexical_candidate_features,
+                             LexicalRule, build_affix_extension_maps,
+                             lexical_candidate_features,
                              lexical_template_matches)
 
 
@@ -38,6 +40,17 @@ def lexical_rule_matches(rule: LexicalRule, word: str, current_tag: str,
     return ((rule.from_tag is None or rule.from_tag == current_tag)
             and lexical_template_matches(rule.template, rule.arg, word,
                                          lexicon))
+
+
+def context_predicate(checks, words, tags, pos: int) -> bool:
+    """True if the context described by ``checks`` (see
+    ``rules.context_checks``) holds at ``pos``; out-of-bounds context never
+    matches."""
+    reads_words, alternatives = checks
+    seq = words if reads_words else tags
+    return any(all(0 <= pos + offset < len(seq) and seq[pos + offset] == arg
+                   for offset, arg in alternative)
+               for alternative in alternatives)
 
 
 def contextual_rule_matches(rule: ContextualRule, words, tags, pos: int) -> bool:
@@ -237,13 +250,24 @@ def initial_state(sentences, lexicon, lexical_rules, chain, tagset) -> list:
     return state
 
 
+def reference_apply_contextual_rules(rules, corpus_state) -> None:
+    """What ``rules.apply_contextual_rules`` must do: each rule in turn
+    over every sentence, every position checked left to right against the
+    tags as earlier positions left them, mutating the tag lists."""
+    for rule in rules:
+        for words, tags in corpus_state:
+            for pos in range(len(tags)):
+                if contextual_rule_matches(rule, words, tags, pos):
+                    tags[pos] = rule.to_tag
+
+
 def reference_tag_corpus(raw_sentences, model) -> TaggedCorpus:
     """What ``rules.Tagger`` must output: the initial and lexical stages
     over the unknown types of this input alone, then each contextual rule
     in turn over every sentence."""
     state = initial_state(raw_sentences, model.lexicon, model.lexical_rules,
                           model.initial_chain, model.tagset)
-    apply_contextual_rules(model.contextual_rules, state)
+    reference_apply_contextual_rules(model.contextual_rules, state)
     return TaggedCorpus(
         tuple(tuple(Token(w, t) for w, t in zip(words, tags))
               for words, tags in state), model.tagset)

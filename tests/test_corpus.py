@@ -1,5 +1,7 @@
 """Corpus model: parsing, serialization, folds, truncation."""
 
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +84,20 @@ class TestParseRawCorpus:
     def test_line_order_preserved(self):
         sents = parse_raw_corpus("a b\nc\n")
         assert [[t.word for t in s] for s in sents] == [["a", "b"], ["c"]]
+
+    def test_equals_per_word_normalization(self):
+        # "ο\u0301" is "ό" decomposed; both forms repeat, across lines too
+        text = "ο\u0301 ό ο\u0301\n\n  α ο\u0301  α\nό\n"
+        want = [tuple(Token(unicodedata.normalize("NFC", word))
+                      for word in line.split())
+                for line in text.splitlines() if line.split()]
+        sents = parse_raw_corpus(text)
+        assert sents == want
+        assert [[t.word for t in s] for s in sents] == [
+            ["ό", "ό", "ό"], ["α", "ό", "α"], ["ό"]]
+        # one Token per distinct raw word
+        assert sents[0][0] is sents[0][2] is sents[1][1]
+        assert sents[0][1] is sents[2][0]
 
 
 class TestLoadTagset:

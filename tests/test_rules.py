@@ -17,8 +17,9 @@ from tbltagger.lexicon import (ALWAYS, STARTS_GREEK_CAPITAL, STARTS_LATIN,
                                parse_lexicon, serialize_lexicon)
 from tbltagger.learner import initial_contextual_state
 from tbltagger import rules as rules_module
-from tbltagger.rules import (CONTEXTUAL_TEMPLATES, LEXICAL_TEMPLATES,
-                             MODEL_FILES, ContextualRule, LexicalRule,
+from tbltagger.rules import (CONTEXT_TABLE, CONTEXTUAL_TEMPLATES,
+                             LEXICAL_TEMPLATES, MODEL_FILES, WORDS,
+                             ContextualRule, LexicalRule,
                              LexicalRuleIndex, ModelError, TaggerModel,
                              apply_contextual_rule, apply_contextual_rules,
                              apply_lexical_rules, lexical_template_matches,
@@ -28,6 +29,7 @@ from tbltagger.corpus import serialize_tagged_corpus
 
 from conftest import TAG_NAMES, corpora_st, make_tagset, words_st
 from oracles import (contextual_rule_matches, lexical_rule_matches,
+                     reference_apply_contextual_rules,
                      reference_apply_lexical_rules, reference_tag_corpus)
 
 
@@ -231,6 +233,74 @@ class TestApplyContextualRules:
         assert t1 != t2
 
 
+# Few tags and words, so that a sentence repeats from_tags and rules chain;
+# up to 12 tokens, so that every template's window reaches both ends.
+CONTEXT_CASE_TAGS = ("NN", "VB", "FW")
+CONTEXT_CASE_MAX_LEN = 12
+
+
+@st.composite
+def contextual_cases_st(draw):
+    """(rules, state, lexicon): rules of all 13 templates, sentence states
+    whose starting tags are their words' lexicon tags, and the lexicon.
+    Rules repeat from_tags, and a rule whose from_tag is an earlier rule's
+    to_tag follows it."""
+    lexicon = draw(st.dictionaries(st.text("abc", min_size=1, max_size=2),
+                                   st.sampled_from(CONTEXT_CASE_TAGS),
+                                   min_size=1, max_size=6))
+    words = sorted(lexicon)
+    tag_pairs = st.tuples(*[st.sampled_from(CONTEXT_CASE_TAGS)] * 2).filter(
+        lambda pair: pair[0] != pair[1])
+
+    @st.composite
+    def rule_st(draw, from_tag=st.sampled_from(CONTEXT_CASE_TAGS)):
+        template = draw(st.sampled_from(sorted(CONTEXT_TABLE)))
+        pool = words if CONTEXT_TABLE[template][0] == WORDS \
+            else CONTEXT_CASE_TAGS
+        args = tuple(draw(st.sampled_from(pool))
+                     for _ in range(CONTEXTUAL_TEMPLATES[template]))
+        frm = draw(from_tag)
+        to = draw(st.sampled_from([t for t in CONTEXT_CASE_TAGS if t != frm]))
+        return ContextualRule(template, args, frm, to)
+
+    rules = draw(st.lists(rule_st(), min_size=1, max_size=8))
+    at = draw(st.integers(0, len(rules) - 1))
+    rules.append(draw(rule_st(st.just(rules[at].to_tag))))
+    sentences = draw(st.lists(
+        st.lists(st.sampled_from(words), min_size=1,
+                 max_size=CONTEXT_CASE_MAX_LEN).map(tuple),
+        min_size=1, max_size=4))
+    return (tuple(rules), [(sent, [lexicon[w] for w in sent])
+                           for sent in sentences], lexicon)
+
+
+class TestContextualRuleApplication:
+    """``apply_contextual_rules`` and ``rules.Tagger``'s position map
+    against the reference that checks every position of every sentence."""
+
+    @given(contextual_cases_st())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, case):
+        rules, state, lexicon = case
+        want = [(words, list(tags)) for words, tags in state]
+        reference_apply_contextual_rules(rules, want)
+        got = [(words, list(tags)) for words, tags in state]
+        apply_contextual_rules(rules, got)
+        assert got == want
+        tagset = make_tagset(CONTEXT_CASE_TAGS,
+                             dict.fromkeys(REQUIRED_ROLES, "FW"))
+        model = TaggerModel(tagset, Lexicon({w: ((t, 1),) for w, t
+                                             in lexicon.items()}),
+                            default_greek_chain(), (), rules)
+        raw = [tuple(map(Token, words)) for words, _ in state]
+        assert [[t.tag for t in sent] for sent
+                in tag_corpus(raw, model).sentences] == \
+            [tags for _, tags in want]
+        for sent, (_, tags) in zip(raw, want):
+            assert [t.tag for t in tag_corpus([sent], model).sentences[0]] \
+                == tags
+
+
 class TestTagCorpus:
     @staticmethod
     def _model(corpus, lexical=(), contextual=()):
@@ -374,6 +444,7 @@ class TestTagger:
         # a model differing only in its rules starts from its own memo
         assert tag_corpus(second, other) == reference_tag_corpus(second, other)
         assert other.tagger.tags is not model.tagger.tags
+        assert other.tagger.tokens is not model.tagger.tokens
 
     def test_rule_fires_on_a_tag_an_earlier_rule_made(self, tiny_corpus):
         # "ο γάτα" starts as AT NN: the first rule makes the VB that the
@@ -383,6 +454,53 @@ class TestTagger:
             ContextualRule("PREVTAG", ("AT",), "VB", "PUNCT")))
         tagged = tag_corpus([(Token("ο"), Token("γάτα"))], model)
         assert [t.tag for t in tagged.sentences[0]] == ["AT", "PUNCT"]
+
+    # "ο γάτα" starts as AT NN, "γάτα ." as NN PUNCT: the rule retags
+    # γάτα after ο only
+    RETAG = ContextualRule("PREVTAG", ("AT",), "NN", "VB")
+
+    def test_kept_tags_reuse_their_tokens(self, tiny_corpus):
+        model = TestTagCorpus._model(tiny_corpus, contextual=(self.RETAG,))
+        # the rule fires in the first sentence only
+        raw = [(Token("ο"), Token("γάτα"), Token("γάτα"), Token("Άννα")),
+               (Token("Άννα"), Token("γάτα"), Token("."))]
+        for sent in raw:
+            first, second = (tag_corpus([sent], model).sentences[0]
+                             for _ in range(2))
+            assert second == first
+            for a, b in zip(first, second):
+                # only the retagged γάτα is a new Token each time
+                assert (a is b) == (a.tag != "VB")
+        assert [t.tag for t in first] == ["PROP", "NN", "PUNCT"]
+        assert first[1] is model.tagger.tokens["γάτα"]
+        assert [t.tag for t in tag_corpus(raw[:1], model).sentences[0]] == \
+            ["AT", "VB", "NN", "PROP"]
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_word_retagged_in_one_sentence_only(self, tiny_corpus, order):
+        model = TestTagCorpus._model(tiny_corpus, contextual=(self.RETAG,))
+        raw = [(Token("ο"), Token("γάτα")), (Token("γάτα"), Token("."))]
+        want = [["AT", "VB"], ["NN", "PUNCT"]]
+        for i in order:
+            tagged = tag_corpus([raw[i]], model)
+            assert [t.tag for t in tagged.sentences[0]] == want[i]
+        ordered = [raw[i] for i in order]
+        assert [[t.tag for t in sent] for sent
+                in tag_corpus(ordered, model).sentences] == \
+            [want[i] for i in order]
+
+    def test_model_differing_in_rules_shares_no_token(self, tiny_corpus):
+        # Άννα starts as PROP; the other model's lexical rule makes it NN
+        model = TestTagCorpus._model(tiny_corpus)
+        other = replace(model, lexical_rules=(
+            LexicalRule("HASSUF", "α", None, "NN"),))
+        raw = [(Token("Άννα"), Token("γάτα"))]
+        assert [t.tag for t in tag_corpus(raw, model).sentences[0]] == \
+            ["PROP", "NN"]
+        tagged = tag_corpus(raw, other).sentences[0]
+        assert [t.tag for t in tagged] == ["NN", "NN"]
+        assert other.tagger.tokens is not model.tagger.tokens
+        assert tagged[1] is not model.tagger.tokens["γάτα"]
 
     def test_built_once_per_model(self, tiny_corpus):
         model = TestTagCorpus._model(tiny_corpus)
