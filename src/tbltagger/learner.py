@@ -15,9 +15,11 @@ Florian 2001). Lexical learning counts the matched types of every candidate
 key once; accepting a rule recounts only the types it retagged, found
 through an index from each feature to the types holding it, and rescores
 only the keys they touch. Contextual learning counts the match sites of
-every candidate key in one pass over the tokens; accepting a rule
-re-derives the counts of only the sentences it changed and rescores only
-the keys they touch. The dynamic net equals the static count except where a
+every candidate key in one pass over the tokens; accepting a rule visits
+only the sentences that hold its from_tag and its context args
+(``rules.context_args``), re-derives the counts of only the positions
+within the context window of a position it retagged, and rescores only the
+keys they touch. The dynamic net equals the static count except where a
 match site has another from_tag position within the context window after
 it; only those sentences are re-simulated, and only for candidates whose
 argument tags include the rule's from_tag or to_tag.
@@ -49,7 +51,7 @@ from .lexicon import (InitialRuleChain, Lexicon, build_lexicon,
 from .rules import (CONTEXT_WINDOW, CONTEXTUAL_TEMPLATES, WORD_TEMPLATES,
                     ContextualRule, LexicalRule, TaggerModel,
                     apply_lexical_rules, build_affix_extension_maps,
-                    context_checks, lexical_candidate_features,
+                    context_args, context_checks, lexical_candidate_features,
                     rewrite_sentence)
 
 logger = logging.getLogger(__name__)
@@ -327,11 +329,20 @@ class _ContextualLearner:
     learner keeps the sum of its corrections (dynamic minus static counts)
     over those sentences in ``corrections``.
 
-    Accepting a rule rewrites only the sentences holding its from_tag. For
-    each sentence it changed, the contributions derived from the old tags
-    are subtracted and those of the new tags added, and only the keys so
-    touched are scored again. Candidates reaching the threshold are kept in
-    ``live``.
+    Accepting a rule rewrites only the sentences that hold its from_tag
+    and its context args, the only ones it can change (``context_args``):
+    ``holders`` maps each tag to the sentences holding it, and
+    ``word_holders`` each word, built when the first word rule is
+    accepted. In each sentence it changed, the contributions of the
+    positions within CONTEXT_WINDOW of a retagged position are subtracted
+    under the old tags and added under the new ones. No other position's
+    keys or near status can change: the keys at position p read only the
+    tags at p-3..p+3, the words at p-1 and p+1 and the gold tag at p, and
+    its near status the tags at p..p+3. Since ``inter`` and the
+    corrections need the near keys of the whole sentence, the near keys of
+    the positions outside that window are added to both sides unchanged.
+    Only the keys so touched are scored again. Candidates reaching the
+    threshold are kept in ``live``.
     """
 
     def __init__(self, state, gold, threshold: int):
@@ -353,9 +364,10 @@ class _ContextualLearner:
         self.correct = {}       # key -> match sites already correct
         self.fixes = {}         # key -> {gold tag: match sites in error}
         self.inter = {}         # tag key -> array of sentence numbers
-        self.corrections = {}   # key -> (moved, own, checks), see _correct
+        self.corrections = {}   # key -> (moved, own, ...), see _correct
         self.live = {}          # key -> {to_tag: (good, bad)}, net >= threshold
         self.holders = defaultdict(set)  # tag -> sentences holding it
+        self.word_holders = None  # word -> sentences holding it, see apply
         # confusion[tag][gold]: tokens currently tagged tag whose gold is gold
         self.confusion = [[0] * self.T for _ in range(self.T)]
         for s, tags in enumerate(self.tags):
@@ -364,7 +376,7 @@ class _ContextualLearner:
             for t, g in zip(tags, self.gold[s]):
                 self.confusion[t][g] += 1
             near = set()
-            self._count(s, tags, 1, None, near)
+            self._count(s, tags, 1, None, near, range(len(tags)))
             for k in near:
                 sents = self.inter.get(k)
                 if sents is None:
@@ -374,10 +386,11 @@ class _ContextualLearner:
         for key in self.fixes:
             self._rescore(key)
 
-    def _count(self, s, tags, sign, touched, near):
-        """Add (sign 1) or subtract (sign -1) the match sites of sentence
-        ``s`` under ``tags``. Every key seen goes into ``touched`` (unless
-        None), every tag key at a site with a near twin into ``near``.
+    def _count(self, s, tags, sign, touched, near, positions):
+        """Add (sign 1) or subtract (sign -1) the match sites at
+        ``positions`` of sentence ``s`` under ``tags``; sign 0 counts
+        nothing. Every key seen goes into ``touched`` (unless None), every
+        tag key at a site with a near twin into ``near``.
 
         The keys of each template are written out here for speed rather
         than read from ``CONTEXT_TABLE``; ``TestCountMatchesTemplateTable``
@@ -395,7 +408,7 @@ class _ContextualLearner:
         P123, N123 = base["PREV1OR2OR3TAG"], base["NEXT1OR2OR3TAG"]
         PB, NB, SR = base["PREVBIGRAM"], base["NEXTBIGRAM"], base["SURROUNDTAG"]
         n = len(tags)
-        for p in range(n):
+        for p in positions:
             f = tags[p]
             keys = []
             if p >= 1:
@@ -442,7 +455,9 @@ class _ContextualLearner:
                 if p >= 1:
                     keys.append(SR + x1 + u1 * T)
             g = gtags[p]
-            if g == f:
+            if not sign:
+                pass  # only the near keys are asked for
+            elif g == f:
                 for k in keys:
                     c = correct.get(k, 0) + sign
                     if c:
@@ -514,7 +529,7 @@ class _ContextualLearner:
             if not word and (frm_in_args or to in args):
                 if totals is None:
                     continue
-                moved, own, _ = totals
+                moved, own = totals[:2]
                 if to in args:
                     dg, db = own.get(to, (0, 0))
                 else:
@@ -526,14 +541,15 @@ class _ContextualLearner:
 
     def _track(self, key):
         """Start keeping the corrections of a key that can be perturbed."""
-        template, args, _ = self._decode(key)
-        totals = self.corrections[key] = ({}, {},
-                                          context_checks(template, args))
+        template, args, frm = self._decode(key)
+        totals = self.corrections[key] = (
+            {}, {}, context_checks(template, args), frm, frm in args,
+            tuple(set(args) - {frm}))
         for s in self.inter.get(key, ()):
-            self._correct(totals, key, s, self.tags[s], 1)
+            self._correct(totals, s, self.tags[s], 1)
         return totals
 
-    def _correct(self, totals, key, s, tags, sign):
+    def _correct(self, totals, s, tags, sign):
         """Add ``sign`` times the dynamic minus static counts of a key in
         sentence s under ``tags`` to ``totals``, for every to_tag at once.
 
@@ -541,23 +557,21 @@ class _ContextualLearner:
         so one simulation gives ``moved``: gold tag -> change in the number
         of moved positions with that gold. Each arg other than from_tag is
         simulated on its own, giving ``own``: arg -> (d_good, d_bad).
-        ``checks`` are the key's context checks, built once in ``_track``.
+        ``totals`` also holds, built once in ``_track``, the key's context
+        checks, its from_tag, whether that is an arg, and the other args.
         """
-        moved, own, checks = totals
-        _, args, frm = self._decode(key)
+        moved, own, checks, frm, frm_in_args, others = totals
         words, gtags = self.words[s], self.gold[s]
         positions = [p for p, t in enumerate(tags) if t == frm]
         # moving to frm itself changes nothing: the static match sites
         _, static = rewrite_sentence(checks, frm, words, tags, positions)
-        if frm in args:
+        if frm_in_args:
             _, dynamic = rewrite_sentence(checks, -1, words, tags, positions)
             for p in dynamic:
                 moved[gtags[p]] = moved.get(gtags[p], 0) + sign
             for p in static:
                 moved[gtags[p]] = moved.get(gtags[p], 0) - sign
-        for a in set(args):
-            if a == frm:
-                continue
+        for a in others:
             _, dynamic = rewrite_sentence(checks, a, words, tags, positions)
             dg = db = 0
             for p in dynamic:
@@ -585,16 +599,26 @@ class _ContextualLearner:
         return rule, score
 
     def apply(self, rule: ContextualRule) -> None:
-        """Apply a rule to the sentences holding its from_tag and bring the
-        counts and scores of everything it changed up to date."""
-        ids = (self.word_id if rule.template in WORD_TEMPLATES
-               else self.tag_id)
+        """Apply a rule to the sentences holding its from_tag and its
+        context args (see ``context_args``) and bring the counts and scores
+        of everything it changed up to date."""
+        if rule.template in WORD_TEMPLATES:
+            ids = self.word_id
+            if self.word_holders is None:
+                self.word_holders = defaultdict(set)
+                for s, words in enumerate(self.words):
+                    for w in words:
+                        self.word_holders[w].add(s)
+            index = self.word_holders
+        else:
+            ids, index = self.tag_id, self.holders
         checks = context_checks(rule.template,
                                 tuple(ids[a] for a in rule.args))
         frm, to = self.tag_id[rule.from_tag], self.tag_id[rule.to_tag]
         touched = set()
         holders = self.holders[frm]
-        for s in list(holders):
+        for s in holders.intersection(*(index[a]
+                                        for a in context_args(checks))):
             old = self.tags[s]
             positions = [p for p, t in enumerate(old) if t == frm]
             new, moved = rewrite_sentence(checks, to, self.words[s], old,
@@ -609,9 +633,24 @@ class _ContextualLearner:
             for p in moved:
                 self.confusion[frm][gtags[p]] -= 1
                 self.confusion[to][gtags[p]] += 1
+            # only the keys and near status of the positions within the
+            # window of a moved position can change
+            n = len(old)
+            window = {q for p in moved
+                      for q in range(max(p - CONTEXT_WINDOW, 0),
+                                     min(p + CONTEXT_WINDOW + 1, n))}
             was_near, now_near = set(), set()
-            self._count(s, old, -1, touched, was_near)
-            self._count(s, new, 1, touched, now_near)
+            self._count(s, old, -1, touched, was_near, window)
+            self._count(s, new, 1, touched, now_near, window)
+            # ``inter`` and the corrections need the sentence's near keys
+            # outside the window too, the same in both
+            twins = [p for p in range(n) if p not in window
+                     and old[p] in old[p + 1:p + 1 + CONTEXT_WINDOW]]
+            if twins:
+                outside = set()
+                self._count(s, old, 0, touched, outside, twins)
+                was_near |= outside
+                now_near |= outside
             for k in was_near - now_near:
                 sents = self.inter[k]
                 if len(sents) == 1:
@@ -627,11 +666,11 @@ class _ContextualLearner:
             for k in was_near:
                 totals = self.corrections.get(k)
                 if totals is not None:
-                    self._correct(totals, k, s, old, -1)
+                    self._correct(totals, s, old, -1)
             for k in now_near:
                 totals = self.corrections.get(k)
                 if totals is not None:
-                    self._correct(totals, k, s, new, 1)
+                    self._correct(totals, s, new, 1)
         for key in touched:
             self._rescore(key)
 

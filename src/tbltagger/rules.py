@@ -17,7 +17,8 @@ A model compiles its ``Tagger`` once (``TaggerModel.tagger``), and
 ``tag_corpus`` calls it. The tagger maps known words to their lexicon tag
 and memoises the tag of each unknown word type it has seen. Per sentence it
 keeps a map from each tag to the positions holding it, so that a contextual
-rule visits only its from_tag positions and is skipped when there are none.
+rule visits only its from_tag positions and is skipped when the sentence
+lacks its from_tag or a tag its context reads (``context_args``).
 It reuses one memoised ``Token`` per word for every output token that keeps
 its word's starting tag. ``Tagger.initial`` is the one place where a token
 gets its starting tag: tagging runs the contextual rules on its output, and
@@ -291,6 +292,22 @@ def context_checks(template: str, args: tuple):
             tuple(tuple(zip(offsets, args)) for offsets in alternatives))
 
 
+def context_args(checks) -> frozenset:
+    """The args that every alternative of ``checks`` reads; in
+    ``CONTEXT_TABLE`` every alternative reads every arg, so these are all
+    of them.
+
+    A rule can first match in a sentence only if the sentence holds its
+    from_tag and each of these args (among its tags, or its words for a
+    word template): a match needs one alternative to hold in full, and
+    ``rewrite_sentence`` reads the sentence as given up to the first
+    match. A sentence lacking any of them is left unchanged by the rule,
+    so tagging and learning skip it."""
+    _, alternatives = checks
+    return frozenset.intersection(*(frozenset(arg for _, arg in alternative)
+                                    for alternative in alternatives))
+
+
 def rewrite_sentence(checks, to_tag, words, tags, positions):
     """(new tags, moved positions) of one sentence after applying a rule
     whose context is ``checks`` (see ``context_checks``) at ``positions``,
@@ -388,8 +405,10 @@ class Tagger:
     lexical rules whose keys the word holds.
 
     Contextual rules run per sentence through a map from each tag to the
-    ascending positions holding it: a rule whose from_tag no position holds
-    is skipped, and the others visit only their from_tag positions
+    ascending positions holding it. A rule is skipped unless its from_tag
+    and every tag its context reads have positions, an emptied list
+    counting as none: a rule cannot first match in a sentence lacking one
+    (``context_args``). The others visit only their from_tag positions
     (``rewrite_sentence``). The map follows the positions each rule moves.
     ``tokens`` memoises, per word, the ``Token`` of its starting tag; an
     output token whose tag is its word's starting tag is that one object,
@@ -402,8 +421,12 @@ class Tagger:
         self.tagset = model.tagset
         self.lexical_rules = LexicalRuleIndex(model.lexical_rules,
                                               model.lexicon)
+        # per rule: checks, from_tag, the tags its context reads (see
+        # ``context_args``), to_tag
         self.contextual_rules = tuple(
-            (rule.checks, rule.from_tag, rule.to_tag)
+            (rule.checks, rule.from_tag,
+             () if rule.template in WORD_TEMPLATES
+             else tuple(context_args(rule.checks)), rule.to_tag)
             for rule in model.contextual_rules)
         tags = self.tags = {word: pairs[0][0]
                             for word, pairs in model.lexicon.entries.items()}
@@ -435,9 +458,14 @@ class Tagger:
                         where[tag].append(pos)
                     else:
                         where[tag] = [pos]
-                for checks, from_tag, to_tag in rules:
+                for checks, from_tag, context, to_tag in rules:
                     positions = where.get(from_tag)
-                    if positions:
+                    if not positions:
+                        continue
+                    for tag in context:
+                        if not where.get(tag):
+                            break
+                    else:
                         new, moved = rewrite_sentence(checks, to_tag, words,
                                                       tags, positions)
                         if new is not None:

@@ -343,7 +343,9 @@ def contextual_learning_state(corpus, seed):
 def assert_contextual_steps_agree(state, gold, threshold, steps):
     """Each step of the incremental learner must pick the same (rule,
     RuleScore) as the full rescan and as direct dynamic scoring of every
-    generated candidate. Returns the rules accepted."""
+    generated candidate, and after each rule it accepts its counts must be
+    those of a learner built afresh from the new tags. Returns the rules
+    accepted."""
     state = [(words, list(tags)) for words, tags in state]
     learner = _ContextualLearner(state, gold, threshold)
     rules = []
@@ -359,7 +361,24 @@ def assert_contextual_steps_agree(state, gold, threshold, steps):
         for words, tags in state:
             apply_contextual_rule(got[0], words, tags)
         rules.append(got[0])
+        assert contextual_counts(learner) == contextual_counts(
+            _ContextualLearner(state, gold, threshold))
     return rules
+
+
+def contextual_counts(learner):
+    """The learner's ``correct``, ``fixes``, ``inter`` and ``live`` with
+    keys and tags decoded to names: a learner built from other tags may
+    code them otherwise."""
+    def key(k):
+        return TestCountMatchesTemplateTable._decode(learner, k)
+    tag = learner.tag_names.__getitem__
+    return ({key(k): n for k, n in learner.correct.items()},
+            {key(k): {tag(g): n for g, n in fx.items()}
+             for k, fx in learner.fixes.items()},
+            {key(k): list(sents) for k, sents in learner.inter.items()},
+            {key(k): {tag(to): score for to, score in cands.items()}
+             for k, cands in learner.live.items()})
 
 
 def small_alphabet_sentences(draw_tag, draw_word):
@@ -421,6 +440,57 @@ class TestIncrementalContextualLearner:
         assert rules == [
             ContextualRule("NEXTWD", ("x",), "X", "A"),
             ContextualRule("PREV1OR2OR3TAG", ("A",), "B", "A")]
+
+    def test_context_tag_made_by_an_earlier_rule(self):
+        # the first rule makes the VB that is the second rule's only
+        # context tag, in sentences that held no VB before
+        state = [(("o1", "g1", "p1"), ["AT", "NN", "PUNCT"]),
+                 (("o2", "g2", "p2"), ["AT", "NN", "PUNCT"]),
+                 (("o3", "x3", "p3"), ["AT", "PROP", "PUNCT"]),
+                 (("o4", "x4", "p4"), ["AT", "PROP", "PUNCT"])]
+        gold = [["AT", "VB", "FW"], ["AT", "VB", "FW"],
+                ["AT", "PROP", "PUNCT"], ["AT", "PROP", "PUNCT"]]
+        rules = assert_contextual_steps_agree(state, gold, threshold=2,
+                                              steps=3)
+        assert rules == [
+            ContextualRule("NEXT1OR2OR3TAG", ("PUNCT",), "NN", "VB"),
+            ContextualRule("PREV1OR2OR3TAG", ("VB",), "PUNCT", "FW")]
+
+    def test_context_is_the_rules_own_to_tag(self):
+        # B A A A A: the last A matches only once the A before it is B
+        state = [(("a", "b", "c", "d", "e"), ["B", "A", "A", "A", "A"])]
+        gold = [["B"] * 5]
+        rules = assert_contextual_steps_agree(state, gold, threshold=2,
+                                              steps=2)
+        assert rules == [ContextualRule("PREV1OR2OR3TAG", ("B",), "A", "B")]
+
+    def test_context_tag_removed_by_an_earlier_rule(self):
+        # the first rule takes X out of the sentences ending in v, so the
+        # second rule, whose context is X, no longer fires there
+        state = [((u, "v"), ["X", "A"]) for u in ("u1", "u2", "u3")] + \
+            [((r, w), ["X", "A"]) for r, w in (("r1", "w1"), ("r2", "w2"))]
+        gold = [["Y", "A"]] * 3 + [["X", "B"]] * 2
+        rules = assert_contextual_steps_agree(state, gold, threshold=2,
+                                              steps=3)
+        assert rules == [
+            ContextualRule("NEXTWD", ("v",), "X", "Y"),
+            ContextualRule("PREV1OR2OR3TAG", ("X",), "A", "B")]
+
+    def test_cascade_outside_the_window_of_a_change(self):
+        # the first rule moves position 6 of the long sentence, which
+        # ends the chain of matches that the B at position 0 starts at
+        # position 1, outside that move's window: the second rule's key
+        # is near only there, and must still be re-simulated and rescored
+        words = ("a", "b", "c", "d", "e", "z", "f", "g", "h", "i")
+        state = [(words, ["B"] + ["A"] * 9), (("z", "y"), ["D", "A"]),
+                 (("z", "x"), ["D", "A"])]
+        gold = [["B"] * 5 + ["A", "C", "A", "A", "A"], ["D", "C"],
+                ["D", "C"]]
+        rules = assert_contextual_steps_agree(state, gold, threshold=2,
+                                              steps=3)
+        assert rules == [
+            ContextualRule("PREVWD", ("z",), "A", "C"),
+            ContextualRule("SURROUNDTAG", ("B", "A"), "A", "B")]
 
     @pytest.mark.parametrize("cap", [0, 1, 3])
     @pytest.mark.parametrize("threshold", [1, 2])

@@ -23,8 +23,8 @@ from tbltagger.rules import (CONTEXT_TABLE, CONTEXTUAL_TEMPLATES,
                              LexicalRuleIndex, ModelError, TaggerModel,
                              apply_contextual_rule, apply_contextual_rules,
                              apply_lexical_rules, lexical_template_matches,
-                             load_model, parse_rules, save_model,
-                             serialize_rules, tag_corpus)
+                             load_model, parse_rules, rewrite_sentence,
+                             save_model, serialize_rules, tag_corpus)
 from tbltagger.corpus import serialize_tagged_corpus
 
 from conftest import TAG_NAMES, corpora_st, make_tagset, words_st
@@ -454,6 +454,51 @@ class TestTagger:
             ContextualRule("PREVTAG", ("AT",), "VB", "PUNCT")))
         tagged = tag_corpus([(Token("ο"), Token("γάτα"))], model)
         assert [t.tag for t in tagged.sentences[0]] == ["AT", "PUNCT"]
+
+    @staticmethod
+    def _tag_counting_rewrites(model, raw, monkeypatch):
+        """(tags of each sentence, number of ``rewrite_sentence`` calls)."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rewrite_sentence(*args)
+        monkeypatch.setattr(rules_module, "rewrite_sentence", counted)
+        tagged = tag_corpus(raw, model)
+        n_calls = len(calls)
+        assert tagged == reference_tag_corpus(raw, model)
+        return [[t.tag for t in sent] for sent in tagged.sentences], n_calls
+
+    def test_rule_fires_on_a_context_tag_an_earlier_rule_made(
+            self, tiny_corpus, monkeypatch):
+        # "ο γάτα ." starts as AT NN PUNCT: the sentence holds no VB
+        # until the first rule makes the one the second rule reads
+        model = TestTagCorpus._model(tiny_corpus, contextual=(
+            ContextualRule("PREVTAG", ("AT",), "NN", "VB"),
+            ContextualRule("PREVTAG", ("VB",), "PUNCT", "FW")))
+        raw = [(Token("ο"), Token("γάτα"), Token("."))]
+        assert self._tag_counting_rewrites(model, raw, monkeypatch) == \
+            ([["AT", "VB", "FW"]], 2)
+
+    def test_rule_reading_its_own_to_tag_cascades(self, tiny_corpus,
+                                                  monkeypatch):
+        # "τρέχει γάτα γάτα" starts as VB NN NN
+        model = TestTagCorpus._model(tiny_corpus, contextual=(
+            ContextualRule("PREVTAG", ("VB",), "NN", "VB"),))
+        raw = [(Token("τρέχει"), Token("γάτα"), Token("γάτα"))]
+        assert self._tag_counting_rewrites(model, raw, monkeypatch) == \
+            ([["VB", "VB", "VB"]], 1)
+
+    def test_rule_skipped_once_its_context_tag_is_gone(self, tiny_corpus,
+                                                       monkeypatch):
+        # "ο γάτα ." starts as AT NN PUNCT; the first rule retags the
+        # only AT, so the second rule, which reads AT, is not run
+        model = TestTagCorpus._model(tiny_corpus, contextual=(
+            ContextualRule("NEXTTAG", ("NN",), "AT", "FW"),
+            ContextualRule("PREVTAG", ("AT",), "NN", "VB")))
+        raw = [(Token("ο"), Token("γάτα"), Token("."))]
+        assert self._tag_counting_rewrites(model, raw, monkeypatch) == \
+            ([["FW", "NN", "PUNCT"]], 1)
 
     # "ο γάτα" starts as AT NN, "γάτα ." as NN PUNCT: the rule retags
     # γάτα after ο only
