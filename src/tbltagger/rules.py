@@ -10,8 +10,8 @@ Out-of-bounds context never matches (no sentinel tags).
 word templates, the context window and rule application are derived from
 it. ``rewrite_sentence`` is the one application of a contextual rule: it
 visits the from_tag positions it is given, with the context walk inline.
-``lexical_template_matches`` defines the lexical templates once; the
-learner's candidate features are the arguments it accepts.
+``LEXICAL_TABLE`` defines the lexical templates once; the matcher, the rule
+index, the learner's candidates and the rule check are derived from it.
 
 A model compiles its ``Tagger`` once (``TaggerModel.tagger``), and
 ``tag_corpus`` calls it. The tagger maps known words to their lexicon tag
@@ -23,10 +23,9 @@ It reuses one memoised ``Token`` per word for every output token that keeps
 its word's starting tag. ``Tagger.initial`` is the one place where a token
 gets its starting tag: tagging runs the contextual rules on its output, and
 the learner starts contextual training from it. Tagging and training share
-``rewrite_sentence`` and ``LexicalRuleIndex``, which indexes each lexical
-rule by the affix, character or lexicon extension a word must hold for it
-to match, so that a word is checked only against the rules it can match;
-``apply_lexical_rules`` runs through it.
+``rewrite_sentence`` and ``LexicalRuleIndex``, which files each lexical
+rule under its key, so that a word is checked only against the rules it
+can match; ``apply_lexical_rules`` runs through it.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ from .corpus import (Memo, ModelError, ParseError, TaggedCorpus, TaggerError,
                      read_text, serialize_tagset)
 from .lexicon import (InitialRuleChain, Lexicon, default_greek_chain,
                       initial_tag, parse_lexicon, serialize_lexicon)
-
-LEXICAL_TEMPLATES = ("ADDPREF", "ADDSUF", "DELETEPREF", "DELETESUF",
-                     "HASCHAR", "HASPREF", "HASSUF")
 
 WORDS, TAGS = "words", "tags"
 
@@ -81,6 +77,26 @@ WORD_TEMPLATES = frozenset(template for template, (reads, _)
 CONTEXT_WINDOW = max(abs(offset) for _, alternatives in CONTEXT_TABLE.values()
                      for offsets in alternatives for offset in offsets)
 
+SUFFIX, PREFIX, CHAR, ADDED_SUFFIX, ADDED_PREFIX = (
+    "suffix", "prefix", "char", "added suffix", "added prefix")
+
+# template -> (the key a word must hold, whether the word minus the affix
+# must be a non-empty lexicon entry). A word holds the arg as a suffix,
+# prefix or char key when it ends with, starts with or contains it, and
+# as an added suffix or prefix key when adding it gives a lexicon entry.
+# A char key takes one character.
+LEXICAL_TABLE = {
+    "ADDPREF": (ADDED_PREFIX, False),
+    "ADDSUF": (ADDED_SUFFIX, False),
+    "DELETEPREF": (PREFIX, True),
+    "DELETESUF": (SUFFIX, True),
+    "HASCHAR": (CHAR, False),
+    "HASPREF": (PREFIX, False),
+    "HASSUF": (SUFFIX, False),
+}
+
+LEXICAL_TEMPLATES = tuple(LEXICAL_TABLE)
+
 MODEL_FILES = ("TAGSET", "LEXICON", "LEXRULES", "CTXRULES", "MANIFEST")
 MODEL_FORMAT_VERSION = 1
 
@@ -99,8 +115,8 @@ class LexicalRule:
             raise TaggerError("lexical rule argument must be non-empty and "
                               "free of whitespace and lone surrogates, got "
                               "%r" % (self.arg,))
-        if self.template == "HASCHAR" and len(self.arg) != 1:
-            raise TaggerError("HASCHAR takes exactly one character")
+        if LEXICAL_TABLE[self.template][0] == CHAR and len(self.arg) != 1:
+            raise TaggerError("%s takes one character" % self.template)
         if self.from_tag is not None and self.from_tag == self.to_tag:
             raise TaggerError("lexical rule from_tag equals to_tag")
 
@@ -136,63 +152,51 @@ class ContextualRule:
 def lexical_template_matches(template: str, arg: str, word: str,
                              lexicon: Lexicon) -> bool:
     """True if the lexical template instantiated with ``arg`` matches the
-    word; the from_tag check is the caller's job. Tagging and learning both
-    ask this function, the one definition of the lexical templates."""
-    if template == "HASSUF":
-        return word.endswith(arg)
-    if template == "HASPREF":
-        return word.startswith(arg)
-    if template == "DELETESUF":
-        return (len(word) > len(arg) and word.endswith(arg)
-                and word[:-len(arg)] in lexicon)
-    if template == "DELETEPREF":
-        return (len(word) > len(arg) and word.startswith(arg)
-                and word[len(arg):] in lexicon)
-    if template == "ADDSUF":
-        return word + arg in lexicon
-    if template == "ADDPREF":
-        return arg + word in lexicon
-    if template == "HASCHAR":
+    word, as ``LEXICAL_TABLE`` defines it; the from_tag check is the
+    caller's job."""
+    try:
+        key, deletes = LEXICAL_TABLE[template]
+    except KeyError:
+        raise TaggerError("unknown lexical template %r" % template) from None
+    if key == SUFFIX:
+        return word.endswith(arg) and (not deletes or len(word) > len(arg)
+                                       and word[:-len(arg)] in lexicon)
+    if key == PREFIX:
+        return word.startswith(arg) and (not deletes or len(word) > len(arg)
+                                         and word[len(arg):] in lexicon)
+    if key == CHAR:
         return arg in word
-    raise TaggerError("unknown lexical template %r" % template)
+    if key == ADDED_SUFFIX:
+        return word + arg in lexicon
+    return arg + word in lexicon
 
 
 class LexicalRuleIndex:
     """Lexical rules compiled once, each indexed by the key a word must
-    hold for the rule to match (the rule indexing of fnTBL, Ngai & Florian
-    2001):
-
-    - HASSUF, DELETESUF: the word's suffix of the argument's length;
-    - HASPREF, DELETEPREF: its prefix of the argument's length;
-    - HASCHAR: the argument among its characters;
-    - ADDPREF, ADDSUF: the argument, where adding it to the word gives a
-      lexicon entry.
-
-    Affix keys are looked up by the word's affix of each argument length.
-    The other keys are probed once per distinct argument, so compiling
-    reads no lexicon entry. Every template's match implies its key, so the
-    rules whose keys a word holds include every rule that matches it: the
-    index is an exact pre-filter. ``apply`` visits only those rules, in
-    rule order, checks each one's from_tag against the running tag and
-    confirms the match with ``lexical_template_matches``."""
+    hold for the rule to match (``LEXICAL_TABLE``; the rule indexing of
+    fnTBL, Ngai & Florian 2001). Suffix and prefix keys are looked up by
+    the word's affix of each argument length. The other keys are probed
+    once per distinct argument, so compiling reads no lexicon entry. Every
+    template's match implies its key, so the rules whose keys a word holds
+    include every rule that matches it: the index is an exact pre-filter.
+    ``apply`` visits only those rules, in rule order, checks each one's
+    from_tag against the running tag and confirms the match with
+    ``lexical_template_matches``."""
 
     def __init__(self, rules, lexicon: Lexicon):
         self.rules = tuple((rule.template, rule.arg, rule.from_tag,
                             rule.to_tag) for rule in rules)
         self.lexicon = lexicon
-        # key -> ascending indices of the rules it admits
-        self.suffixes, self.prefixes = {}, {}
-        chars, add_pref, add_suf = {}, {}, {}
-        buckets = {"HASSUF": self.suffixes, "DELETESUF": self.suffixes,
-                   "HASPREF": self.prefixes, "DELETEPREF": self.prefixes,
-                   "HASCHAR": chars, "ADDPREF": add_pref, "ADDSUF": add_suf}
+        # key kind -> key -> ascending indices of the rules it admits
+        keys = {kind: {} for kind, _ in LEXICAL_TABLE.values()}
         for i, (template, arg, _, _) in enumerate(self.rules):
-            buckets[template].setdefault(arg, []).append(i)
+            keys[LEXICAL_TABLE[template][0]].setdefault(arg, []).append(i)
+        self.suffixes, self.prefixes = keys[SUFFIX], keys[PREFIX]
         self.suffix_lengths = sorted({len(arg) for arg in self.suffixes})
         self.prefix_lengths = sorted({len(arg) for arg in self.prefixes})
-        self.chars = tuple(chars.items())
-        self.add_pref = tuple(add_pref.items())
-        self.add_suf = tuple(add_suf.items())
+        self.chars = tuple(keys[CHAR].items())
+        self.add_pref = tuple(keys[ADDED_PREFIX].items())
+        self.add_suf = tuple(keys[ADDED_SUFFIX].items())
 
     def candidates(self, word: str) -> list:
         """Ascending indices of the rules whose keys ``word`` holds."""
@@ -244,9 +248,9 @@ def apply_lexical_rules(rules, assignments: dict, lexicon: Lexicon) -> dict:
 
 
 def build_affix_extension_maps(lexicon: Lexicon, max_affix_len: int):
-    """(add_suf, add_pref): word -> affixes whose addition lands in the
-    lexicon, so that ADDSUF/ADDPREF arguments are found without scanning
-    the lexicon per word."""
+    """(add_suf, add_pref): word -> the added suffix or prefix keys it
+    holds (``LEXICAL_TABLE``) up to max_affix_len long, so that they are
+    found without scanning the lexicon per word."""
     add_suf = defaultdict(list)
     add_pref = defaultdict(list)
     for other in lexicon.entries:
@@ -256,30 +260,23 @@ def build_affix_extension_maps(lexicon: Lexicon, max_affix_len: int):
     return dict(add_suf), dict(add_pref)
 
 
-# The only templates whose candidate arguments can fail to match: the
-# others' arguments are the word's own affixes and characters, or affixes
-# whose addition lands in the lexicon.
-_CHECKED_FEATURES = frozenset(("DELETEPREF", "DELETESUF"))
-
-
 def lexical_candidate_features(word: str, lexicon: Lexicon,
                                max_affix_len: int, extension_maps) -> tuple:
-    """All (template, arg) pairs that match this word: the arguments each
-    template could take for it (its affixes up to max_affix_len, its
-    characters, the affixes from ``build_affix_extension_maps``), the
-    DELETEPREF and DELETESUF ones kept where ``lexical_template_matches``
-    says they match."""
+    """All (template, arg) pairs that match this word, in ``LEXICAL_TABLE``
+    order: each template's args are the keys of its kind the word holds
+    (its affixes up to max_affix_len, its characters, the added affixes of
+    ``build_affix_extension_maps``), those of the templates that delete
+    kept where ``lexical_template_matches`` says they match."""
     add_suf, add_pref = extension_maps
     lengths = range(1, min(max_affix_len, len(word)) + 1)
-    suffixes = [word[-k:] for k in lengths]
-    prefixes = [word[:k] for k in lengths]
-    args = {"ADDPREF": add_pref.get(word, ()), "ADDSUF": add_suf.get(word, ()),
-            "DELETEPREF": prefixes, "DELETESUF": suffixes,
-            "HASCHAR": sorted(set(word)), "HASPREF": prefixes,
-            "HASSUF": suffixes}
-    return tuple((template, arg) for template in LEXICAL_TEMPLATES
-                 for arg in args[template]
-                 if template not in _CHECKED_FEATURES
+    keys = {SUFFIX: [word[-k:] for k in lengths],
+            PREFIX: [word[:k] for k in lengths], CHAR: sorted(set(word)),
+            ADDED_SUFFIX: add_suf.get(word, ()),
+            ADDED_PREFIX: add_pref.get(word, ())}
+    return tuple((template, arg)
+                 for template, (key, deletes) in LEXICAL_TABLE.items()
+                 for arg in keys[key]
+                 if not deletes
                  or lexical_template_matches(template, arg, word, lexicon))
 
 

@@ -11,18 +11,21 @@ most-frequent-tag baseline.
 
 They score each candidate on its own, by a plain pass over the corpus, so
 they share no counting with the learner. Lexical learning is replayed on
-``TypeState`` records with its own application loop. The rule predicates
-ask the package's template definitions (``lexical_template_matches``,
-and ``ContextualRule.checks``, which ``context_predicate`` here reads);
-``context_instantiations`` reads the template table;
-``contextual_reference.py`` holds an enumeration of the templates written
-out by hand.
+``TypeState`` records with its own application loop. The lexical rule
+predicate asks ``reference_lexical_template_matches``, the seven lexical
+templates written out by hand, and never ``rules.LEXICAL_TABLE``; lexical
+candidates are the package's ``lexical_candidate_features``, which
+``TestLexicalCandidateFeatures`` checks against the matcher. The contextual
+rule predicate asks ``ContextualRule.checks``, which ``context_predicate``
+here reads; ``context_instantiations`` reads the template table;
+``contextual_reference.py`` holds an enumeration of the contextual
+templates written out by hand.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from tbltagger.corpus import TaggedCorpus, Token
+from tbltagger.corpus import TaggedCorpus, TaggerError, Token
 from tbltagger.evaluate import (SYNTH_ALT_TAG, SYNTH_FOREIGN_TAG,
                                 SYNTH_PROPER_TAG, SYNTH_TRIGGERS, SynthSpec,
                                 _FOREIGN_POOL, _PROPER_POOL, cross_validate,
@@ -31,15 +34,37 @@ from tbltagger.learner import RuleScore, TrainConfig
 from tbltagger.lexicon import initial_tag
 from tbltagger.rules import (CONTEXT_TABLE, WORDS, ContextualRule,
                              LexicalRule, build_affix_extension_maps,
-                             lexical_candidate_features,
-                             lexical_template_matches)
+                             lexical_candidate_features)
+
+
+def reference_lexical_template_matches(template: str, arg: str, word: str,
+                                       lexicon) -> bool:
+    """What ``rules.lexical_template_matches`` must return, each template
+    written out on its own."""
+    if template == "HASSUF":
+        return word.endswith(arg)
+    if template == "HASPREF":
+        return word.startswith(arg)
+    if template == "DELETESUF":
+        return (len(word) > len(arg) and word.endswith(arg)
+                and word[:-len(arg)] in lexicon)
+    if template == "DELETEPREF":
+        return (len(word) > len(arg) and word.startswith(arg)
+                and word[len(arg):] in lexicon)
+    if template == "ADDSUF":
+        return word + arg in lexicon
+    if template == "ADDPREF":
+        return arg + word in lexicon
+    if template == "HASCHAR":
+        return arg in word
+    raise TaggerError("unknown lexical template %r" % template)
 
 
 def lexical_rule_matches(rule: LexicalRule, word: str, current_tag: str,
                          lexicon) -> bool:
     return ((rule.from_tag is None or rule.from_tag == current_tag)
-            and lexical_template_matches(rule.template, rule.arg, word,
-                                         lexicon))
+            and reference_lexical_template_matches(rule.template, rule.arg,
+                                                   word, lexicon))
 
 
 def context_predicate(checks, words, tags, pos: int) -> bool:

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
+import contextlib
+import io
 import json
 import logging
 import os
@@ -438,6 +440,99 @@ class TestDamagedCrossvalAndCurveInputs:
                 argv += ["--sizes", ",".join(map(str, sizes))]
             code = main(argv)
         assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA}
+
+
+# flag -> valid value, per subcommand; a value starting with "/" names a
+# file or directory under the example's root
+TRAIN_FLAGS = {"--threshold": "2", "--max-rules": "3",
+               "--lexicon-split": "0.5", "--max-affix-len": "4",
+               "--seed": "0", "--log-level": "warning"}
+FLAG_VALUES = {
+    "train": {"--corpus": "/corpus", "--tagset": "/tagset",
+              "--out": "/out", **TRAIN_FLAGS},
+    "tag": {"--model": "/model", "--in": "/raw", "--out": "/out"},
+    "eval": {"--model": "/model", "--gold": "/corpus",
+             "--confusion": "/out"},
+    "crossval": {"--corpus": "/corpus", "--tagset": "/tagset", "--k": "3",
+                 "--jobs": "1", "--out": "/out", **TRAIN_FLAGS},
+    "curve": {"--corpus": "/corpus", "--tagset": "/tagset",
+              "--sizes": "20,40", "--k": "3", "--jobs": "1",
+              "--out": "/out", **TRAIN_FLAGS},
+    "synth": {"--spec": "/spec", "--out": "/out", "--tagset-out": "/out2"},
+}
+# numbers out of range or of the wrong type, and text that is no number
+BAD_VALUES = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(str), st.floats().map(repr),
+    st.sampled_from(["", "0", "1", "-1", "7", "100000", "1e400", "nan",
+                     "-inf", "0x10", "1_0", "\u0663", ",", "1,,2", "10,5",
+                     "2" * 30]),
+    st.text(max_size=4))
+# the other files of the example, an input where an output goes and the
+# reverse, and paths that cannot be opened
+BAD_PATHS = st.sampled_from(["/corpus", "/tagset", "/raw", "/spec",
+                             "/model", "/dir", "/missing", "/missing/x",
+                             "/corpus/x", "", "x\x00"])
+
+
+class TestBadFlagValues:
+    """Every flag of every subcommand, given a bad value, ends in a
+    documented exit code with no traceback on stderr. The corpus holds 6
+    sentences, so that `crossval`/`curve` start at most 6 processes
+    whatever `--jobs` is."""
+
+    SENTENCES = 6
+
+    def _run(self, workspace, command, values):
+        """(exit code, stderr) of ``command`` given these flag values, in a
+        fresh directory holding the files the values name."""
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "corpus").write_text("".join(
+                workspace["corpus"].read_text(encoding="utf-8")
+                .splitlines(keepends=True)[:self.SENTENCES]),
+                encoding="utf-8")
+            (root / "tagset").write_bytes(workspace["tagset"].read_bytes())
+            (root / "raw").write_text("το ζζζος\nζζζει\n", encoding="utf-8")
+            (root / "spec").write_text('{"n_stems": 5, "n_sentences": 6}',
+                                       encoding="utf-8")
+            (root / "model").mkdir()
+            for name, content in read_model_files(workspace["model"]).items():
+                (root / "model" / name).write_bytes(content)
+            (root / "dir").mkdir()
+            (root / "dir" / "file").write_text("x\n", encoding="utf-8")
+            argv = [command] + ["%s=%s" % (name, tmp + value
+                                           if value.startswith("/") else value)
+                                for name, value in values.items()]
+            # relative paths, "" among them, stay inside the example
+            with contextlib.chdir(root / "dir"), \
+                    contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("command", FLAG_VALUES)
+    def test_valid_values_exit_0(self, workspace, command):
+        # so that a bad value in one flag is the only one
+        assert self._run(workspace, command, FLAG_VALUES[command]) == \
+            (EXIT_OK, "")
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in FLAG_VALUES.items()
+        for flag in flags])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, workspace, command, flag, data):
+        values = dict(FLAG_VALUES[command])
+        values[flag] = data.draw(BAD_PATHS if values[flag].startswith("/")
+                                 else BAD_VALUES)
+        code, err = self._run(workspace, command, values)
+        assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA}, values
+        assert "Traceback" not in err
+
 
 class TestEval:
     def test_perfect_model_prints_one(self, workspace, tmp_path, capsys):

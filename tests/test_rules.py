@@ -27,10 +27,12 @@ from tbltagger.rules import (CONTEXT_TABLE, CONTEXTUAL_TEMPLATES,
                              save_model, serialize_rules, tag_corpus)
 from tbltagger.corpus import serialize_tagged_corpus
 
-from conftest import TAG_NAMES, corpora_st, make_tagset, words_st
+from conftest import (TAG_NAMES, WORD_CHARS, corpora_st, make_tagset,
+                      words_st)
 from oracles import (contextual_rule_matches, lexical_rule_matches,
                      reference_apply_contextual_rules,
-                     reference_apply_lexical_rules, reference_tag_corpus)
+                     reference_apply_lexical_rules,
+                     reference_lexical_template_matches, reference_tag_corpus)
 
 
 EMPTY_LEX = Lexicon({})
@@ -99,6 +101,32 @@ class TestLexicalRuleMatches:
         rule = LexicalRule("HASCHAR", "ω", None, "VB")
         assert lexical_rule_matches(rule, "τρέχω", "NN", EMPTY_LEX)
         assert not lexical_rule_matches(rule, "γάτα", "NN", EMPTY_LEX)
+
+    def test_unknown_template_is_a_tagger_error(self):
+        pytest.raises(TaggerError, lexical_template_matches, "NOSUCH", "a",
+                      "ab", EMPTY_LEX)
+
+    @pytest.mark.parametrize("template", LEXICAL_TEMPLATES)
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_table_matcher_equals_reference(self, template, data):
+        # args as long as the word or longer, and lexicon entries the word
+        # gives with an arg taken away or added, "" among them
+        word = data.draw(st.text(WORD_CHARS, min_size=1, max_size=6))
+        extra = st.text(WORD_CHARS, max_size=3)
+        arg = data.draw(st.one_of(
+            st.text(WORD_CHARS, min_size=1, max_size=8),
+            st.sampled_from([word[:k] for k in range(1, len(word) + 1)]
+                            + [word[-k:] for k in range(1, len(word) + 1)]),
+            st.builds(lambda a, b: a + word + b, extra, extra)))
+        entries = data.draw(st.lists(st.text(WORD_CHARS, max_size=6),
+                                     max_size=3))
+        entries += data.draw(st.lists(st.sampled_from(
+            ["", word.removesuffix(arg), word.removeprefix(arg),
+             word + arg, arg + word]), max_size=3))
+        lexicon = Lexicon({entry: (("NN", 1),) for entry in entries})
+        assert lexical_template_matches(template, arg, word, lexicon) == \
+            reference_lexical_template_matches(template, arg, word, lexicon)
 
 
 class TestApplyLexicalRules:
