@@ -65,6 +65,12 @@ def _train_config(args) -> TrainConfig:
     )
 
 
+def _read_corpus(args):
+    """The --corpus file, parsed against the --tagset file."""
+    tagset = load_tagset(read_text(args.tagset))
+    return parse_tagged_corpus(read_text(args.corpus), tagset)
+
+
 def _jobs(args) -> int:
     if args.jobs < 1:
         raise TaggerError("--jobs must be at least 1, got %d" % args.jobs)
@@ -94,6 +100,9 @@ def _log_to_stderr(level):
 
 
 def _add_train_flags(p):
+    """The flags of every command that trains on a corpus."""
+    p.add_argument("--corpus", required=True, help="tagged corpus file")
+    p.add_argument("--tagset", required=True, help="tagset config file")
     p.add_argument("--threshold", type=int,
                    default=TrainConfig.score_threshold,
                    help="minimum net score for a rule to be accepted")
@@ -115,9 +124,17 @@ def _add_train_flags(p):
                         "accepted rule (default: no log output)")
 
 
+def _add_fold_flags(p):
+    """The flags of crossval and curve."""
+    _add_train_flags(p)
+    p.add_argument("--k", type=int, default=10, help="number of folds")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="evaluate folds in parallel")
+    p.add_argument("--out", default=None, help="report CSV path (default stdout)")
+
+
 def cmd_train(args) -> int:
-    tagset = load_tagset(read_text(args.tagset))
-    train = parse_tagged_corpus(read_text(args.corpus), tagset)
+    train = _read_corpus(args)
     config = _train_config(args)
     model = train_model(train, config=config)
     save_model(model, args.out, manifest_extra=dataclasses.asdict(config))
@@ -151,10 +168,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    tagset = load_tagset(read_text(args.tagset))
-    corpus = parse_tagged_corpus(read_text(args.corpus), tagset)
-    report = cross_validate(corpus, k=args.k, config=_train_config(args),
-                            seed=args.seed, jobs=_jobs(args))
+    report = cross_validate(_read_corpus(args), k=args.k,
+                            config=_train_config(args), seed=args.seed,
+                            jobs=_jobs(args))
     csv = render_folds_csv(report)
     if args.out:
         _write(args.out, csv)
@@ -166,8 +182,7 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    tagset = load_tagset(read_text(args.tagset))
-    corpus = parse_tagged_corpus(read_text(args.corpus), tagset)
+    corpus = _read_corpus(args)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
@@ -219,10 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from a tagged corpus")
-    p.add_argument("--corpus", required=True, help="tagged corpus file")
-    p.add_argument("--tagset", required=True, help="tagset config file")
-    p.add_argument("--out", required=True, help="model directory to write")
     _add_train_flags(p)
+    p.add_argument("--out", required=True, help="model directory to write")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tag", help="tag a raw corpus with a trained model")
@@ -240,24 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("crossval", help="k-fold cross-validation")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--tagset", required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="evaluate folds in parallel")
-    p.add_argument("--out", default=None, help="report CSV path (default stdout)")
-    _add_train_flags(p)
+    _add_fold_flags(p)
     p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("curve", help="learning curve over corpus sizes")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--tagset", required=True)
+    _add_fold_flags(p)
     p.add_argument("--sizes", required=True,
                    help="comma-separated ascending word counts")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=None, help="report CSV path (default stdout)")
-    _add_train_flags(p)
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("synth", help="generate a synthetic tagged corpus")

@@ -16,7 +16,7 @@ key once; accepting a rule recounts only the types it retagged, found
 through an index from each feature to the types holding it, and rescores
 only the keys they touch. Contextual learning counts the match sites of
 every candidate key in one pass over the tokens; accepting a rule visits
-only the sentences that hold its from_tag and its context args
+only the sentences that hold its from_tag and the tags its context reads
 (``rules.context_args``), re-derives the counts of only the positions
 within the context window of a position it retagged, and rescores only the
 keys they touch. The dynamic net equals the static count except where a
@@ -330,10 +330,11 @@ class _ContextualLearner:
     over those sentences in ``corrections``.
 
     Accepting a rule rewrites only the sentences that hold its from_tag
-    and its context args, the only ones it can change (``context_args``):
-    ``holders`` maps each tag to the sentences holding it, and
-    ``word_holders`` each word, built when the first word rule is
-    accepted. In each sentence it changed, the contributions of the
+    and the tags its context reads, the only ones it can change
+    (``context_args``; a word rule visits every sentence holding its
+    from_tag): ``holders`` maps each tag to the sentences holding it. The
+    order of visits does not matter, since every update is a sum or a
+    sorted insert. In each sentence it changed, the contributions of the
     positions within CONTEXT_WINDOW of a retagged position are subtracted
     under the old tags and added under the new ones. No other position's
     keys or near status can change: the keys at position p read only the
@@ -367,7 +368,6 @@ class _ContextualLearner:
         self.corrections = {}   # key -> (moved, own, ...), see _correct
         self.live = {}          # key -> {to_tag: (good, bad)}, net >= threshold
         self.holders = defaultdict(set)  # tag -> sentences holding it
-        self.word_holders = None  # word -> sentences holding it, see apply
         # confusion[tag][gold]: tokens currently tagged tag whose gold is gold
         self.confusion = [[0] * self.T for _ in range(self.T)]
         for s, tags in enumerate(self.tags):
@@ -599,26 +599,18 @@ class _ContextualLearner:
         return rule, score
 
     def apply(self, rule: ContextualRule) -> None:
-        """Apply a rule to the sentences holding its from_tag and its
-        context args (see ``context_args``) and bring the counts and scores
-        of everything it changed up to date."""
-        if rule.template in WORD_TEMPLATES:
-            ids = self.word_id
-            if self.word_holders is None:
-                self.word_holders = defaultdict(set)
-                for s, words in enumerate(self.words):
-                    for w in words:
-                        self.word_holders[w].add(s)
-            index = self.word_holders
-        else:
-            ids, index = self.tag_id, self.holders
+        """Apply a rule to the sentences holding its from_tag and the tags
+        its context reads (see ``context_args``) and bring the counts and
+        scores of everything it changed up to date."""
+        ids = (self.word_id if rule.template in WORD_TEMPLATES
+               else self.tag_id)
         checks = context_checks(rule.template,
                                 tuple(ids[a] for a in rule.args))
         frm, to = self.tag_id[rule.from_tag], self.tag_id[rule.to_tag]
         touched = set()
         holders = self.holders[frm]
-        for s in holders.intersection(*(index[a]
-                                        for a in context_args(checks))):
+        for s in holders.intersection(*(self.holders[t]
+                                        for t in context_args(checks))):
             old = self.tags[s]
             positions = [p for p, t in enumerate(old) if t == frm]
             new, moved = rewrite_sentence(checks, to, self.words[s], old,

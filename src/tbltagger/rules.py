@@ -290,19 +290,18 @@ def context_checks(template: str, args: tuple):
 
 
 def context_args(checks) -> frozenset:
-    """The args that every alternative of ``checks`` reads; in
-    ``CONTEXT_TABLE`` every alternative reads every arg, so these are all
-    of them.
+    """The tags the context of ``checks`` reads: every arg of a tag
+    template (each alternative in ``CONTEXT_TABLE`` holds one offset per
+    arg), none of a word template.
 
-    A rule can first match in a sentence only if the sentence holds its
-    from_tag and each of these args (among its tags, or its words for a
-    word template): a match needs one alternative to hold in full, and
-    ``rewrite_sentence`` reads the sentence as given up to the first
-    match. A sentence lacking any of them is left unchanged by the rule,
-    so tagging and learning skip it."""
-    _, alternatives = checks
-    return frozenset.intersection(*(frozenset(arg for _, arg in alternative)
-                                    for alternative in alternatives))
+    This is the one filter of the sentences a rule can change, in tagging
+    and learning: a rule can first match only in a sentence holding its
+    from_tag and each of these tags, since a match needs one alternative
+    to hold in full and ``rewrite_sentence`` reads the sentence as given
+    up to the first match. Other sentences are left unchanged by the rule
+    and may be skipped."""
+    reads_words, alternatives = checks
+    return frozenset(arg for _, arg in alternatives[0] if not reads_words)
 
 
 def rewrite_sentence(checks, to_tag, words, tags, positions):
@@ -421,9 +420,8 @@ class Tagger:
         # per rule: checks, from_tag, the tags its context reads (see
         # ``context_args``), to_tag
         self.contextual_rules = tuple(
-            (rule.checks, rule.from_tag,
-             () if rule.template in WORD_TEMPLATES
-             else tuple(context_args(rule.checks)), rule.to_tag)
+            (rule.checks, rule.from_tag, tuple(context_args(rule.checks)),
+             rule.to_tag)
             for rule in model.contextual_rules)
         tags = self.tags = {word: pairs[0][0]
                             for word, pairs in model.lexicon.entries.items()}
@@ -546,7 +544,13 @@ def save_model(model: TaggerModel, path: str, manifest_extra: dict = None) -> No
     """Write TAGSET/LEXICON/LEXRULES/CTXRULES/MANIFEST atomically: build in a
     temp directory next to ``path`` and rename into place. An existing model
     directory is renamed aside first and deleted only once the new one is
-    in place."""
+    in place. A directory holding anything else is refused before anything
+    is written. The package's ``format_version`` overrides an extra's."""
+    if os.path.isdir(path):
+        foreign = sorted(set(os.listdir(path)) - set(MODEL_FILES))
+        if foreign:
+            raise ModelError("not replacing directory %s: it holds %r, "
+                             "which is no model file" % (path, foreign[0]))
     parent = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".model-", dir=parent)
@@ -557,8 +561,8 @@ def save_model(model: TaggerModel, path: str, manifest_extra: dict = None) -> No
                serialize_rules(lexical_rules=model.lexical_rules))
         _write(os.path.join(tmp, "CTXRULES"),
                serialize_rules(contextual_rules=model.contextual_rules))
-        manifest = {"format_version": MODEL_FORMAT_VERSION}
-        manifest.update(manifest_extra or {})
+        manifest = {**(manifest_extra or {}),
+                    "format_version": MODEL_FORMAT_VERSION}
         _write(os.path.join(tmp, "MANIFEST"),
                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         aside = None

@@ -87,6 +87,20 @@ class TestTrain:
                   "--out", str(tmp_path / "m"), "--bogus-flag"])
         assert exc.value.code == 2
 
+    def test_directory_holding_other_files_is_not_replaced(
+            self, workspace, tmp_path, capsys):
+        out = tmp_path / "notes"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me\n", encoding="utf-8")
+        code = main(["train", "--corpus", str(workspace["corpus"]),
+                     "--tagset", str(workspace["tagset"]),
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "notes.txt" in capsys.readouterr().err
+        assert os.listdir(out) == ["notes.txt"]
+        assert (out / "notes.txt").read_text(encoding="utf-8") == "keep me\n"
+        assert os.listdir(tmp_path) == ["notes"]  # no .model-* left beside
+
     def test_determinism_byte_identical_models(self, workspace, tmp_path):
         args = ["train", "--corpus", str(workspace["corpus"]),
                 "--tagset", str(workspace["tagset"]), "--seed", "3"]
@@ -442,6 +456,17 @@ class TestDamagedCrossvalAndCurveInputs:
         assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA}
 
 
+@contextlib.contextmanager
+def chdir(path):
+    """``contextlib.chdir``, which Python 3.10 lacks."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
 # flag -> valid value, per subcommand; a value starting with "/" names a
 # file or directory under the example's root
 TRAIN_FLAGS = {"--threshold": "2", "--max-rules": "3",
@@ -505,7 +530,7 @@ class TestBadFlagValues:
                                            if value.startswith("/") else value)
                                 for name, value in values.items()]
             # relative paths, "" among them, stay inside the example
-            with contextlib.chdir(root / "dir"), \
+            with chdir(root / "dir"), \
                     contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()):
                 try:

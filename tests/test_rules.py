@@ -1,5 +1,6 @@
 """Rule matching/application semantics, tagging pipeline, persistence."""
 
+import json
 import os
 import sys
 import tempfile
@@ -22,7 +23,8 @@ from tbltagger.rules import (CONTEXT_TABLE, CONTEXTUAL_TEMPLATES,
                              ContextualRule, LexicalRule,
                              LexicalRuleIndex, ModelError, TaggerModel,
                              apply_contextual_rule, apply_contextual_rules,
-                             apply_lexical_rules, lexical_template_matches,
+                             apply_lexical_rules, context_args,
+                             context_checks, lexical_template_matches,
                              load_model, parse_rules, rewrite_sentence,
                              save_model, serialize_rules, tag_corpus)
 from tbltagger.corpus import serialize_tagged_corpus
@@ -223,6 +225,20 @@ class TestContextualRuleMatches:
         ]
         for rule, pos, expected in cases:
             assert contextual_rule_matches(rule, words, tags, pos) == expected, rule
+
+
+class TestContextArgs:
+    """``context_args`` is the one sentence filter of tagging and learning:
+    the tags a template's context reads, none for a word template."""
+
+    @pytest.mark.parametrize("template", sorted(CONTEXT_TABLE))
+    @pytest.mark.parametrize("args", [("AT", "NN"), ("AT", "AT"), (3, 5)],
+                             ids=["names", "repeated", "codes"])
+    def test_tag_args_of_tag_templates_only(self, template, args):
+        args = args[:CONTEXTUAL_TEMPLATES[template]]
+        reads_words = CONTEXT_TABLE[template][0] == WORDS
+        assert context_args(context_checks(template, args)) == \
+            (set() if reads_words else set(args))
 
 
 class TestApplyContextualRules:
@@ -763,6 +779,16 @@ class TestModelPersistence:
         assert loaded.lexical_rules == model.lexical_rules
         assert loaded.contextual_rules == model.contextual_rules
 
+    def test_round_trip_with_manifest_extra(self, tiny_corpus, tmp_path):
+        # an extra cannot override the package's format version
+        model = self._model(tiny_corpus)
+        path = str(tmp_path / "model")
+        save_model(model, path, manifest_extra={"format_version": 2,
+                                                "seed": 7})
+        assert load_model(path) == model
+        with open(os.path.join(path, "MANIFEST"), encoding="utf-8") as fh:
+            assert json.load(fh) == {"format_version": 1, "seed": 7}
+
     def test_loaded_model_tags_identically(self, tiny_corpus, tmp_path):
         model = self._model(tiny_corpus)
         path = str(tmp_path / "model")
@@ -785,6 +811,23 @@ class TestModelPersistence:
         save_model(model, path)
         save_model(model, path)
         assert load_model(path).lexicon == model.lexicon
+
+    def test_replaces_an_empty_directory(self, tiny_corpus, tmp_path):
+        model = self._model(tiny_corpus)
+        (tmp_path / "model").mkdir()
+        save_model(model, str(tmp_path / "model"))
+        assert load_model(str(tmp_path / "model")) == model
+
+    def test_refuses_a_directory_holding_other_files(self, tiny_corpus,
+                                                     tmp_path):
+        path = tmp_path / "model"
+        save_model(self._model(tiny_corpus), str(path))
+        (path / "notes.txt").write_text("keep me\n", encoding="utf-8")
+        before = sorted(os.listdir(path))
+        with pytest.raises(ModelError):
+            save_model(self._model(tiny_corpus), str(path))
+        assert sorted(os.listdir(path)) == before
+        assert os.listdir(tmp_path) == ["model"]
 
     def test_overwrite_keeps_a_complete_model_at_every_step(
             self, tiny_corpus, tmp_path, monkeypatch):
