@@ -126,13 +126,16 @@ class TaggedCorpus:
     tagset: Tagset = field(compare=False)
 
     def __post_init__(self):
+        # one frozenset lookup per token; None is never a member
+        members = self.tagset._members
         for sent in self.sentences:
             if not sent:
                 raise TaggerError("empty sentence in corpus")
             for tok in sent:
-                if tok.tag is None:
-                    raise TaggerError("untagged token %r in tagged corpus" % tok.word)
-                if tok.tag not in self.tagset:
+                if tok.tag not in members:
+                    if tok.tag is None:
+                        raise TaggerError("untagged token %r in tagged corpus"
+                                          % tok.word)
                     raise TagsetError("tag %r not in tagset" % tok.tag)
 
     @property
@@ -181,42 +184,52 @@ def _normalize(word):
     return unicodedata.normalize("NFC", word)
 
 
+def _parse_item(item, lineno, col, tagset) -> Token:
+    word, sep, tag = item.rpartition("/")
+    if not sep:
+        raise ParseError(
+            "line %d col %d: item %r has no '/' separator" % (lineno, col, item),
+            line=lineno, column=col)
+    if not word:
+        raise ParseError(
+            "line %d col %d: empty word in %r" % (lineno, col, item),
+            line=lineno, column=col)
+    if not tag:
+        raise ParseError(
+            "line %d col %d: empty tag in %r" % (lineno, col, item),
+            line=lineno, column=col)
+    if tag not in tagset:
+        raise TagsetError(
+            "line %d: tag %r not in tagset" % (lineno, tag), line=lineno)
+    word = _normalize(word)
+    if not word:
+        raise ParseError(
+            "line %d col %d: word empty after normalization" % (lineno, col),
+            line=lineno, column=col)
+    return Token(word, tag)
+
+
 def parse_tagged_corpus(text: str, tagset: Tagset) -> TaggedCorpus:
     """Parse ``word/TAG`` lines into a TaggedCorpus; blank lines are skipped.
 
     The tag is taken after the last '/', so words may themselves contain
-    slashes. Words are NFC-normalized.
+    slashes. Words are NFC-normalized. Each distinct item is checked and
+    wrapped once per call: its occurrences share one ``Token``. A bad item
+    is never kept, so its first occurrence raises with its line and column.
     """
+    tokens = {}
     sentences = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        items = line.split()
+        if not items:
             continue
-        tokens = []
-        for m in _ITEM_RE.finditer(line):
-            item, col = m.group(0), m.start() + 1
-            word, sep, tag = item.rpartition("/")
-            if not sep:
-                raise ParseError(
-                    "line %d col %d: item %r has no '/' separator" % (lineno, col, item),
-                    line=lineno, column=col)
-            if not word:
-                raise ParseError(
-                    "line %d col %d: empty word in %r" % (lineno, col, item),
-                    line=lineno, column=col)
-            if not tag:
-                raise ParseError(
-                    "line %d col %d: empty tag in %r" % (lineno, col, item),
-                    line=lineno, column=col)
-            if tag not in tagset:
-                raise TagsetError(
-                    "line %d: tag %r not in tagset" % (lineno, tag), line=lineno)
-            word = _normalize(word)
-            if not word:
-                raise ParseError(
-                    "line %d col %d: word empty after normalization" % (lineno, col),
-                    line=lineno, column=col)
-            tokens.append(Token(word, tag))
-        sentences.append(tuple(tokens))
+        if not all(map(tokens.__contains__, items)):
+            for m in _ITEM_RE.finditer(line):
+                item = m.group(0)
+                if item not in tokens:
+                    tokens[item] = _parse_item(item, lineno, m.start() + 1,
+                                               tagset)
+        sentences.append(tuple(map(tokens.__getitem__, items)))
     return TaggedCorpus(tuple(sentences), tagset)
 
 

@@ -12,8 +12,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .corpus import (AlignmentError, TaggedCorpus, TaggerError, Tagset, Token,
-                     is_field, kfold_split, select_sentences,
+from .corpus import (AlignmentError, Memo, TaggedCorpus, TaggerError, Tagset,
+                     Token, is_field, kfold_split, select_sentences,
                      truncate_to_words)
 from .learner import TrainConfig, train_model
 from .rules import tag_corpus
@@ -161,7 +161,9 @@ def accuracy(predicted: TaggedCorpus, gold: TaggedCorpus):
 
 
 def strip_tags(corpus: TaggedCorpus) -> list:
-    return [tuple(Token(tok.word) for tok in sent) for sent in corpus.sentences]
+    """The corpus's words; each distinct word is wrapped in one ``Token``."""
+    tokens = Memo(Token)
+    return [tuple([tokens[tok.word] for tok in sent]) for sent in corpus.sentences]
 
 
 def _summarize(folds) -> EvalReport:

@@ -7,7 +7,9 @@ never calls ``rules.LexicalRuleIndex``, and
 ``reference_apply_contextual_rules``, which never calls
 ``rules.rewrite_sentence``), and the references the evaluation
 is checked against: the synthetic language's exact tagger and the
-most-frequent-tag baseline.
+most-frequent-tag baseline. ``reference_parse_tagged_corpus`` and
+``reference_check_tagged_corpus`` check every item and token on its own,
+as the corpus reader and ``TaggedCorpus`` must behave.
 
 They score each candidate on its own, by a plain pass over the corpus, so
 they share no counting with the learner. Lexical learning is replayed on
@@ -22,10 +24,13 @@ here reads; ``context_instantiations`` reads the template table;
 templates written out by hand.
 """
 
+import re
+import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from tbltagger.corpus import TaggedCorpus, TaggerError, Token
+from tbltagger.corpus import (ParseError, TaggedCorpus, TaggerError,
+                              TagsetError, Token)
 from tbltagger.evaluate import (SYNTH_ALT_TAG, SYNTH_FOREIGN_TAG,
                                 SYNTH_PROPER_TAG, SYNTH_TRIGGERS, SynthSpec,
                                 _FOREIGN_POOL, _PROPER_POOL, cross_validate,
@@ -336,3 +341,55 @@ def synthetic_oracle_tags(sentences, spec: SynthSpec) -> TaggedCorpus:
             prev_word = word
         out.append(tuple(tokens))
     return TaggedCorpus(tuple(out), tagset)
+
+
+def reference_parse_tagged_corpus(text: str, tagset) -> TaggedCorpus:
+    """What ``corpus.parse_tagged_corpus`` must return or raise: every
+    item split, checked, NFC-normalized and wrapped on its own, in text
+    order."""
+    sentences = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        tokens = []
+        for m in re.finditer(r"\S+", line):
+            item, col = m.group(0), m.start() + 1
+            word, sep, tag = item.rpartition("/")
+            if not sep:
+                raise ParseError(
+                    "line %d col %d: item %r has no '/' separator"
+                    % (lineno, col, item), line=lineno, column=col)
+            if not word:
+                raise ParseError(
+                    "line %d col %d: empty word in %r" % (lineno, col, item),
+                    line=lineno, column=col)
+            if not tag:
+                raise ParseError(
+                    "line %d col %d: empty tag in %r" % (lineno, col, item),
+                    line=lineno, column=col)
+            if tag not in tagset:
+                raise TagsetError(
+                    "line %d: tag %r not in tagset" % (lineno, tag),
+                    line=lineno)
+            word = unicodedata.normalize("NFC", word)
+            if not word:
+                raise ParseError(
+                    "line %d col %d: word empty after normalization"
+                    % (lineno, col), line=lineno, column=col)
+            tokens.append(Token(word, tag))
+        sentences.append(tuple(tokens))
+    return TaggedCorpus(tuple(sentences), tagset)
+
+
+def reference_check_tagged_corpus(sentences, tagset) -> None:
+    """What ``TaggedCorpus`` must raise for ``sentences``: the first fault
+    in sentence and token order, each token checked on its own."""
+    for sent in sentences:
+        if not sent:
+            raise TaggerError("empty sentence in corpus")
+        for tok in sent:
+            if tok.tag is None:
+                raise TaggerError("untagged token %r in tagged corpus"
+                                  % tok.word)
+            if tok.tag not in tagset:
+                raise TagsetError("tag %r not in tagset" % tok.tag)

@@ -11,8 +11,45 @@ from tbltagger.corpus import (FoldPlan, ParseError, TaggedCorpus, TaggerError,
                               parse_raw_corpus, parse_tagged_corpus,
                               serialize_tagged_corpus, serialize_tagset,
                               truncate_to_words)
+from tbltagger.evaluate import strip_tags
 
-from conftest import corpora_st, make_tagset
+from conftest import TAG_NAMES, corpora_st, make_tagset, sentences_st
+from oracles import reference_check_tagged_corpus, reference_parse_tagged_corpus
+
+
+def outcome(call, *args):
+    """``("ok", value)``, or what ``call`` raised: its type, message,
+    line and column."""
+    try:
+        return "ok", call(*args)
+    except TaggerError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+
+
+# "ό" precomposed and decomposed: equal after NFC, distinct as items
+WORDS = ("ο", "\u03cc", "\u03bf\u0301", "a/b", "γάτα", ".")
+DAMAGED = ("word", "/NN", "word/", "word/BOGUS", "WORD/BOGUS")
+
+
+@st.composite
+def tagged_texts_st(draw):
+    """A tagged text of repeated items, blank lines and mixed whitespace,
+    with at most one damaged item. "WORD" in a damaged item is a word that
+    also occurs with a good tag."""
+    items = [w + "/" + t for w in WORDS for t in TAG_NAMES[:3]]
+    line = st.lists(st.sampled_from(items), min_size=0, max_size=6)
+    lines = draw(st.lists(line, min_size=0, max_size=8))
+    damaged = draw(st.none() | st.sampled_from(DAMAGED))
+    if damaged is not None:
+        lines.append([])
+        row = draw(st.integers(0, len(lines) - 1))
+        col = draw(st.integers(0, len(lines[row])))
+        word = draw(st.sampled_from(WORDS))
+        lines[row].insert(col, damaged.replace("WORD", word))
+    seps = st.sampled_from([" ", "  ", "\t", " \t "])
+    return "\n".join(draw(seps).join(items) + draw(st.sampled_from(["", " "]))
+                     for items in lines)
 
 
 class TestParseTaggedCorpus:
@@ -53,6 +90,61 @@ class TestParseTaggedCorpus:
         # decomposed alpha + tonos -> precomposed
         c = parse_tagged_corpus("ά/NN", tagset)
         assert c.sentences[0][0].word == "ά"
+
+    @given(tagged_texts_st())
+    @settings(max_examples=300)
+    def test_equals_per_item_reference(self, text):
+        tagset = make_tagset()
+        got = outcome(parse_tagged_corpus, text, tagset)
+        want = outcome(reference_parse_tagged_corpus, text, tagset)
+        if want[0] != "ok":
+            assert got == want
+            return
+        assert got[0] == "ok"
+        corpus = got[1]
+        assert corpus.sentences == want[1].sentences
+        # one Token per distinct item, one stripped Token per distinct word
+        lines = [line.split() for line in text.splitlines() if line.split()]
+        by_item, by_word = {}, {}
+        for items, sent, raw in zip(lines, corpus.sentences,
+                                    strip_tags(corpus)):
+            for item, tok, bare in zip(items, sent, raw):
+                assert by_item.setdefault(item, tok) is tok
+                assert by_word.setdefault(tok.word, bare) is bare
+                assert bare == Token(tok.word)
+
+    def test_bad_item_raises_after_a_good_repeat(self, tagset):
+        with pytest.raises(TagsetError) as exc:
+            parse_tagged_corpus("x/NN x/NN\n\nx/NN  x/BOGUS", tagset)
+        assert exc.value.line == 3
+        with pytest.raises(ParseError) as exc:
+            parse_tagged_corpus("x/NN\nx/NN a x", tagset)
+        assert (exc.value.line, exc.value.column) == (2, 6)
+
+
+class TestTaggedCorpusCheck:
+    @given(sentences_st())
+    def test_accepts_every_valid_corpus(self, sentences):
+        assert TaggedCorpus(sentences, make_tagset()).sentences == sentences
+
+    @given(sentences_st(), st.lists(
+        st.tuples(st.sampled_from(["empty", None, "BOGUS"]),
+                  sentences_st(max_sentences=2)), min_size=1, max_size=3))
+    def test_first_fault_matches_per_token_reference(self, valid, faults):
+        tagset = make_tagset()
+        sentences = list(valid)
+        for fault, more in faults:
+            if fault == "empty":
+                sentences.append(())
+            else:
+                sentences.append(more[0] + (Token("w", fault),) if more
+                                 else (Token("w", fault),))
+            sentences.extend(more[1:])
+        sentences = tuple(sentences)
+        got = outcome(TaggedCorpus, sentences, tagset)
+        want = outcome(reference_check_tagged_corpus, sentences, tagset)
+        assert got[0] != "ok"
+        assert got == want
 
 
 class TestSerializeTaggedCorpus:
