@@ -21,8 +21,9 @@ only the sentences that hold its from_tag and the tags its context reads
 within the context window of a position it retagged, and rescores only the
 keys they touch. The dynamic net equals the static count except where a
 match site has another from_tag position within the context window after
-it; only those sentences are re-simulated, and only for candidates whose
-argument tags include the rule's from_tag or to_tag.
+it, for candidates whose argument tags include the rule's from_tag or
+to_tag. Such a candidate is ranked by an upper bound on its net; only when
+the argmax picks a bound are those sentences re-simulated, for that key.
 
 Both stages run on the tagger's code. Lexical candidates are the arguments
 ``rules.lexical_template_matches`` accepts and the current guesses advance
@@ -324,10 +325,10 @@ class _ContextualLearner:
     static count must read an earlier match within the context window, so
     a sentence needs re-simulating for a tag key only if a match site there
     has another from_tag position at most CONTEXT_WINDOW to its right
-    (``inter``: tag key -> sorted sentence numbers). Once a key has a
-    candidate that can be perturbed and may reach the threshold, the
-    learner keeps the sum of its corrections (dynamic minus static counts)
-    over those sentences in ``corrections``.
+    (``inter``: tag key -> sorted sentence numbers). A candidate that can
+    be perturbed enters ``live`` with an upper bound on its net, and its key
+    goes into ``bounded``; only when ``_best`` picks such a key are the
+    sentences in ``inter`` simulated to score it exactly (see ``best``).
 
     Accepting a rule rewrites only the sentences that hold its from_tag
     and the tags its context reads, the only ones it can change
@@ -339,11 +340,12 @@ class _ContextualLearner:
     under the old tags and added under the new ones. No other position's
     keys or near status can change: the keys at position p read only the
     tags at p-3..p+3, the words at p-1 and p+1 and the gold tag at p, and
-    its near status the tags at p..p+3. Since ``inter`` and the
-    corrections need the near keys of the whole sentence, the near keys of
-    the positions outside that window are added to both sides unchanged.
-    Only the keys so touched are scored again. Candidates reaching the
-    threshold are kept in ``live``.
+    its near status the tags at p..p+3. Since ``inter`` needs the near keys
+    of the whole sentence, the near keys of the positions outside that
+    window are added to both sides unchanged; they count as touched, since
+    their exact scores read the sentence. Only the keys so touched are
+    scored again. An untouched key keeps its exact score, so its bound, if
+    it holds one, stays sound though ``confusion`` moves.
     """
 
     def __init__(self, state, gold, threshold: int):
@@ -365,7 +367,7 @@ class _ContextualLearner:
         self.correct = {}       # key -> match sites already correct
         self.fixes = {}         # key -> {gold tag: match sites in error}
         self.inter = {}         # tag key -> array of sentence numbers
-        self.corrections = {}   # key -> (moved, own, ...), see _correct
+        self.bounded = set()    # keys whose live entry holds a bound
         self.live = {}          # key -> {to_tag: (good, bad)}, net >= threshold
         self.holders = defaultdict(set)  # tag -> sentences holding it
         # confusion[tag][gold]: tokens currently tagged tag whose gold is gold
@@ -493,8 +495,19 @@ class _ContextualLearner:
             return template, (a1,), frm
         return template, (a1, a2), frm
 
-    def _rescore(self, key):
+    def _rescore(self, key, exact=False):
+        """Put the candidates of a key that reach the threshold in ``live``.
+
+        A candidate that applying can perturb (a tag key whose args include
+        its from_tag or to_tag) gets an upper bound on its net, and its key
+        goes into ``bounded``, unless ``exact``: then the sentences in
+        ``inter[key]`` are simulated to give the dynamic counts. A to_tag
+        outside the args only removes match sites (net <= good), one in the
+        args only adds sites when from_tag is not an arg (net <=
+        with_gold[to] - bad), and in any case no more than with_gold[to]
+        positions can be fixed."""
         self.live.pop(key, None)
+        self.bounded.discard(key)
         fx = self.fixes.get(key)
         if not fx:
             return
@@ -503,94 +516,75 @@ class _ContextualLearner:
         word = template in WORD_TEMPLATES
         frm_in_args = frm in args and not word
         with_gold = self.confusion[frm]
-        totals = None
-        # Only track a key whose perturbable candidates can reach the
-        # threshold: a to_tag outside the args only removes match sites
-        # (so net <= good), one in the args only adds sites when from_tag
-        # is not an arg (net <= with_gold[to] - bad), and in any case no
-        # more than with_gold[to] positions can be fixed.
-        for to, good in fx.items():
-            if word or not (frm_in_args or to in args):
-                continue
-            if to not in args:
-                bound = good
-            elif frm_in_args:
-                bound = with_gold[to]
-            else:
-                bound = with_gold[to] - bad
-            if bound >= self.threshold:
-                totals = self.corrections.get(key) or self._track(key)
-                break
-        else:
-            self.corrections.pop(key, None)
+        if exact:
+            moved, own = self._simulate(key)
         live = {}
         for to, good in fx.items():
-            dg = db = 0
-            if not word and (frm_in_args or to in args):
-                if totals is None:
-                    continue
-                moved, own = totals[:2]
-                if to in args:
-                    dg, db = own.get(to, (0, 0))
-                else:
-                    dg, db = moved.get(to, 0), moved.get(frm, 0)
-            if good + dg - bad - db >= self.threshold:
-                live[to] = (good + dg, bad + db)
+            score = (good, bad)
+            perturbable = not word and (frm_in_args or to in args)
+            if perturbable and exact:
+                dg, db = (own.get(to, (0, 0)) if to in args
+                          else (moved[to], moved[frm]))
+                score = (good + dg, bad + db)
+            elif perturbable:
+                score = ((good, 0) if to not in args
+                         else (with_gold[to], 0 if frm_in_args else bad))
+            if score[0] - score[1] >= self.threshold:
+                live[to] = score
+                if perturbable and not exact:
+                    self.bounded.add(key)
         if live:
             self.live[key] = live
 
-    def _track(self, key):
-        """Start keeping the corrections of a key that can be perturbed."""
-        template, args, frm = self._decode(key)
-        totals = self.corrections[key] = (
-            {}, {}, context_checks(template, args), frm, frm in args,
-            tuple(set(args) - {frm}))
-        for s in self.inter.get(key, ()):
-            self._correct(totals, s, self.tags[s], 1)
-        return totals
-
-    def _correct(self, totals, s, tags, sign):
-        """Add ``sign`` times the dynamic minus static counts of a key in
-        sentence s under ``tags`` to ``totals``, for every to_tag at once.
+    def _simulate(self, key):
+        """(moved, own): the dynamic minus static counts of a tag key over
+        the sentences in ``inter[key]``, the only ones where they differ.
 
         A to_tag outside the args moves the same positions whichever it is,
         so one simulation gives ``moved``: gold tag -> change in the number
-        of moved positions with that gold. Each arg other than from_tag is
-        simulated on its own, giving ``own``: arg -> (d_good, d_bad).
-        ``totals`` also holds, built once in ``_track``, the key's context
-        checks, its from_tag, whether that is an arg, and the other args.
-        """
-        moved, own, checks, frm, frm_in_args, others = totals
-        words, gtags = self.words[s], self.gold[s]
-        positions = [p for p, t in enumerate(tags) if t == frm]
-        # moving to frm itself changes nothing: the static match sites
-        _, static = rewrite_sentence(checks, frm, words, tags, positions)
-        if frm_in_args:
-            _, dynamic = rewrite_sentence(checks, -1, words, tags, positions)
-            for p in dynamic:
-                moved[gtags[p]] = moved.get(gtags[p], 0) + sign
-            for p in static:
-                moved[gtags[p]] = moved.get(gtags[p], 0) - sign
-        for a in others:
-            _, dynamic = rewrite_sentence(checks, a, words, tags, positions)
-            dg = db = 0
-            for p in dynamic:
-                dg += gtags[p] == a
-                db += gtags[p] == frm
-            for p in static:
-                dg -= gtags[p] == a
-                db -= gtags[p] == frm
-            if dg or db:
-                og, ob = own.get(a, (0, 0))
-                own[a] = (og + sign * dg, ob + sign * db)
+        of moved positions with that gold (needed only when from_tag is an
+        arg). Each arg other than from_tag is simulated on its own, giving
+        ``own``: arg -> (d_good, d_bad)."""
+        template, args, frm = self._decode(key)
+        checks = context_checks(template, args)
+        others = set(args) - {frm}
+        moved, own = Counter(), {}
+        for s in self.inter.get(key, ()):
+            words, gtags, tags = self.words[s], self.gold[s], self.tags[s]
+            positions = [p for p, t in enumerate(tags) if t == frm]
+            # moving to frm itself changes nothing: the static match sites
+            _, static = rewrite_sentence(checks, frm, words, tags, positions)
+            if frm in args:
+                _, dynamic = rewrite_sentence(checks, -1, words, tags,
+                                              positions)
+                moved.update(gtags[p] for p in dynamic)
+                moved.subtract(gtags[p] for p in static)
+            for a in others:
+                _, dynamic = rewrite_sentence(checks, a, words, tags,
+                                              positions)
+                dg, db = own.get(a, (0, 0))
+                for p in dynamic:
+                    dg += gtags[p] == a
+                    db += gtags[p] == frm
+                for p in static:
+                    dg -= gtags[p] == a
+                    db -= gtags[p] == frm
+                own[a] = (dg, db)
+        return moved, own
 
     def best(self):
         """(rule, score) of the candidate ``_best`` picks; None when no
-        candidate reaches the threshold."""
-        best = _best(self.live)
-        if best is None:
-            return None
-        key, to, score = best
+        candidate reaches the threshold. A bound is never returned: the key
+        that holds it is scored exactly and ``_best`` asked again, so the
+        pick is exact, as no bound is below its candidate's net."""
+        while True:
+            best = _best(self.live)
+            if best is None:
+                return None
+            key, to, score = best
+            if key not in self.bounded:
+                break
+            self._rescore(key, exact=True)
         template, args, frm = self._decode(key)
         names = (self.word_names if template in WORD_TEMPLATES
                  else self.tag_names)
@@ -634,8 +628,9 @@ class _ContextualLearner:
             was_near, now_near = set(), set()
             self._count(s, old, -1, touched, was_near, window)
             self._count(s, new, 1, touched, now_near, window)
-            # ``inter`` and the corrections need the sentence's near keys
-            # outside the window too, the same in both
+            # ``inter`` needs the sentence's near keys outside the window
+            # too, the same in both; their exact scores read the sentence,
+            # so they are touched
             twins = [p for p in range(n) if p not in window
                      and old[p] in old[p + 1:p + 1 + CONTEXT_WINDOW]]
             if twins:
@@ -655,14 +650,6 @@ class _ContextualLearner:
                     self.inter[k] = array("l", (s,))
                 else:
                     sents.insert(bisect.bisect_left(sents, s), s)
-            for k in was_near:
-                totals = self.corrections.get(k)
-                if totals is not None:
-                    self._correct(totals, s, old, -1)
-            for k in now_near:
-                totals = self.corrections.get(k)
-                if totals is not None:
-                    self._correct(totals, s, new, 1)
         for key in touched:
             self._rescore(key)
 
@@ -674,8 +661,13 @@ def learn_contextual_rules(train: TaggedCorpus, lexicon: Lexicon,
     if not train.sentences:
         raise TaggerError("cannot train on an empty corpus")
     state, gold = initial_contextual_state(train, lexicon, lexical_rules, chain)
+    errors = token_errors(state, gold)
+    # a rule nets at most the errors it fixes, so with fewer errors than
+    # the threshold no rule reaches it: skip counting the candidates
+    if errors < config.score_threshold:
+        return ()
     learner = _ContextualLearner(state, gold, config.score_threshold)
-    return _greedy("contextual", learner, token_errors(state, gold), config)
+    return _greedy("contextual", learner, errors, config)
 
 
 def train_model(train: TaggedCorpus,

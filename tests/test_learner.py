@@ -344,8 +344,8 @@ def assert_contextual_steps_agree(state, gold, threshold, steps):
     """Each step of the incremental learner must pick the same (rule,
     RuleScore) as the full rescan and as direct dynamic scoring of every
     generated candidate, and after each rule it accepts its counts must be
-    those of a learner built afresh from the new tags. Returns the rules
-    accepted."""
+    those of a learner built afresh from the new tags, once the bounds in
+    both are scored exactly. Returns the rules accepted."""
     state = [(words, list(tags)) for words, tags in state]
     learner = _ContextualLearner(state, gold, threshold)
     rules = []
@@ -361,15 +361,28 @@ def assert_contextual_steps_agree(state, gold, threshold, steps):
         for words, tags in state:
             apply_contextual_rule(got[0], words, tags)
         rules.append(got[0])
-        assert contextual_counts(learner) == contextual_counts(
-            _ContextualLearner(state, gold, threshold))
+        fresh = _ContextualLearner(state, gold, threshold)
+        assert contextual_counts(learner, exact_live(learner)) == \
+            contextual_counts(fresh, exact_live(fresh))
     return rules
 
 
-def contextual_counts(learner):
-    """The learner's ``correct``, ``fixes``, ``inter`` and ``live`` with
-    keys and tags decoded to names: a learner built from other tags may
-    code them otherwise."""
+def exact_live(learner, keys=None):
+    """The learner's ``live`` with ``keys`` (by default every key that
+    holds a bound) scored exactly: a bound goes stale when ``confusion``
+    changes, the exact score does not. The learner is left as it was."""
+    live, bounded = dict(learner.live), set(learner.bounded)
+    for key in bounded if keys is None else keys:
+        learner._rescore(key, exact=True)
+    exact = learner.live
+    learner.live, learner.bounded = live, bounded
+    return exact
+
+
+def contextual_counts(learner, live):
+    """The learner's ``correct``, ``fixes`` and ``inter``, and ``live``,
+    with keys and tags decoded to names: a learner built from other tags
+    may code them otherwise."""
     def key(k):
         return TestCountMatchesTemplateTable._decode(learner, k)
     tag = learner.tag_names.__getitem__
@@ -378,7 +391,7 @@ def contextual_counts(learner):
              for k, fx in learner.fixes.items()},
             {key(k): list(sents) for k, sents in learner.inter.items()},
             {key(k): {tag(to): score for to, score in cands.items()}
-             for k, cands in learner.live.items()})
+             for k, cands in live.items()})
 
 
 def small_alphabet_sentences(draw_tag, draw_word):
@@ -417,6 +430,29 @@ class TestIncrementalContextualLearner:
                  for sent in sentences]
         gold = [[g for _, _, g in sent] for sent in sentences]
         assert_contextual_steps_agree(state, gold, threshold, steps=6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_alphabet_sentences(st.sampled_from("ABC"),
+                                    st.sampled_from("xyz")),
+           st.sampled_from([1, 2]))
+    def test_bounds_are_sound(self, sentences, threshold):
+        # best() is the exact argmax only if no bound in live is below the
+        # exact net of its candidate, and every candidate whose exact net
+        # reaches the threshold is in live
+        state = [(tuple(w for w, _, _ in sent), [t for _, t, _ in sent])
+                 for sent in sentences]
+        gold = [[g for _, _, g in sent] for sent in sentences]
+        learner = _ContextualLearner(state, gold, threshold)
+        for _ in range(6):
+            exact = exact_live(learner, list(learner.fixes))
+            for key, cands in exact.items():
+                for to, (good, bad) in cands.items():
+                    bound_good, bound_bad = learner.live[key][to]
+                    assert bound_good - bound_bad >= good - bad
+            got = learner.best()
+            if got is None:
+                break
+            learner.apply(got[0])
 
     def test_no_rule_reaches_threshold(self):
         # one error per sentence context: every candidate nets at most 1
@@ -744,6 +780,24 @@ class TestLearnContextualRules:
                                (Token("a", "AT"), Token("c", "VB"))), ts)
         rules = learn_contextual_rules(corpus, build_lexicon(corpus), (),
                                        config=TrainConfig())
+        assert rules == ()
+
+    @pytest.mark.parametrize("last_tag, threshold", [("NN", 1), ("VB", 2)])
+    def test_fewer_errors_than_threshold_builds_no_learner(
+            self, monkeypatch, last_tag, threshold):
+        # "b" is tagged NN twice, so it starts as NN: with a last b/NN
+        # every starting tag is correct, with b/VB one is wrong
+        def refuse(*args):
+            raise AssertionError("contextual learner built")
+        monkeypatch.setattr("tbltagger.learner._ContextualLearner", refuse)
+        ts = make_tagset()
+        corpus = TaggedCorpus(
+            ((Token("a", "AT"), Token("b", "NN")),
+             (Token("c", "VB"), Token("b", "NN")),
+             (Token("a", "AT"), Token("b", last_tag))), ts)
+        rules = learn_contextual_rules(
+            corpus, build_lexicon(corpus), (),
+            config=TrainConfig(score_threshold=threshold))
         assert rules == ()
 
     def test_determiner_context_is_learned(self):
