@@ -11,10 +11,11 @@ threshold. One loop, ``_greedy``, drives both stages, and one argmax,
 
 The greedy steps are exact. Both stages keep their counts across steps,
 after the rule indexing of Ramshaw & Marcus (1994) and fnTBL (Ngai &
-Florian 2001). Lexical learning counts the matched types of every candidate
-key once; accepting a rule recounts only the types it retagged, found
-through an index from each feature to the types holding it, and rescores
-only the keys they touch. Contextual learning counts the match sites of
+Florian 2001), and both code a candidate key as one integer. Lexical
+learning counts the matched types of every candidate key once; accepting a
+rule moves the counts of only the types it retagged, found through an index
+from each feature to the types holding it, and rescores only the keys they
+touch. Contextual learning counts the match sites of
 every candidate key in one pass over the tokens; accepting a rule visits
 only the sentences that hold its from_tag and the tags its context reads
 (``rules.context_args``), re-derives the counts of only the positions
@@ -125,68 +126,91 @@ def unknown_types(rule_part: TaggedCorpus, guess_lexicon: Lexicon,
 class _LexicalLearner:
     """Exact greedy lexical learning that keeps its counts across steps.
 
-    A candidate key is ``(template, arg, from_tag)``, from_tag "" for an
-    unconditioned rule, so that keys sort like the rules they stand for;
-    ``(template, arg)`` is the key's feature. Each unknown type adds its
-    token count under every key it matches: the unconditioned one and the
-    one conditioned on its current tag. Per key the learner keeps, by gold
-    tag, the counts of the types in error (``fixes``: the good count of the
-    rule retagging to that gold tag) and of the types already correct
-    (``correct``: a rule retagging to another tag breaks them, one
-    retagging to their own tag leaves them be).
+    A candidate ``(template, arg, from_tag)`` is coded as one integer key,
+    ``feature rank * M + slot``: the feature ``(template, arg)`` by its
+    rank in sorted order, the from_tag by its slot, 0 for an unconditioned
+    rule and else the rank of the tag among the initial and gold tags
+    (``tag_names``). So keys sort like the rules they stand for (see
+    ``_decode``). A to_tag, always a gold tag, is coded by its slot too.
+    Each unknown type adds its token count under every key it matches: the
+    unconditioned one and the one conditioned on its current tag. Per key
+    the learner keeps, by gold slot, the counts of the types in error
+    (``fixes``: the good count of the rule retagging to that gold tag) and
+    of the types already correct (``correct``: a rule retagging to another
+    tag breaks them, one retagging to their own tag leaves them be).
 
-    Accepting a rule retags only the types that hold its feature (``index``)
-    and satisfy its from_tag. For each type it retagged, the counts under
-    the old tag are subtracted and those under the new tag added, and only
-    the keys so touched are scored again. Candidates reaching the threshold
-    are kept in ``live``.
+    Accepting a rule retags only the types that hold its feature (``index``,
+    by the feature's unconditioned key) and satisfy its from_tag. A type
+    retagged from ``was`` to ``tag`` moves its conditioned keys from the one
+    slot to the other. Its unconditioned keys change only when the type
+    turns correct or wrong; a move between two wrong tags leaves them as
+    they are. Only the keys so touched are scored again. Candidates
+    reaching the threshold are kept in ``live``; a key none of whose fixes
+    reaches it has none.
     """
 
     def __init__(self, tags: dict, targets: dict, features: dict,
                  lexicon: Lexicon, threshold: int):
         self.tags = dict(tags)
         self.targets = targets
-        self.features = features
         self.lexicon = lexicon
         self.threshold = threshold
-        self.fixes = {}     # key -> {gold tag: tokens of matched types in error}
-        self.correct = {}   # key -> {tag: tokens of matched correct types}
-        self.live = {}      # key -> {to_tag: (good, bad)}, net >= threshold
-        self.index = defaultdict(list)  # feature -> types holding it
+        self.feature_names = sorted({f for feats in features.values()
+                                     for f in feats})
+        self.tag_names = ("",) + tuple(sorted(
+            set(self.tags.values()) | {gold for gold, _ in targets.values()}))
+        self.slot = {t: i for i, t in enumerate(self.tag_names)}
+        self.M = M = len(self.tag_names)
+        # feature -> its unconditioned key, one int object shared by all
+        # the types holding the feature
+        self.base = {f: i * M for i, f in enumerate(self.feature_names)}
+        self.fixes = {}     # key -> {gold slot: tokens of types in error}
+        self.correct = {}   # key -> {slot: tokens of correct types}
+        self.live = {}      # key -> {to slot: (good, bad)}, net >= threshold
+        self.index = defaultdict(list)  # unconditioned key -> types
+        self.bases = {}     # type -> its unconditioned keys
         for word, tag in self.tags.items():
-            for feat in features[word]:
-                self.index[feat].append(word)
-            self._count(word, tag, 1, None)
+            bases = [self.base[f] for f in features[word]]
+            for b in bases:
+                self.index[b].append(word)
+            self.bases[word] = bases
+            gold, count = targets[word]
+            table = self.correct if tag == gold else self.fixes
+            s = self.slot[tag]
+            _add(bases + [b + s for b in bases], table, self.slot[gold], count)
         for key in self.fixes:
             self._rescore(key)
 
-    def _count(self, word, tag, sign, touched):
-        """Add (sign 1) or subtract (sign -1) the counts of one type under
-        ``tag``; every key seen goes into ``touched`` (unless None)."""
+    def _decode(self, key):
+        """(template, arg, from_tag) of a key, from_tag None when
+        unconditioned."""
+        rank, slot = divmod(key, self.M)
+        template, arg = self.feature_names[rank]
+        return template, arg, self.tag_names[slot] or None
+
+    def _retag(self, word, was, tag, touched):
+        """Move one type's counts from tag ``was`` to ``tag``, adding every
+        key so changed to ``touched``."""
         gold, count = self.targets[word]
-        table = self.correct if tag == gold else self.fixes
-        delta = sign * count
-        keys = [feat + (frm,) for feat in self.features[word]
-                for frm in ("", tag)]
-        for key in keys:
-            by_gold = table.get(key)
-            if by_gold is None:
-                table[key] = {gold: delta}
-                continue
-            c = by_gold.get(gold, 0) + delta
-            if c:
-                by_gold[gold] = c
-            elif len(by_gold) > 1:
-                del by_gold[gold]
-            else:
-                del table[key]
-        if touched is not None:
-            touched.update(keys)
+        bases = self.bases[word]
+        old = [b + self.slot[was] for b in bases]
+        new = [b + self.slot[tag] for b in bases]
+        src = self.correct if was == gold else self.fixes
+        dst = self.correct if tag == gold else self.fixes
+        if src is not dst:
+            # the type turns correct or wrong: its unconditioned keys move
+            old += bases
+            new += bases
+        _add(old, src, self.slot[gold], -count)
+        _add(new, dst, self.slot[gold], count)
+        touched.update(old)
+        touched.update(new)
 
     def _rescore(self, key):
         self.live.pop(key, None)
         fx = self.fixes.get(key)
-        if fx is None:
+        # no candidate nets more than it fixes
+        if fx is None or max(fx.values()) < self.threshold:
             return
         correct = self.correct.get(key, {})
         matched = sum(correct.values())
@@ -204,23 +228,39 @@ class _LexicalLearner:
         best = _best(self.live)
         if best is None:
             return None
-        (template, arg, frm), to, score = best
-        return LexicalRule(template, arg, frm or None, to), score
+        key, to, score = best
+        return LexicalRule(*self._decode(key), self.tag_names[to]), score
 
     def apply(self, rule: LexicalRule) -> None:
         """Apply a rule to the types holding its feature and bring the
         counts and scores of everything it retagged up to date."""
-        old = {word: self.tags[word]
-               for word in self.index.get((rule.template, rule.arg), ())}
+        base = self.base.get((rule.template, rule.arg))
+        old = {word: self.tags[word] for word in self.index.get(base, ())}
         touched = set()
         for word, tag in apply_lexical_rules((rule,), old,
                                              self.lexicon).items():
             if tag != old[word]:
-                self._count(word, old[word], -1, touched)
-                self._count(word, tag, 1, touched)
+                self._retag(word, old[word], tag, touched)
                 self.tags[word] = tag
         for key in touched:
             self._rescore(key)
+
+
+def _add(keys, table, gold, delta):
+    """Add ``delta`` to the count of ``gold`` under each key of ``table``
+    (key -> {gold: count}), dropping counts that reach zero."""
+    for key in keys:
+        by_gold = table.get(key)
+        if by_gold is None:
+            table[key] = {gold: delta}
+            continue
+        c = by_gold.get(gold, 0) + delta
+        if c:
+            by_gold[gold] = c
+        elif len(by_gold) > 1:
+            del by_gold[gold]
+        else:
+            del table[key]
 
 
 def _best(live):
@@ -238,8 +278,9 @@ def _best(live):
 
 
 def _greedy(stage: str, learner, errors: int, config: TrainConfig) -> tuple:
-    """The rules a learner accepts, in order: at each step the candidate
-    its ``best()`` returns, until none reaches the threshold or
+    """(rules, errors): the rules a learner accepts, in order, and the
+    errors left after them. At each step it accepts the candidate its
+    ``best()`` returns, until none reaches the threshold or
     ``config.max_rules_per_phase`` are accepted. ``errors`` is the error
     count before the first step. Every accepted rule nets at least the
     threshold (>= 1), so the count falling below zero means applying the
@@ -260,7 +301,7 @@ def _greedy(stage: str, learner, errors: int, config: TrainConfig) -> tuple:
         rules.append(rule)
         logger.info("%s %d %s net=%d errors_remaining=%d",
                     stage, len(rules), rule, score.net, errors)
-    return tuple(rules)
+    return tuple(rules), errors
 
 
 def learn_lexical_rules(train: TaggedCorpus,
@@ -285,9 +326,12 @@ def learn_lexical_rules(train: TaggedCorpus,
     del extension_maps
     learner = _LexicalLearner(tags, targets, features, guess,
                               config.score_threshold)
+    # the learner holds each type's features as keys: free the tuples
+    del features
     errors = sum(count for word, (gold, count) in targets.items()
                  if tags[word] != gold)
-    return build_lexicon(train), _greedy("lexical", learner, errors, config)
+    rules, _ = _greedy("lexical", learner, errors, config)
+    return build_lexicon(train), rules
 
 
 def initial_contextual_state(train: TaggedCorpus, lexicon: Lexicon,
@@ -658,6 +702,12 @@ def learn_contextual_rules(train: TaggedCorpus, lexicon: Lexicon,
                            lexical_rules,
                            chain: InitialRuleChain = default_greek_chain(),
                            config: TrainConfig = TrainConfig()) -> tuple:
+    return _learn_contextual(train, lexicon, lexical_rules, chain, config)[0]
+
+
+def _learn_contextual(train, lexicon, lexical_rules, chain, config) -> tuple:
+    """(rules, errors): ``learn_contextual_rules``'s rules and the tokens
+    of ``train`` still tagged wrongly after them."""
     if not train.sentences:
         raise TaggerError("cannot train on an empty corpus")
     state, gold = initial_contextual_state(train, lexicon, lexical_rules, chain)
@@ -665,7 +715,7 @@ def learn_contextual_rules(train: TaggedCorpus, lexicon: Lexicon,
     # a rule nets at most the errors it fixes, so with fewer errors than
     # the threshold no rule reaches it: skip counting the candidates
     if errors < config.score_threshold:
-        return ()
+        return (), errors
     learner = _ContextualLearner(state, gold, config.score_threshold)
     return _greedy("contextual", learner, errors, config)
 
@@ -674,8 +724,17 @@ def train_model(train: TaggedCorpus,
                 config: TrainConfig = TrainConfig()) -> TaggerModel:
     """Both training stages in order, with the default initial rule chain;
     deterministic in (train, config.seed)."""
+    return train_model_and_errors(train, config)[0]
+
+
+def train_model_and_errors(train: TaggedCorpus, config: TrainConfig) -> tuple:
+    """(model, errors): ``train_model``'s model and the tokens of ``train``
+    it tags wrongly. Every training word is in the model's lexicon, so no
+    lexical rule fires on ``train``, and the contextual learner's greedy
+    nets are exact: its remaining errors are the model's."""
     lexicon, lexical_rules = learn_lexical_rules(train, config=config)
-    contextual_rules = learn_contextual_rules(train, lexicon, lexical_rules,
-                                              config=config)
-    return TaggerModel(train.tagset, lexicon, default_greek_chain(),
-                       lexical_rules, contextual_rules)
+    chain = default_greek_chain()
+    contextual_rules, errors = _learn_contextual(train, lexicon,
+                                                 lexical_rules, chain, config)
+    return TaggerModel(train.tagset, lexicon, chain, lexical_rules,
+                       contextual_rules), errors

@@ -8,8 +8,10 @@ branches, the last of which always matches.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 from .corpus import ParseError, TaggedCorpus, TaggerError, Tagset, TagsetError
 
@@ -95,15 +97,13 @@ def default_greek_chain() -> InitialRuleChain:
 def build_lexicon(corpus: TaggedCorpus) -> Lexicon:
     if not corpus.sentences:
         raise TaggerError("cannot build a lexicon from an empty corpus")
-    counts = defaultdict(Counter)
-    for sent in corpus.sentences:
-        for tok in sent:
-            counts[tok.word][tok.tag] += 1
-    entries = {
-        word: tuple(sorted(c.items(), key=lambda p: (-p[1], p[0])))
-        for word, c in counts.items()
-    }
-    return Lexicon(entries)
+    counts = Counter(map(attrgetter("word", "tag"),
+                         chain.from_iterable(corpus.sentences)))
+    by_word = {}
+    for (word, tag), count in counts.items():
+        by_word.setdefault(word, []).append((tag, count))
+    return Lexicon({word: tuple(sorted(pairs, key=lambda p: (-p[1], p[0])))
+                    for word, pairs in by_word.items()})
 
 
 def classify_script(word: str) -> str:

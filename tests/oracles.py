@@ -26,7 +26,7 @@ templates written out by hand.
 
 import re
 import unicodedata
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 
 from tbltagger.corpus import (ParseError, TaggedCorpus, TaggerError,
@@ -36,7 +36,7 @@ from tbltagger.evaluate import (SYNTH_ALT_TAG, SYNTH_FOREIGN_TAG,
                                 _FOREIGN_POOL, _PROPER_POOL, cross_validate,
                                 synth_tagset)
 from tbltagger.learner import RuleScore, TrainConfig
-from tbltagger.lexicon import initial_tag
+from tbltagger.lexicon import Lexicon, initial_tag
 from tbltagger.rules import (CONTEXT_TABLE, WORDS, ContextualRule,
                              LexicalRule, build_affix_extension_maps,
                              lexical_candidate_features)
@@ -86,6 +86,19 @@ def context_predicate(checks, words, tags, pos: int) -> bool:
 def contextual_rule_matches(rule: ContextualRule, words, tags, pos: int) -> bool:
     return tags[pos] == rule.from_tag and context_predicate(rule.checks, words,
                                                             tags, pos)
+
+
+def reference_build_lexicon(corpus: TaggedCorpus) -> Lexicon:
+    """What ``lexicon.build_lexicon`` must return for a non-empty corpus:
+    one tag ``Counter`` per word, each sorted by count desc, tag name asc."""
+    counts = defaultdict(Counter)
+    for sent in corpus.sentences:
+        for tok in sent:
+            counts[tok.word][tok.tag] += 1
+    return Lexicon({
+        word: tuple(sorted(c.items(), key=lambda p: (-p[1], p[0])))
+        for word, c in counts.items()
+    })
 
 
 @dataclass(frozen=True)

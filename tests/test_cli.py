@@ -19,9 +19,10 @@ from tbltagger.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from tbltagger.corpus import (ModelError, ParseError, TaggerError,
                               load_tagset, parse_tagged_corpus,
                               serialize_tagged_corpus, serialize_tagset)
-from tbltagger.evaluate import generate_synthetic_corpus, synth_tagset
+from tbltagger.evaluate import (accuracy, generate_synthetic_corpus,
+                                strip_tags, synth_tagset)
 from tbltagger.learner import TrainConfig
-from tbltagger.rules import MODEL_FILES, load_model
+from tbltagger.rules import MODEL_FILES, load_model, tag_corpus
 
 from test_learner import mini_spec
 
@@ -67,6 +68,44 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "lexical rules:" in out
         assert "training accuracy:" in out
+
+    @pytest.mark.parametrize("case,flags", [
+        ("context", []),
+        ("context", ["--threshold", "1"]),
+        ("context", ["--max-rules", "0"]),
+        ("context", ["--max-rules", "1"]),
+        ("skip", []),
+    ])
+    def test_summary_equals_retagging_the_training_corpus(
+            self, workspace, tmp_path, capsys, case, flags):
+        # the training accuracy comes from the learner's error count; it
+        # must print what tagging the training corpus with the model gives
+        if case == "context":
+            corpus_path = workspace["corpus"]
+        else:
+            # "a" is NNF twice and VRB once: one error, below the
+            # threshold of 2, so contextual learning is skipped
+            corpus_path = tmp_path / "skip.txt"
+            corpus_path.write_text("a/NNF b/NNM\na/NNF b/NNM\nb/NNM a/VRB\n",
+                                   encoding="utf-8")
+        model_dir = tmp_path / "m"
+        code = main(["train", "--corpus", str(corpus_path),
+                     "--tagset", str(workspace["tagset"]),
+                     "--out", str(model_dir)] + flags)
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        model = load_model(str(model_dir))
+        corpus = parse_tagged_corpus(corpus_path.read_text(encoding="utf-8"),
+                                     model.tagset)
+        acc, _ = accuracy(tag_corpus(strip_tags(corpus), model), corpus)
+        assert out == ("tokens: %d\nlexical rules: %d\ncontextual rules: "
+                       "%d\ntraining accuracy: %.6f\n"
+                       % (corpus.word_count, len(model.lexical_rules),
+                          len(model.contextual_rules), acc))
+        if case == "skip":
+            assert acc < 1.0 and not model.contextual_rules
+        elif not flags:
+            assert model.contextual_rules
 
     def test_unknown_tag_in_corpus_exits_2(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -545,6 +545,16 @@ class TestIncrementalContextualLearner:
         assert capped == unlimited[:cap]
 
 
+def decoded_tables(learner):
+    """The lexical learner's ``fixes``, ``correct`` and ``live`` with each
+    key decoded to (template, arg, from_tag) and each slot to its tag."""
+    def decode(table):
+        return {learner._decode(key): {learner.tag_names[slot]: value
+                                       for slot, value in by_slot.items()}
+                for key, by_slot in table.items()}
+    return decode(learner.fixes), decode(learner.correct), decode(learner.live)
+
+
 def assert_lexical_steps_agree(tags, targets, features, guess, threshold,
                                steps):
     """Each step of the incremental lexical learner must pick the same
@@ -569,6 +579,52 @@ def assert_lexical_steps_agree(tags, targets, features, guess, threshold,
 class TestIncrementalLexicalLearner:
     """The incremental lexical learner against the full rescan it
     replaces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.text("abc", min_size=1, max_size=4),
+                           st.tuples(st.sampled_from(["A", "AB", "B", "BA"]),
+                                     st.sampled_from(["A", "AB", "B", "BA"]),
+                                     st.integers(1, 3)),
+                           min_size=1, max_size=12),
+           st.lists(st.text("abc", min_size=1, max_size=5), max_size=6))
+    def test_keys_decode_and_sort_like_the_rules(self, types, known):
+        guess = Lexicon({w: (("A", 1),) for w in known})
+        types = {w: v for w, v in types.items() if w not in guess}
+        tags = {w: tag for w, (tag, _, _) in types.items()}
+        targets = {w: (gold, count) for w, (_, gold, count) in types.items()}
+        features = candidate_features(tags, guess, 3)
+        learner = _LexicalLearner(tags, targets, features, guess, 1)
+        keys = sorted(set(learner.fixes) | set(learner.correct))
+        decoded = [learner._decode(key) for key in keys]
+        # every key a type matches, each under a key of its own
+        assert len(set(decoded)) == len(keys)
+        assert set(decoded) == {(template, arg, frm)
+                                for w, feats in features.items()
+                                for template, arg in feats
+                                for frm in (None, tags[w])}
+        assert decoded == sorted(decoded, key=lambda r: (r[0], r[1],
+                                                         r[2] or ""))
+
+    def test_counts_equal_a_fresh_count_after_every_step(self):
+        wrong_to_wrong = 0
+        for seed in range(3):
+            corpus = generate_synthetic_corpus(mini_spec(
+                seed, n_sentences=60, suffix_paradigms=OVERLAPPING_SUFFIXES))
+            config = TrainConfig(score_threshold=1, seed=seed)
+            guess, (tags, targets) = lexical_learning_state(corpus, config)
+            features = candidate_features(tags, guess, config.max_affix_len)
+            learner = _LexicalLearner(tags, targets, features, guess, 1)
+            while (best := learner.best()) is not None:
+                before = dict(learner.tags)
+                learner.apply(best[0])
+                wrong_to_wrong += sum(
+                    before[w] != tag and targets[w][0] not in (before[w], tag)
+                    for w, tag in learner.tags.items())
+                fresh = _LexicalLearner(learner.tags, targets, features,
+                                        guess, 1)
+                assert decoded_tables(learner) == decoded_tables(fresh)
+        # a retag between two wrong tags leaves the unconditioned keys be
+        assert wrong_to_wrong
 
     @pytest.mark.parametrize("threshold", [1, 2])
     @pytest.mark.parametrize("seed", range(8))

@@ -1,7 +1,8 @@
 """Frequency lexicon, script classification and the initial tagging rule."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbltagger.corpus import TaggedCorpus, TaggerError, Token
 from tbltagger.lexicon import (GREEK_CAPITAL_START, LATIN_START, OTHER,
@@ -9,7 +10,8 @@ from tbltagger.lexicon import (GREEK_CAPITAL_START, LATIN_START, OTHER,
                                classify_script, default_greek_chain,
                                initial_tag, parse_lexicon, serialize_lexicon)
 
-from conftest import corpora_st, make_tagset
+from conftest import TAG_NAMES, corpora_st, make_tagset
+from oracles import reference_build_lexicon
 
 
 def corpus_of(tokens, tagset):
@@ -38,6 +40,18 @@ class TestBuildLexicon:
         lex = build_lexicon(corpus)
         total = sum(c for pairs in lex.entries.values() for _, c in pairs)
         assert total == corpus.word_count
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from("ab"),
+                                       st.sampled_from(TAG_NAMES[:4])),
+                             min_size=1, max_size=8),
+                    min_size=1, max_size=6))
+    def test_equals_reference(self, sentences):
+        # two words over four tags: most entries hold tied counts
+        corpus = TaggedCorpus(tuple(tuple(Token(w, t) for w, t in sent)
+                                    for sent in sentences), make_tagset())
+        assert list(build_lexicon(corpus).entries.items()) == \
+            list(reference_build_lexicon(corpus).entries.items())
 
 
 class TestLexiconValidation:
