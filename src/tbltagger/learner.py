@@ -20,11 +20,13 @@ every candidate key in one pass over the tokens; accepting a rule visits
 only the sentences that hold its from_tag and the tags its context reads
 (``rules.context_args``), re-derives the counts of only the positions
 within the context window of a position it retagged, and rescores only the
-keys they touch. The dynamic net equals the static count except where a
-match site has another from_tag position within the context window after
-it, for candidates whose argument tags include the rule's from_tag or
-to_tag. Such a candidate is ranked by an upper bound on its net; only when
-the argmax picks a bound are those sentences re-simulated, for that key.
+keys they touch. Rules apply left to right, so a later site sees an
+earlier retag only through an offset its template reads on its left: the
+dynamic net equals the static count except where a match site has another
+from_tag position d tokens after it and the template reads offset -d, for
+candidates whose argument tags include the rule's from_tag or to_tag. Such
+a candidate is ranked by an upper bound on its net; only when the argmax
+picks a bound are those sentences re-simulated, for that key.
 
 Both stages run on the tagger's code. Lexical candidates are the arguments
 ``rules.lexical_template_matches`` accepts and the current guesses advance
@@ -313,6 +315,8 @@ def learn_lexical_rules(train: TaggedCorpus,
         raise TaggerError("cannot train on an empty corpus")
     lex_part, rule_part = split_for_unknown_training(
         train, config.lexicon_split_fraction, config.seed)
+    if config.max_rules_per_phase == 0:
+        return build_lexicon(train), ()
     guess = build_lexicon(lex_part)
     tags, targets = unknown_types(rule_part, guess, chain)
     extension_maps = build_affix_extension_maps(guess, config.max_affix_len)
@@ -366,13 +370,17 @@ class _ContextualLearner:
     which can perturb a tag predicate only where the predicate's argument
     equals one of those two tags; word predicates are never perturbed. The
     first position where applying left to right decides otherwise than the
-    static count must read an earlier match within the context window, so
-    a sentence needs re-simulating for a tag key only if a match site there
-    has another from_tag position at most CONTEXT_WINDOW to its right
-    (``inter``: tag key -> sorted sentence numbers). A candidate that can
-    be perturbed enters ``live`` with an upper bound on its net, and its key
-    goes into ``bounded``; only when ``_best`` picks such a key are the
-    sentences in ``inter`` simulated to score it exactly (see ``best``).
+    static count must read an earlier match through a left offset of the
+    key's template, so a sentence needs re-simulating for a key only if a
+    match site there has another from_tag position d to its right, d at
+    most CONTEXT_WINDOW, and the template reads offset -d in
+    ``CONTEXT_TABLE`` (``inter``: key -> sorted sentence numbers; no NEXT*
+    or word key is ever in it). A candidate that can be perturbed (its key
+    in ``inter``, its from_tag or to_tag among its args) enters ``live``
+    with an upper bound on its net, and its key goes into ``bounded``;
+    only when ``_best`` picks such a key are the sentences in ``inter``
+    simulated to score it exactly (see ``best``). Every other candidate's
+    static count is exact.
 
     Accepting a rule rewrites only the sentences that hold its from_tag
     and the tags its context reads, the only ones it can change
@@ -435,8 +443,9 @@ class _ContextualLearner:
     def _count(self, s, tags, sign, touched, near, positions):
         """Add (sign 1) or subtract (sign -1) the match sites at
         ``positions`` of sentence ``s`` under ``tags``; sign 0 counts
-        nothing. Every key seen goes into ``touched`` (unless None), every
-        tag key at a site with a near twin into ``near``.
+        nothing. Every key seen goes into ``touched`` (unless None); a site
+        with a twin (its tag) d to its right puts into ``near`` its keys
+        whose template reads offset -d.
 
         The keys of each template are written out here for speed rather
         than read from ``CONTEXT_TABLE``; ``TestCountMatchesTemplateTable``
@@ -457,30 +466,8 @@ class _ContextualLearner:
         for p in positions:
             f = tags[p]
             keys = []
-            if p >= 1:
-                keys.append(PW + words[p - 1] * RT + f)
             if p + 1 < n:
                 keys.append(NW + words[p + 1] * RT + f)
-            n_word = len(keys)
-            if p >= 1:
-                t1 = tags[p - 1]
-                x1 = t1 * RT + f
-                keys.append(PT + x1)
-                keys.append(P12 + x1)
-                keys.append(P123 + x1)
-                if p >= 2:
-                    t2 = tags[p - 2]
-                    x2 = t2 * RT + f
-                    keys.append(P2 + x2)
-                    if t2 != t1:
-                        keys.append(P12 + x2)
-                        keys.append(P123 + x2)
-                    keys.append(PB + x2 + t1 * T)
-                    if p >= 3:
-                        t3 = tags[p - 3]
-                        if t3 != t1 and t3 != t2:
-                            keys.append(P123 + t3 * RT + f)
-            if p + 1 < n:
                 u1 = tags[p + 1]
                 y1 = u1 * RT + f
                 keys.append(NT + y1)
@@ -498,8 +485,39 @@ class _ContextualLearner:
                         u3 = tags[p + 3]
                         if u3 != u1 and u3 != u2:
                             keys.append(N123 + u3 * RT + f)
-                if p >= 1:
+            # the tag keys that read offset -1 are keys[left:end], -2
+            # keys[mid:] and -3 keys[mid3:end]: PREVTAG and SURROUNDTAG,
+            # then PREV1OR2TAG and PREVBIGRAM, PREV1OR2OR3TAG, PREV2TAG
+            left = mid = mid3 = end = len(keys)
+            if p >= 1:
+                keys.append(PW + words[p - 1] * RT + f)
+                left = len(keys)
+                t1 = tags[p - 1]
+                x1 = t1 * RT + f
+                keys.append(PT + x1)
+                if p + 1 < n:
                     keys.append(SR + x1 + u1 * T)
+                mid = len(keys)
+                keys.append(P12 + x1)
+                if p >= 2:
+                    t2 = tags[p - 2]
+                    x2 = t2 * RT + f
+                    if t2 != t1:
+                        keys.append(P12 + x2)
+                    keys.append(PB + x2 + t1 * T)
+                mid3 = len(keys)
+                keys.append(P123 + x1)
+                if p >= 2:
+                    if t2 != t1:
+                        keys.append(P123 + x2)
+                    if p >= 3:
+                        t3 = tags[p - 3]
+                        if t3 != t1 and t3 != t2:
+                            keys.append(P123 + t3 * RT + f)
+                    end = len(keys)
+                    keys.append(P2 + x2)
+                else:
+                    end = len(keys)
             g = gtags[p]
             if not sign:
                 pass  # only the near keys are asked for
@@ -526,7 +544,12 @@ class _ContextualLearner:
             if touched is not None:
                 touched.update(keys)
             if f in tags[p + 1:p + 1 + CONTEXT_WINDOW]:
-                near.update(keys[n_word:])
+                if tags[p + 1] == f:
+                    near.update(keys[left:end])
+                if p + 2 < n and tags[p + 2] == f:
+                    near.update(keys[mid:])
+                if p + 3 < n and tags[p + 3] == f:
+                    near.update(keys[mid3:end])
 
     def _decode(self, key):
         """(template, coded args, coded from_tag) of a key, which is
@@ -542,30 +565,32 @@ class _ContextualLearner:
     def _rescore(self, key, exact=False):
         """Put the candidates of a key that reach the threshold in ``live``.
 
-        A candidate that applying can perturb (a tag key whose args include
-        its from_tag or to_tag) gets an upper bound on its net, and its key
-        goes into ``bounded``, unless ``exact``: then the sentences in
-        ``inter[key]`` are simulated to give the dynamic counts. A to_tag
-        outside the args only removes match sites (net <= good), one in the
-        args only adds sites when from_tag is not an arg (net <=
-        with_gold[to] - bad), and in any case no more than with_gold[to]
-        positions can be fixed."""
+        A candidate that applying can perturb (a key in ``inter`` whose
+        args include its from_tag or to_tag) gets an upper bound on its
+        net, and its key goes into ``bounded``, unless ``exact``: then the
+        sentences in ``inter[key]`` are simulated to give the dynamic
+        counts. A to_tag outside the args only removes match sites (net <=
+        good), one in the args only adds sites when from_tag is not an arg
+        (net <= with_gold[to] - bad), and in any case no more than
+        with_gold[to] positions can be fixed. Every other candidate's
+        static count is exact."""
         self.live.pop(key, None)
         self.bounded.discard(key)
         fx = self.fixes.get(key)
         if not fx:
             return
         bad = self.correct.get(key, 0)
-        template, args, frm = self._decode(key)
-        word = template in WORD_TEMPLATES
-        frm_in_args = frm in args and not word
-        with_gold = self.confusion[frm]
-        if exact:
-            moved, own = self._simulate(key)
+        near = key in self.inter
+        if near:
+            _, args, frm = self._decode(key)
+            frm_in_args = frm in args
+            with_gold = self.confusion[frm]
+            if exact:
+                moved, own = self._simulate(key)
         live = {}
         for to, good in fx.items():
             score = (good, bad)
-            perturbable = not word and (frm_in_args or to in args)
+            perturbable = near and (frm_in_args or to in args)
             if perturbable and exact:
                 dg, db = (own.get(to, (0, 0)) if to in args
                           else (moved[to], moved[frm]))
@@ -620,15 +645,20 @@ class _ContextualLearner:
         """(rule, score) of the candidate ``_best`` picks; None when no
         candidate reaches the threshold. A bound is never returned: the key
         that holds it is scored exactly and ``_best`` asked again, so the
-        pick is exact, as no bound is below its candidate's net."""
-        while True:
+        pick is exact, as no bound is below its candidate's net. Each call
+        logs at DEBUG how many keys it scored exactly and how many of them
+        kept a candidate at the threshold."""
+        scored = kept = 0
+        best = _best(self.live)
+        while best is not None and best[0] in self.bounded:
+            self._rescore(best[0], exact=True)
+            scored += 1
+            kept += best[0] in self.live
             best = _best(self.live)
-            if best is None:
-                return None
-            key, to, score = best
-            if key not in self.bounded:
-                break
-            self._rescore(key, exact=True)
+        logger.debug("contextual exact_scored=%d kept=%d", scored, kept)
+        if best is None:
+            return None
+        key, to, score = best
         template, args, frm = self._decode(key)
         names = (self.word_names if template in WORD_TEMPLATES
                  else self.tag_names)
@@ -713,8 +743,9 @@ def _learn_contextual(train, lexicon, lexical_rules, chain, config) -> tuple:
     state, gold = initial_contextual_state(train, lexicon, lexical_rules, chain)
     errors = token_errors(state, gold)
     # a rule nets at most the errors it fixes, so with fewer errors than
-    # the threshold no rule reaches it: skip counting the candidates
-    if errors < config.score_threshold:
+    # the threshold no rule reaches it: skip counting the candidates, as
+    # when no rule may be accepted
+    if errors < config.score_threshold or config.max_rules_per_phase == 0:
         return (), errors
     learner = _ContextualLearner(state, gold, config.score_threshold)
     return _greedy("contextual", learner, errors, config)

@@ -15,10 +15,12 @@ from tbltagger.learner import (RuleScore, TrainConfig,
                                initial_contextual_state, learn_lexical_rules,
                                learn_contextual_rules,
                                split_for_unknown_training, token_errors,
-                               train_model, unknown_types,
+                               train_model, train_model_and_errors,
+                               unknown_types,
                                _ContextualLearner, _LexicalLearner)
 from tbltagger.lexicon import (Lexicon, build_lexicon, default_greek_chain)
-from tbltagger.rules import (CONTEXT_WINDOW, ContextualRule, LexicalRule,
+from tbltagger.rules import (CONTEXT_TABLE, CONTEXT_WINDOW, TAGS,
+                             ContextualRule, LexicalRule,
                              LEXICAL_TEMPLATES, WORD_TEMPLATES,
                              apply_contextual_rule, apply_lexical_rules,
                              build_affix_extension_maps,
@@ -454,6 +456,39 @@ class TestIncrementalContextualLearner:
                 break
             learner.apply(got[0])
 
+    @settings(max_examples=100, deadline=None)
+    @given(small_alphabet_sentences(st.sampled_from("ABC"),
+                                    st.sampled_from("xyz")),
+           st.sampled_from([1, 2]))
+    def test_keys_outside_inter_score_statically(self, sentences,
+                                                 threshold):
+        # a key outside ``inter`` holds no bound because applying any of
+        # its rules moves exactly its static match sites
+        state = [(tuple(w for w, _, _ in sent), [t for _, t, _ in sent])
+                 for sent in sentences]
+        gold = [[g for _, _, g in sent] for sent in sentences]
+        learner = _ContextualLearner(state, gold, threshold)
+        for _ in range(6):
+            for key, fx in learner.fixes.items():
+                if key in learner.inter:
+                    continue
+                template, args, frm = \
+                    TestCountMatchesTemplateTable._decode(learner, key)
+                bad = learner.correct.get(key, 0)
+                for to in learner.tag_names:
+                    if to == frm:
+                        continue
+                    rule = ContextualRule(template, args, frm, to)
+                    good = fx.get(learner.tag_id[to], 0)
+                    assert dynamic_contextual_score(rule, state, gold) == \
+                        RuleScore(good, bad), rule
+            got = learner.best()
+            if got is None:
+                break
+            learner.apply(got[0])
+            for words, tags in state:
+                apply_contextual_rule(got[0], words, tags)
+
     def test_no_rule_reaches_threshold(self):
         # one error per sentence context: every candidate nets at most 1
         state = [(("a", "b"), ["AT", "NN"]), (("c", "d"), ["VB", "NN"])]
@@ -733,15 +768,19 @@ class TestCountMatchesTemplateTable:
                 (template, args, tags[p]) for template, args
                 in context_instantiations(words, tags, p)}
 
-        # tag keys, and no word keys, of the sites with another token of
-        # their tag within the window to the right are marked as near
+        # a site with another token of its tag d to the right marks as near
+        # the keys of the tag templates that read offset -d, and no others
         learner = _ContextualLearner([(words, tags)], [list(tags)], 1)
         near = set()
         for p in range(len(tags)):
-            if tags[p] in tags[p + 1:p + 1 + CONTEXT_WINDOW]:
+            for d in range(1, CONTEXT_WINDOW + 1):
+                if p + d >= len(tags) or tags[p + d] != tags[p]:
+                    continue
                 near |= {(template, args, tags[p]) for template, args
                          in context_instantiations(words, tags, p)
-                         if template not in WORD_TEMPLATES}
+                         if CONTEXT_TABLE[template][0] == TAGS
+                         and any(-d in offsets for offsets
+                                 in CONTEXT_TABLE[template][1])}
         assert {self._decode(learner, key) for key in learner.inter} == near
 
 
@@ -953,6 +992,23 @@ class TestTrainModel:
         assert model.contextual_rules == ()
         assert model.lexicon == build_lexicon(corpus)
 
+    def test_zero_rule_cap_builds_no_learner(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("learner built")
+        monkeypatch.setattr("tbltagger.learner._LexicalLearner", refuse)
+        monkeypatch.setattr("tbltagger.learner._ContextualLearner", refuse)
+        corpus = generate_synthetic_corpus(mini_spec(2, n_sentences=40))
+        model, errors = train_model_and_errors(
+            corpus, TrainConfig(max_rules_per_phase=0))
+        assert model.lexical_rules == model.contextual_rules == ()
+        state, gold = initial_contextual_state(corpus, model.lexicon, (),
+                                               default_greek_chain())
+        assert errors == token_errors(state, gold) > 0
+        # the split still refuses a corpus it cannot split
+        with pytest.raises(TaggerError, match="at least 2 sentences"):
+            learn_lexical_rules(select_sentences(corpus, [0]),
+                                config=TrainConfig(max_rules_per_phase=0))
+
     def test_training_log_lines(self, caplog):
         corpus = generate_synthetic_corpus(mini_spec(6, n_sentences=80))
         with caplog.at_level(logging.INFO, logger="tbltagger.learner"):
@@ -999,6 +1055,35 @@ class TestTrainModel:
                 apply_contextual_rule(rule, words, tags)
             recount.append(token_errors(state, gold))
         assert logged["contextual"] == recount
+
+    def test_debug_record_per_contextual_step(self, caplog, monkeypatch):
+        # each best() logs the keys it scored exactly and how many of them
+        # kept a candidate at the threshold
+        scored = []
+        rescore = _ContextualLearner._rescore
+
+        def counting(self, key, exact=False):
+            rescore(self, key, exact)
+            if exact:
+                scored.append(key in self.live)
+        monkeypatch.setattr(_ContextualLearner, "_rescore", counting)
+        corpus = generate_synthetic_corpus(mini_spec(
+            3, n_sentences=80, context_rule_strength=0.7,
+            suffix_paradigms=OVERLAPPING_SUFFIXES))
+        with caplog.at_level(logging.DEBUG, logger="tbltagger.learner"):
+            model = train_model(corpus, config=TrainConfig(seed=3))
+        steps = []
+        for record in caplog.records:
+            m = re.fullmatch(r"contextual exact_scored=(\d+) kept=(\d+)",
+                             record.getMessage())
+            if m:
+                assert record.levelno == logging.DEBUG
+                steps.append((int(m.group(1)), int(m.group(2))))
+        # one step per accepted rule and the last, which finds none
+        assert len(steps) == len(model.contextual_rules) + 1
+        assert sum(n for n, _ in steps) == len(scored)
+        assert 0 < sum(k for _, k in steps) == sum(scored) < len(scored)
+        assert all(k <= n for n, k in steps)
 
 
 class TestRuleCountGrowth:
