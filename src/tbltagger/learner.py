@@ -704,14 +704,15 @@ class _ContextualLearner:
             self._count(s, new, 1, touched, now_near, window)
             # ``inter`` needs the sentence's near keys outside the window
             # too, the same in both; their exact scores read the sentence,
-            # so they are touched
+            # so they are touched, and no other key there reads it
             twins = [p for p in range(n) if p not in window
                      and old[p] in old[p + 1:p + 1 + CONTEXT_WINDOW]]
             if twins:
                 outside = set()
-                self._count(s, old, 0, touched, outside, twins)
+                self._count(s, old, 0, None, outside, twins)
                 was_near |= outside
                 now_near |= outside
+                touched |= outside
             for k in was_near - now_near:
                 sents = self.inter[k]
                 if len(sents) == 1:

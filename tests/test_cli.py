@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
 import contextlib
+import gc
 import io
 import json
 import logging
@@ -797,3 +798,129 @@ class TestAlignmentExit:
         code = main(["eval", "--model", str(workspace["model"]),
                      "--gold", str(gold)])
         assert code == EXIT_DATA
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the body with the cyclic collector enabled or not, then restore
+    the state it had."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def cyclic_garbage(argvs):
+    """The objects that the commands ``argvs`` leave in reference cycles,
+    found by a collection under DEBUG_SAVEALL once they have all run."""
+    gc.collect()
+    flags, saved = gc.get_debug(), gc.garbage[:]
+    del gc.garbage[:]
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in argvs:
+                assert main(argv) == EXIT_OK, argv
+        gc.collect()
+        return gc.garbage[:]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved
+
+
+class TestCollectorPause:
+    """`main` runs each command with the cyclic collector paused and gives
+    the caller back the collector in the state it left it."""
+
+    @staticmethod
+    def commands(root, n_sentences):
+        """train, tag, eval, crossval and curve on a corpus of
+        ``n_sentences`` written under ``root``."""
+        corpus = generate_synthetic_corpus(
+            mini_spec(2, n_sentences=n_sentences))
+        root.mkdir()
+        files = {name: str(root / name) for name in (
+            "corpus", "tagset", "raw", "model", "tagged", "folds", "curve")}
+        Path(files["corpus"]).write_text(serialize_tagged_corpus(corpus),
+                                         encoding="utf-8")
+        Path(files["tagset"]).write_text(serialize_tagset(corpus.tagset),
+                                         encoding="utf-8")
+        Path(files["raw"]).write_text("".join(
+            " ".join(tok.word for tok in sent) + "\n"
+            for sent in corpus.sentences), encoding="utf-8")
+        data = ["--corpus", files["corpus"], "--tagset", files["tagset"]]
+        words = corpus.word_count
+        return [
+            ["train", *data, "--out", files["model"]],
+            ["tag", "--model", files["model"], "--in", files["raw"],
+             "--out", files["tagged"]],
+            ["eval", "--model", files["model"], "--gold", files["corpus"]],
+            ["crossval", *data, "--k", "3", "--jobs", "1",
+             "--out", files["folds"]],
+            ["curve", *data, "--k", "3", "--sizes",
+             "%d,%d" % (words // 2, words), "--out", files["curve"]],
+        ]
+
+    def test_commands_leave_no_cycles_of_their_own(self, tmp_path):
+        # the premise of the pause: a collection during a command would
+        # free only the cycles of argparse and json, whatever the corpus
+        counts = []
+        for n_sentences in (20, 100):
+            with collector(True):
+                garbage = cyclic_garbage(
+                    self.commands(tmp_path / str(n_sentences), n_sentences))
+            ours = {type(o).__qualname__ for o in garbage
+                    if type(o).__module__.partition(".")[0] == "tbltagger"}
+            assert not ours
+            counts.append(len(garbage))
+            del garbage
+        # about 1,900 objects either way; whether the list of the top
+        # parser's mutually exclusive groups is among them varies between
+        # runs, while a cycle per sentence would add 80 or more
+        assert abs(counts[0] - counts[1]) <= 1, counts
+
+    def test_command_runs_paused(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_synth",
+                            lambda args: seen.append(gc.isenabled()))
+        with collector(True):
+            main(["synth", "--spec", "s", "--out", "o"])
+        assert seen == [False]
+
+    @pytest.fixture
+    def exits(self, workspace, tmp_path, monkeypatch):
+        """argv -> the exit each documented way out of `main` ends in: a
+        return code, or the exception it raises."""
+        model, corpus = str(workspace["model"]), str(workspace["corpus"])
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+
+        def boom(args):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "cmd_synth", boom)
+        return [
+            (["eval", "--model", model, "--gold", corpus], EXIT_OK),
+            (["crossval", "--corpus", corpus,
+              "--tagset", str(workspace["tagset"]), "--jobs", "0"],
+             EXIT_CONFIG),
+            (["eval", "--model", model, "--gold", str(tmp_path / "no")],
+             EXIT_IO),
+            (["eval", "--model", model, "--gold", str(empty)], EXIT_DATA),
+            (["train", "--no-such-flag"], SystemExit),
+            (["synth", "--spec", "s", "--out", "o"], RuntimeError),
+        ]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_every_exit_restores_the_callers_state(self, exits, enabled,
+                                                   capsys):
+        for argv, want in exits:
+            with collector(enabled):
+                if isinstance(want, int):
+                    assert main(argv) == want, argv
+                else:
+                    with pytest.raises(want):
+                        main(argv)
+                assert gc.isenabled() == enabled, argv
