@@ -184,17 +184,22 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_crossval(args) -> int:
-    report = cross_validate(_read_corpus(args), k=args.k,
-                            config=_train_config(args), seed=args.seed,
-                            jobs=_jobs(args))
-    csv = render_folds_csv(report)
-    if args.out:
-        _write(args.out, csv)
-        print("mean accuracy: %.6f (stddev %.6f)"
-              % (report.mean_accuracy, report.stddev_accuracy))
+def _write_report(path, csv) -> None:
+    """The report CSV of crossval or curve, to ``path`` (--out) atomically
+    or, with no path, to stdout."""
+    if path:
+        _write(path, csv)
     else:
         sys.stdout.write(csv)
+
+
+def cmd_crossval(args) -> int:
+    report = cross_validate(_read_corpus(args), k=args.k,
+                            config=_train_config(args), jobs=_jobs(args))
+    _write_report(args.out, render_folds_csv(report))
+    if args.out:
+        print("mean accuracy: %.6f (stddev %.6f)"
+              % (report.mean_accuracy, report.stddev_accuracy))
     return EXIT_OK
 
 
@@ -208,12 +213,8 @@ def cmd_curve(args) -> int:
         raise TaggerError("--sizes must be comma-separated integers, got %r"
                           % args.sizes)
     rows = learning_curve(corpus, sizes, k=args.k, config=_train_config(args),
-                          seed=args.seed, jobs=_jobs(args))
-    csv = render_report_csv(rows)
-    if args.out:
-        _write(args.out, csv)
-    else:
-        sys.stdout.write(csv)
+                          jobs=_jobs(args))
+    _write_report(args.out, render_report_csv(rows))
     return EXIT_OK
 
 

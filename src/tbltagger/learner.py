@@ -279,14 +279,23 @@ def _best(live):
     return key, to, RuleScore(good, bad)
 
 
-def _greedy(stage: str, learner, errors: int, config: TrainConfig) -> tuple:
+def _greedy(stage: str, learner_factory, errors: int,
+            config: TrainConfig) -> tuple:
     """(rules, errors): the rules a learner accepts, in order, and the
     errors left after them. At each step it accepts the candidate its
     ``best()`` returns, until none reaches the threshold or
     ``config.max_rules_per_phase`` are accepted. ``errors`` is the error
     count before the first step. Every accepted rule nets at least the
     threshold (>= 1), so the count falling below zero means applying the
-    rules and scoring them disagree; fail then rather than loop for ever."""
+    rules and scoring them disagree; fail then rather than loop for ever.
+
+    ``learner_factory()`` builds the learner only if a rule can be
+    accepted: not when the cap is 0, nor when there are fewer errors than
+    the threshold, as in both stages a rule nets at most the errors it
+    fixes."""
+    if errors < config.score_threshold or config.max_rules_per_phase == 0:
+        return (), errors
+    learner = learner_factory()
     rules = []
     while (config.max_rules_per_phase is None
            or len(rules) < config.max_rules_per_phase):
@@ -315,25 +324,27 @@ def learn_lexical_rules(train: TaggedCorpus,
         raise TaggerError("cannot train on an empty corpus")
     lex_part, rule_part = split_for_unknown_training(
         train, config.lexicon_split_fraction, config.seed)
-    if config.max_rules_per_phase == 0:
-        return build_lexicon(train), ()
     guess = build_lexicon(lex_part)
     tags, targets = unknown_types(rule_part, guess, chain)
-    extension_maps = build_affix_extension_maps(guess, config.max_affix_len)
-    features = {
-        word: lexical_candidate_features(word, guess, config.max_affix_len,
-                                         extension_maps)
-        for word in tags
-    }
-    # only the features need the maps: free them before the learner's
-    # counts are built
-    del extension_maps
-    learner = _LexicalLearner(tags, targets, features, guess,
-                              config.score_threshold)
-    # the learner holds each type's features as keys: free the tuples
-    del features
     errors = sum(count for word, (gold, count) in targets.items()
                  if tags[word] != gold)
+
+    def learner():
+        # the feature tuples, local here, are freed once the learner is built
+        extension_maps = build_affix_extension_maps(guess,
+                                                    config.max_affix_len)
+        features = {
+            word: lexical_candidate_features(word, guess,
+                                             config.max_affix_len,
+                                             extension_maps)
+            for word in tags
+        }
+        # only the features need the maps: free them before the learner's
+        # counts are built
+        del extension_maps
+        return _LexicalLearner(tags, targets, features, guess,
+                               config.score_threshold)
+
     rules, _ = _greedy("lexical", learner, errors, config)
     return build_lexicon(train), rules
 
@@ -341,8 +352,7 @@ def learn_lexical_rules(train: TaggedCorpus,
 def initial_contextual_state(train: TaggedCorpus, lexicon: Lexicon,
                              lexical_rules, chain: InitialRuleChain):
     """(state, gold): per-sentence (words, tags) from ``Tagger.initial`` of
-    a model with these parts, which refuses any but the default chain, and
-    the gold tag lists, token-aligned."""
+    a model with these parts, and the gold tag lists, token-aligned."""
     model = TaggerModel(train.tagset, lexicon, chain, lexical_rules, ())
     return (list(model.tagger.initial(train.sentences)),
             [[tok.tag for tok in sent] for sent in train.sentences])
@@ -742,14 +752,10 @@ def _learn_contextual(train, lexicon, lexical_rules, chain, config) -> tuple:
     if not train.sentences:
         raise TaggerError("cannot train on an empty corpus")
     state, gold = initial_contextual_state(train, lexicon, lexical_rules, chain)
-    errors = token_errors(state, gold)
-    # a rule nets at most the errors it fixes, so with fewer errors than
-    # the threshold no rule reaches it: skip counting the candidates, as
-    # when no rule may be accepted
-    if errors < config.score_threshold or config.max_rules_per_phase == 0:
-        return (), errors
-    learner = _ContextualLearner(state, gold, config.score_threshold)
-    return _greedy("contextual", learner, errors, config)
+    return _greedy("contextual",
+                   lambda: _ContextualLearner(state, gold,
+                                              config.score_threshold),
+                   token_errors(state, gold), config)
 
 
 def train_model(train: TaggedCorpus,

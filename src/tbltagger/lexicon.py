@@ -2,8 +2,8 @@
 
 The lexicon maps each word type seen in training to its tags ordered by
 descending frequency; the head of that list is the initial tag for known
-words. Unknown words fall through an ordered chain of script-based
-branches, the last of which always matches.
+words. An unknown word gets the tag of the role its script class maps to
+in the initial rule chain, which holds one branch per class.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ LATIN_START = "LATIN_START"
 GREEK_CAPITAL_START = "GREEK_CAPITAL_START"
 OTHER = "OTHER"
 
-STARTS_LATIN = "STARTS_LATIN"
-STARTS_GREEK_CAPITAL = "STARTS_GREEK_CAPITAL"
-ALWAYS = "ALWAYS"
+# (script class, role key) per class of ``classify_script``: the only chain
+_DEFAULT_BRANCHES = ((LATIN_START, "FOREIGN"),
+                     (GREEK_CAPITAL_START, "PROPER_MASC_SG"),
+                     (OTHER, "NOUN_FEM_SG"))
 
 # Uppercase Greek letters, including accented capitals and dialytika forms.
 _GREEK_CAPITALS = frozenset(
@@ -75,23 +76,22 @@ class Lexicon:
 
 @dataclass(frozen=True)
 class InitialRuleChain:
-    """Ordered (predicate, role-key) branches; the last must be ALWAYS."""
+    """(script class, role key) branches, one per class of
+    ``classify_script``. Only the default ones are accepted, since the
+    model directory does not store a chain."""
 
     branches: tuple
 
     def __post_init__(self):
-        if not self.branches or self.branches[-1][0] != ALWAYS:
-            raise TaggerError("last branch of the initial rule chain must be ALWAYS")
+        if self.branches != _DEFAULT_BRANCHES:
+            raise TaggerError("the initial rule chain must hold the default "
+                              "branches, got %r" % (self.branches,))
 
 
 def default_greek_chain() -> InitialRuleChain:
     """Latin-initial -> foreign word; Greek-capital-initial -> masculine
     proper noun; anything else -> feminine noun."""
-    return InitialRuleChain((
-        (STARTS_LATIN, "FOREIGN"),
-        (STARTS_GREEK_CAPITAL, "PROPER_MASC_SG"),
-        (ALWAYS, "NOUN_FEM_SG"),
-    ))
+    return InitialRuleChain(_DEFAULT_BRANCHES)
 
 
 def build_lexicon(corpus: TaggedCorpus) -> Lexicon:
@@ -119,18 +119,11 @@ def classify_script(word: str) -> str:
 
 def initial_tag(word: str, lexicon: Lexicon, chain: InitialRuleChain,
                 tagset: Tagset) -> str:
-    """Most frequent lexicon tag for known words; first matching chain
-    branch's role tag otherwise."""
+    """Most frequent lexicon tag for known words; otherwise the tag of the
+    role that the chain gives the word's script class."""
     if word in lexicon:
         return lexicon.most_frequent_tag(word)
-    script = classify_script(word)
-    for predicate, role in chain.branches:
-        if (predicate == ALWAYS
-                or (predicate == STARTS_LATIN and script == LATIN_START)
-                or (predicate == STARTS_GREEK_CAPITAL
-                    and script == GREEK_CAPITAL_START)):
-            return tagset.roles[role]
-    raise TaggerError("initial rule chain matched no branch")  # unreachable
+    return tagset.roles[dict(chain.branches)[classify_script(word)]]
 
 
 def serialize_lexicon(lexicon: Lexicon) -> str:

@@ -366,10 +366,6 @@ class TaggerModel:
     contextual_rules: tuple
 
     def __post_init__(self):
-        if self.initial_chain != default_greek_chain():
-            # load_model cannot restore any other chain
-            raise TaggerError("a model can only use the default initial "
-                              "rule chain, got %r" % (self.initial_chain,))
         for rule in (*self.lexical_rules, *self.contextual_rules):
             for tag in (rule.from_tag, rule.to_tag):
                 if tag is not None and tag not in self.tagset:

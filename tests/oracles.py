@@ -320,8 +320,8 @@ def most_frequent_tag_baseline(corpus: TaggedCorpus, k: int = 10,
                                seed: int = 0) -> float:
     """Mean cross-validated accuracy of the initial tagger alone (lexicon
     most-frequent tag plus the default rule chain, no learned rules)."""
-    config = TrainConfig(max_rules_per_phase=0)
-    return cross_validate(corpus, k, config, seed).mean_accuracy
+    config = TrainConfig(max_rules_per_phase=0, seed=seed)
+    return cross_validate(corpus, k, config).mean_accuracy
 
 
 def synthetic_oracle_tags(sentences, spec: SynthSpec) -> TaggedCorpus:

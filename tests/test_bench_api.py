@@ -109,5 +109,5 @@ def test_traced_stages_compute_what_the_package_does(import_bench):
     plan = kfold_split(corpus, 3, config.seed)
     folds = [traced.traced_fold((corpus, plan, fold_id, config))[:2]
              for fold_id in range(3)]
-    report = cross_validate(corpus, 3, config, config.seed)
+    report = cross_validate(corpus, 3, config)
     assert folds == [(f.accuracy, f.test_tokens) for f in report.folds]

@@ -20,7 +20,9 @@ from tbltagger.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from tbltagger.corpus import (ModelError, ParseError, TaggerError,
                               load_tagset, parse_tagged_corpus,
                               serialize_tagged_corpus, serialize_tagset)
-from tbltagger.evaluate import (accuracy, generate_synthetic_corpus,
+from tbltagger.evaluate import (accuracy, cross_validate,
+                                generate_synthetic_corpus, learning_curve,
+                                render_folds_csv, render_report_csv,
                                 strip_tags, synth_tagset)
 from tbltagger.learner import TrainConfig
 from tbltagger.rules import MODEL_FILES, load_model, tag_corpus
@@ -685,6 +687,43 @@ class TestCurve:
         assert code == EXIT_CONFIG
         assert "--sizes" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["crossval", "curve"])
+def test_seed_splits_folds_as_the_library_does(workspace, tmp_path, capsys,
+                                               command):
+    # --seed goes into the TrainConfig, whose seed also splits the folds;
+    # the report goes to stdout, or to --out with crossval's summary line
+    # on stdout
+    corpus = parse_tagged_corpus(
+        workspace["corpus"].read_text(encoding="utf-8"),
+        load_tagset(workspace["tagset"].read_text(encoding="utf-8")))
+    words = corpus.word_count
+    sizes = [words // 2, words]
+
+    def render(config):
+        if command == "crossval":
+            return render_folds_csv(cross_validate(corpus, 3, config))
+        return render_report_csv(learning_curve(corpus, sizes, 3, config))
+
+    expected = render(TrainConfig(seed=3))
+    assert expected != render(TrainConfig())
+    args = [command, "--corpus", str(workspace["corpus"]),
+            "--tagset", str(workspace["tagset"]), "--k", "3", "--seed", "3"]
+    if command == "curve":
+        args += ["--sizes", "%d,%d" % tuple(sizes)]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "report.csv"
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    assert out.read_text(encoding="utf-8") == expected
+    summary = capsys.readouterr().out
+    if command == "crossval":
+        report = cross_validate(corpus, 3, TrainConfig(seed=3))
+        assert summary == "mean accuracy: %.6f (stddev %.6f)\n" % (
+            report.mean_accuracy, report.stddev_accuracy)
+    else:
+        assert summary == ""
 
 
 @pytest.mark.parametrize("command", [

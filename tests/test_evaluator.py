@@ -124,20 +124,20 @@ class TestCrossValidate:
         return cv_corpus
 
     def test_report_shape(self, corpus):
-        report = cross_validate(corpus, k=3, seed=0)
+        report = cross_validate(corpus, k=3)
         assert len(report.folds) == 3
         assert report.mean_accuracy == pytest.approx(
             statistics.mean(f.accuracy for f in report.folds))
         assert sum(f.test_tokens for f in report.folds) == corpus.word_count
 
     def test_deterministic(self, corpus):
-        a = cross_validate(corpus, k=3, seed=5)
-        b = cross_validate(corpus, k=3, seed=5)
+        a = cross_validate(corpus, k=3, config=TrainConfig(seed=5))
+        b = cross_validate(corpus, k=3, config=TrainConfig(seed=5))
         assert a == b
 
     def test_parallel_folds_match_sequential(self, corpus):
-        seq = cross_validate(corpus, k=3, seed=0, jobs=1)
-        par = cross_validate(corpus, k=3, seed=0, jobs=2)
+        seq = cross_validate(corpus, k=3, jobs=1)
+        par = cross_validate(corpus, k=3, jobs=2)
         assert seq == par
 
     @pytest.mark.parametrize("jobs, workers", [(2, 2), (100_000, 3)])
@@ -161,9 +161,9 @@ class TestCrossValidate:
                 return map(fn, tasks)
 
         monkeypatch.setattr(evaluate, "ProcessPoolExecutor", InProcessPool)
-        report = cross_validate(corpus, k=3, seed=0, jobs=jobs)
+        report = cross_validate(corpus, k=3, jobs=jobs)
         assert sizes == [workers]
-        assert report == cross_validate(corpus, k=3, seed=0)
+        assert report == cross_validate(corpus, k=3)
 
     def test_too_small(self, tagset):
         c = TaggedCorpus(((Token("a", "NN"),),), tagset)
@@ -177,14 +177,14 @@ class TestLearningCurve:
         return curve_corpus
 
     def test_single_size_equals_direct_cross_validation(self, corpus):
-        rows = learning_curve(corpus, [corpus.word_count], k=3, seed=0)
+        rows = learning_curve(corpus, [corpus.word_count], k=3)
         assert len(rows) == 1
         assert rows[0].corpus_words == corpus.word_count
-        assert rows[0].report == cross_validate(corpus, k=3, seed=0)
+        assert rows[0].report == cross_validate(corpus, k=3)
 
     def test_sizes_ascending_in_output(self, corpus):
         half = corpus.word_count // 2
-        rows = learning_curve(corpus, [half, corpus.word_count], k=3, seed=0)
+        rows = learning_curve(corpus, [half, corpus.word_count], k=3)
         assert [r.corpus_words for r in rows] == \
             sorted(r.corpus_words for r in rows)
 

@@ -867,6 +867,30 @@ class TestLearnLexicalRules:
             assert errors - after >= config.score_threshold
             errors = after
 
+    def test_fewer_errors_than_threshold_builds_no_learner(self, monkeypatch):
+        # Each sentence holds two words of its own, so every word of the
+        # rule-learning half is unknown to the guess lexicon. The "ω" words
+        # are VB against the NNF that lower-case Greek starts with: one
+        # error each, all fixed by one rule on the prefix "ω".
+        corpus = TaggedCorpus(tuple(
+            (Token("λ%d" % i, "NNF"), Token("ω%d" % i, "VB"))
+            for i in range(6)), make_tagset())
+        _, (tags, targets) = lexical_learning_state(corpus, TrainConfig())
+        errors = sum(count for word, (gold, count) in targets.items()
+                     if tags[word] != gold)
+        assert errors == 3
+        _, rules = learn_lexical_rules(
+            corpus, config=TrainConfig(score_threshold=errors))
+        assert len(rules) == 1
+
+        def refuse(*args):
+            raise AssertionError("learner built")
+        monkeypatch.setattr(_LexicalLearner, "__init__", refuse)
+        lexicon, rules = learn_lexical_rules(
+            corpus, config=TrainConfig(score_threshold=errors + 1))
+        assert rules == ()
+        assert lexicon == build_lexicon(corpus)
+
 
 class TestLearnContextualRules:
     def test_zero_errors_learns_nothing(self):

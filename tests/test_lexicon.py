@@ -118,13 +118,21 @@ class TestInitialTag:
 
 
 class TestInitialRuleChain:
-    def test_last_branch_must_be_always(self):
-        with pytest.raises(TaggerError):
-            InitialRuleChain((("STARTS_LATIN", "FOREIGN"),))
+    def test_only_the_default_branches_are_accepted(self):
+        default = default_greek_chain().branches
+        by_predicate = (("STARTS_LATIN", "FOREIGN"),
+                        ("ALWAYS", "NOUN_FEM_SG"))
+        for branches in ((), default[:2], default + default[-1:],
+                         default[::-1], by_predicate,
+                         ((OTHER, "NOUN_FEM_SG"),)):
+            with pytest.raises(TaggerError):
+                InitialRuleChain(branches)
+        assert InitialRuleChain(tuple(default)) == default_greek_chain()
 
     def test_default_chain_order(self):
+        # one branch per class of classify_script, so every word has one
         kinds = [p for p, _ in default_greek_chain().branches]
-        assert kinds == ["STARTS_LATIN", "STARTS_GREEK_CAPITAL", "ALWAYS"]
+        assert kinds == [LATIN_START, GREEK_CAPITAL_START, OTHER]
 
 
 class TestLexiconSerialization:

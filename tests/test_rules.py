@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 from tbltagger.corpus import (REQUIRED_ROLES, TaggedCorpus, TaggerError,
                               Tagset, TagsetError, Token)
-from tbltagger.lexicon import (ALWAYS, STARTS_GREEK_CAPITAL, STARTS_LATIN,
+from tbltagger.lexicon import (GREEK_CAPITAL_START, LATIN_START, OTHER,
                                InitialRuleChain, Lexicon, build_lexicon,
                                default_greek_chain, initial_tag,
                                parse_lexicon, serialize_lexicon)
-from tbltagger.learner import initial_contextual_state
 from tbltagger import rules as rules_module
 from tbltagger.rules import (CONTEXT_TABLE, CONTEXTUAL_TEMPLATES,
                              LEXICAL_TEMPLATES, MODEL_FILES, WORDS,
@@ -897,13 +896,16 @@ def kept(build, items):
     return out
 
 
-def chains_st():
-    branch = st.tuples(st.sampled_from((STARTS_LATIN, STARTS_GREEK_CAPITAL,
-                                        ALWAYS)),
+def branches_st():
+    """Branch tuples for an initial rule chain: the default branches, any
+    order of them, and tuples of script classes or other predicate names,
+    each with a role key."""
+    default = default_greek_chain().branches
+    branch = st.tuples(st.sampled_from((LATIN_START, GREEK_CAPITAL_START,
+                                        OTHER, "STARTS_LATIN", "ALWAYS")),
                        st.sampled_from(REQUIRED_ROLES))
-    return st.builds(lambda head, role: InitialRuleChain(
-        tuple(head) + ((ALWAYS, role),)),
-        st.lists(branch, max_size=3), st.sampled_from(REQUIRED_ROLES))
+    return st.one_of(st.just(default), st.permutations(default).map(tuple),
+                     st.lists(branch, max_size=4).map(tuple))
 
 
 @st.composite
@@ -922,11 +924,11 @@ def models_st(draw):
     name = st.one_of(tag, tag, tag, text)   # now and then not a tag
     tagset = Tagset(tags, {key: draw(tag) for key in REQUIRED_ROLES})
     chain = default_greek_chain()
-    # load_model restores only the default chain, so no other is accepted
-    other = draw(st.one_of(st.none(), chains_st()))
-    if other is not None and other != chain:
+    # load_model restores only the default chain, so no other can be built
+    branches = draw(st.one_of(st.none(), branches_st()))
+    if branches is not None and branches != chain.branches:
         with pytest.raises(TaggerError):
-            TaggerModel(tagset, Lexicon({}), other, (), ())
+            InitialRuleChain(branches)
 
     def model(entries={}, lexical=(), contextual=()):
         return TaggerModel(tagset, Lexicon(entries), chain, tuple(lexical),
@@ -986,19 +988,24 @@ class TestModelRoundTrip:
         with pytest.raises(TagsetError):
             make_tagset(tags=TAG_NAMES + ("-",))
 
-    def test_non_default_chain_rejected(self, tagset):
-        # it would reload with the default chain and tag differently
-        with pytest.raises(TaggerError):
-            TaggerModel(tagset, Lexicon({}),
-                        InitialRuleChain(((ALWAYS, "FOREIGN"),)), (), ())
+    @given(branches_st())
+    def test_non_default_chain_rejected(self, branches):
+        # a model would reload with the default chain and tag differently
+        if branches == default_greek_chain().branches:
+            assert InitialRuleChain(branches) == default_greek_chain()
+        else:
+            with pytest.raises(TaggerError):
+                InitialRuleChain(branches)
 
-    def test_non_default_chain_rejected_for_training(self, tiny_corpus):
-        # contextual training starts from a model's tagger, so the model
-        # refuses the chain there too
-        chain = InitialRuleChain(((ALWAYS, "FOREIGN"),))
+    def test_non_default_chain_rejected_for_training(self):
+        # the training stages take a chain argument, and no chain but the
+        # default can be made to pass there, not even from the default one
+        chain = default_greek_chain()
         with pytest.raises(TaggerError):
-            initial_contextual_state(tiny_corpus, build_lexicon(tiny_corpus),
-                                     (), chain)
+            replace(chain, branches=chain.branches[:2]
+                    + ((OTHER, "FOREIGN"),))
+        with pytest.raises(TaggerError):
+            replace(chain, branches=chain.branches[::-1])
 
     def test_lexicon_tag_outside_tagset_rejected(self, tagset):
         with pytest.raises(TagsetError):
