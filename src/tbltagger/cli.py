@@ -16,16 +16,17 @@ import logging
 import os
 import sys
 import tempfile
+from collections import Counter
 
 from .corpus import (AlignmentError, TaggerError, load_tagset,
                      parse_raw_corpus, parse_tagged_corpus, read_text,
                      serialize_tagged_corpus, serialize_tagset)
-from .evaluate import (SynthSpec, accuracy, cross_validate,
+from .evaluate import (SynthSpec, count_hits, cross_validate,
                        generate_synthetic_corpus, learning_curve,
                        render_confusion_csv, render_folds_csv,
-                       render_report_csv, strip_tags)
+                       render_report_csv)
 from .learner import TrainConfig, train_model_and_errors
-from .rules import load_model, save_model, tag_corpus
+from .rules import load_model, save_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -164,21 +165,28 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _tagged_lines(tag_words, raw_sentences):
+    """One ``word/TAG`` line per raw sentence, as the tagged corpus file
+    holds it (``serialize_tagged_corpus``)."""
+    for sent in raw_sentences:
+        words = tuple([tok.word for tok in sent])
+        yield " ".join(map("/".join, zip(words, tag_words(words)))) + "\n"
+
+
 def cmd_tag(args) -> int:
-    model = load_model(args.model)
-    text = read_text(args.infile)
-    _write_atomically(args.out, (
-        serialize_tagged_corpus(tag_corpus([sent], model))
-        for sent in parse_raw_corpus(text)))
+    tag_words = load_model(args.model).tagger.tag_words
+    raw = parse_raw_corpus(read_text(args.infile))
+    _write_atomically(args.out, _tagged_lines(tag_words, raw))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     gold = parse_tagged_corpus(read_text(args.gold), model.tagset)
-    predicted = tag_corpus(strip_tags(gold), model)
-    acc, confusion = accuracy(predicted, gold)
-    print("%.6f" % acc)
+    confusion = Counter() if args.confusion else None
+    hits, tokens, _, _ = count_hits(model.tagger, gold.sentences,
+                                    confusion=confusion)
+    print("%.6f" % (hits / tokens))
     if args.confusion:
         _write(args.confusion, render_confusion_csv(confusion))
     return EXIT_OK

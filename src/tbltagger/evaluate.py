@@ -11,12 +11,12 @@ import statistics
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import and_, eq
 
 from .corpus import (AlignmentError, Memo, TaggedCorpus, TaggerError, Tagset,
                      Token, is_field, kfold_split, select_sentences,
                      truncate_to_words)
 from .learner import TrainConfig, train_model
-from .rules import tag_corpus
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,33 @@ def accuracy(predicted: TaggedCorpus, gold: TaggedCorpus):
     return correct / total, confusion
 
 
+def count_hits(tagger, gold_sentences, known=None, confusion=None) -> tuple:
+    """Tags the words of each gold sentence with ``tagger.tag_words`` and
+    counts the tokens whose tag is the gold tag: (hits, tokens, known hits,
+    known tokens), a token being known when ``known`` holds its word (both
+    0 with no ``known``). Adds each (gold tag, tag) pair to the
+    ``confusion`` Counter when one is given. Raises AlignmentError when
+    there is no token."""
+    tag_words = tagger.tag_words
+    hits = tokens = known_hits = known_tokens = 0
+    for sent in gold_sentences:
+        words = tuple([tok.word for tok in sent])
+        gold = [tok.tag for tok in sent]
+        tags = tag_words(words)
+        hit = list(map(eq, gold, tags))
+        hits += sum(hit)
+        tokens += len(hit)
+        if known is not None:
+            held = list(map(known.__contains__, words))
+            known_hits += sum(map(and_, hit, held))
+            known_tokens += sum(held)
+        if confusion is not None:
+            confusion.update(zip(gold, tags))
+    if not tokens:
+        raise AlignmentError("cannot compute accuracy on an empty corpus")
+    return hits, tokens, known_hits, known_tokens
+
+
 def strip_tags(corpus: TaggedCorpus) -> list:
     """The corpus's words; each distinct word is wrapped in one ``Token``."""
     tokens = Memo(Token)
@@ -181,31 +208,23 @@ def _summarize(folds) -> EvalReport:
 
 def _run_fold(args):
     corpus, plan, fold_id, config = args
-    test_idx = plan.fold_indices(fold_id)
-    train_idx = [i for i in range(len(corpus.sentences))
-                 if plan.assignments[i] != fold_id]
-    train = select_sentences(corpus, train_idx)
-    test = select_sentences(corpus, test_idx)
+    train = select_sentences(corpus, [i for i in range(len(corpus.sentences))
+                                      if plan.assignments[i] != fold_id])
+    test = [corpus.sentences[i] for i in plan.fold_indices(fold_id)]
     model = train_model(train, config)
-    predicted = tag_corpus(strip_tags(test), model)
-    # tagging keeps the test words, and no fold is empty: nothing to check
-    known_correct = known_total = unk_correct = unk_total = 0
-    for ps, gs in zip(predicted.sentences, test.sentences):
-        for pt, gt in zip(ps, gs):
-            if pt.word in model.lexicon:
-                known_total += 1
-                known_correct += pt.tag == gt.tag
-            else:
-                unk_total += 1
-                unk_correct += pt.tag == gt.tag
+    # no fold is empty
+    hits, tokens, known_hits, known_tokens = count_hits(
+        model.tagger, test, known=model.lexicon.entries)
+    unknown_tokens = tokens - known_tokens
     return FoldResult(
         fold_id=fold_id,
-        accuracy=(known_correct + unk_correct) / (known_total + unk_total),
+        accuracy=hits / tokens,
         n_lexical_rules=len(model.lexical_rules),
         n_contextual_rules=len(model.contextual_rules),
-        test_tokens=test.word_count,
-        known_accuracy=known_correct / known_total if known_total else 1.0,
-        unknown_accuracy=unk_correct / unk_total if unk_total else 1.0,
+        test_tokens=tokens,
+        known_accuracy=known_hits / known_tokens if known_tokens else 1.0,
+        unknown_accuracy=((hits - known_hits) / unknown_tokens
+                          if unknown_tokens else 1.0),
     )
 
 

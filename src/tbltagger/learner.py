@@ -351,11 +351,15 @@ def learn_lexical_rules(train: TaggedCorpus,
 
 def initial_contextual_state(train: TaggedCorpus, lexicon: Lexicon,
                              lexical_rules, chain: InitialRuleChain):
-    """(state, gold): per-sentence (words, tags) from ``Tagger.initial`` of
-    a model with these parts, and the gold tag lists, token-aligned."""
-    model = TaggerModel(train.tagset, lexicon, chain, lexical_rules, ())
-    return (list(model.tagger.initial(train.sentences)),
-            [[tok.tag for tok in sent] for sent in train.sentences])
+    """(state, gold): per-sentence (words, tags from ``Tagger.initial`` of
+    a model with these parts), and the gold tag lists, token-aligned."""
+    initial = TaggerModel(train.tagset, lexicon, chain, lexical_rules,
+                          ()).tagger.initial
+    state = []
+    for sent in train.sentences:
+        words = tuple([tok.word for tok in sent])
+        state.append((words, initial(words)))
+    return state, [[tok.tag for tok in sent] for sent in train.sentences]
 
 
 def token_errors(state, gold) -> int:

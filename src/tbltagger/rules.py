@@ -13,15 +13,19 @@ visits the from_tag positions it is given, with the context walk inline.
 ``LEXICAL_TABLE`` defines the lexical templates once; the matcher, the rule
 index, the learner's candidates and the rule check are derived from it.
 
-A model compiles its ``Tagger`` once (``TaggerModel.tagger``), and
-``tag_corpus`` calls it. The tagger maps known words to their lexicon tag
-and memoises the tag of each unknown word type it has seen. Per sentence it
-keeps a map from each tag to the positions holding it, so that a contextual
-rule visits only its from_tag positions and is skipped when the sentence
-lacks its from_tag or a tag its context reads (``context_args``).
-It reuses one memoised ``Token`` per word for every output token that keeps
-its word's starting tag. ``Tagger.initial`` is the one place where a token
-gets its starting tag: tagging runs the contextual rules on its output, and
+A model compiles its ``Tagger`` once (``TaggerModel.tagger``).
+``Tagger.tag_words``, which maps one sentence's words to their final tags,
+is the one tagging path: ``tag_corpus`` wraps its tags in ``Token``s, while
+the ``tag`` and ``eval`` commands and the cross-validation folds write and
+count the tag lists as they are. The tagger maps known words to their
+lexicon tag and memoises the tag of each unknown word type it has seen. Per
+sentence it keeps a map from each tag to the positions holding it, so that
+a contextual rule visits only its from_tag positions and is skipped when
+the sentence lacks its from_tag or a tag its context reads
+(``context_args``). ``tag_corpus`` reuses one memoised ``Token`` per word
+for every output token that keeps its word's starting tag.
+``Tagger.initial`` is still the one place where a sentence gets its
+starting tags: ``tag_words`` runs the contextual rules on its output, and
 the learner starts contextual training from it. Tagging and training share
 ``rewrite_sentence`` and ``LexicalRuleIndex``, which files each lexical
 rule under its key, so that a word is checked only against the rules it
@@ -366,6 +370,9 @@ class TaggerModel:
     contextual_rules: tuple
 
     def __post_init__(self):
+        if not isinstance(self.initial_chain, InitialRuleChain):
+            raise TaggerError("initial_chain must be an InitialRuleChain, "
+                              "got %r" % (self.initial_chain,))
         for rule in (*self.lexical_rules, *self.contextual_rules):
             for tag in (rule.from_tag, rule.to_tag):
                 if tag is not None and tag not in self.tagset:
@@ -394,83 +401,93 @@ class Tagger:
     and the model, so the memo is exact; it grows with the distinct
     unknown types tagged. A new unknown type goes through the model's
     ``LexicalRuleIndex``, compiled here once, which visits only the
-    lexical rules whose keys the word holds.
+    lexical rules whose keys the word holds. ``initial`` reads starting
+    tags through this memo, and is the one place where a sentence gets
+    them: ``tag_words`` starts from it, and so does the learner.
 
-    Contextual rules run per sentence through a map from each tag to the
-    ascending positions holding it. A rule is skipped unless its from_tag
-    and every tag its context reads have positions, an emptied list
-    counting as none: a rule cannot first match in a sentence lacking one
-    (``context_args``). The others visit only their from_tag positions
-    (``rewrite_sentence``). The map follows the positions each rule moves.
-    ``tokens`` memoises, per word, the ``Token`` of its starting tag; an
-    output token whose tag is its word's starting tag is that one object,
-    which is exact because ``Token`` is frozen. It grows with the distinct
-    words output."""
+    ``tag_words`` is the one tagging path: it maps one sentence's words to
+    their final tags, and ``tag`` is a loop over it. Contextual rules run
+    per sentence through a map from each tag to the ascending positions
+    holding it. A rule is skipped unless its from_tag and every tag its
+    context reads have positions, an emptied list counting as none: a rule
+    cannot first match in a sentence lacking one (``context_args``). The
+    others visit only their from_tag positions (``rewrite_sentence``). The
+    map follows the positions each rule moves. ``tokens`` memoises, per
+    word, the ``Token`` of its starting tag; an output token of ``tag``
+    whose tag is its word's starting tag is that one object, which is
+    exact because ``Token`` is frozen. It grows with the distinct words
+    output."""
 
     def __init__(self, model: TaggerModel):
-        self.lexicon = model.lexicon
-        self.chain = model.initial_chain
-        self.tagset = model.tagset
-        self.lexical_rules = LexicalRuleIndex(model.lexical_rules,
-                                              model.lexicon)
+        lexicon, chain = model.lexicon, model.initial_chain
+        tagset = self.tagset = model.tagset
+        self.members = frozenset(tagset.tags)
+        lexical_rules = LexicalRuleIndex(model.lexical_rules, lexicon)
         # per rule: checks, from_tag, the tags its context reads (see
         # ``context_args``), to_tag
         self.contextual_rules = tuple(
             (rule.checks, rule.from_tag, tuple(context_args(rule.checks)),
              rule.to_tag)
             for rule in model.contextual_rules)
-        tags = self.tags = {word: pairs[0][0]
-                            for word, pairs in model.lexicon.entries.items()}
+        # the memos' makers hold no reference to the tagger: no cycle
+        tags = self.tags = Memo(lambda word: lexical_rules.apply(
+            word, initial_tag(word, lexicon, chain, tagset)))
+        tags.update((word, pairs[0][0])
+                    for word, pairs in lexicon.entries.items())
         self.tokens = Memo(lambda word: Token(word, tags[word]))
 
-    def initial(self, raw_sentences):
-        """Yields each sentence's (words, tags) before the contextual rules;
-        see the class docstring."""
-        tags = self.tags
-        for sent in raw_sentences:
-            words = tuple(tok.word for tok in sent)
-            for word in words:
-                if word not in tags:
-                    tags[word] = self.lexical_rules.apply(
-                        word, initial_tag(word, self.lexicon, self.chain,
-                                          self.tagset))
-            yield words, [tags[word] for word in words]
+    def initial(self, words) -> list:
+        """The tags of a sentence's words before the contextual rules; see
+        the class docstring."""
+        return list(map(self.tags.__getitem__, words))
+
+    def tag_words(self, words) -> list:
+        """The final tags of one sentence's words: its starting tags
+        (``initial``), then each contextual rule in turn, each tag checked
+        against the model's tagset. See the class docstring."""
+        tags = self.initial(words)
+        if self.contextual_rules:
+            where = {}
+            for pos, tag in enumerate(tags):
+                if tag in where:
+                    where[tag].append(pos)
+                else:
+                    where[tag] = [pos]
+            for checks, from_tag, context, to_tag in self.contextual_rules:
+                positions = where.get(from_tag)
+                if not positions:
+                    continue
+                for tag in context:
+                    if not where.get(tag):
+                        break
+                else:
+                    new, moved = rewrite_sentence(checks, to_tag, words,
+                                                  tags, positions)
+                    if new is not None:
+                        tags = new
+                        where[from_tag] = [pos for pos in positions
+                                           if new[pos] == from_tag]
+                        where[to_tag] = sorted(where.get(to_tag, [])
+                                               + moved)
+        if not self.members.issuperset(tags):
+            raise TagsetError("tag %r not in tagset" % next(
+                tag for tag in tags if tag not in self.members))
+        return tags
 
     def tag(self, raw_sentences) -> TaggedCorpus:
-        rules = self.contextual_rules
-        tokens = self.tokens
+        """The raw sentences tagged by ``tag_words``, as ``Token``s."""
+        tag_words, tokens, start = self.tag_words, self.tokens, self.tags
         out = []
-        for words, start in self.initial(raw_sentences):
-            tags = start
-            if rules:
-                where = {}
-                for pos, tag in enumerate(start):
-                    if tag in where:
-                        where[tag].append(pos)
-                    else:
-                        where[tag] = [pos]
-                for checks, from_tag, context, to_tag in rules:
-                    positions = where.get(from_tag)
-                    if not positions:
-                        continue
-                    for tag in context:
-                        if not where.get(tag):
-                            break
-                    else:
-                        new, moved = rewrite_sentence(checks, to_tag, words,
-                                                      tags, positions)
-                        if new is not None:
-                            tags = new
-                            where[from_tag] = [pos for pos in positions
-                                               if new[pos] == from_tag]
-                            where[to_tag] = sorted(where.get(to_tag, [])
-                                                   + moved)
-            if tags is start:
-                out.append(tuple(map(tokens.__getitem__, words)))
+        for sent in raw_sentences:
+            words = tuple([tok.word for tok in sent])
+            tags = tag_words(words)
+            if self.contextual_rules:
+                out.append(tuple([tokens[word] if tag == start[word]
+                                  else Token(word, tag)
+                                  for word, tag in zip(words, tags)]))
             else:
-                out.append(tuple([tokens[word] if tag == first
-                                  else Token(word, tag) for word, tag, first
-                                  in zip(words, tags, start)]))
+                # no rule moves a tag from its start
+                out.append(tuple(map(tokens.__getitem__, words)))
         return TaggedCorpus(tuple(out), self.tagset)
 
 

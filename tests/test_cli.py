@@ -18,16 +18,19 @@ from hypothesis import strategies as st
 from tbltagger import cli
 from tbltagger.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from tbltagger.corpus import (ModelError, ParseError, TaggerError,
-                              load_tagset, parse_tagged_corpus,
-                              serialize_tagged_corpus, serialize_tagset)
+                              load_tagset, parse_raw_corpus,
+                              parse_tagged_corpus, serialize_tagged_corpus,
+                              serialize_tagset)
 from tbltagger.evaluate import (accuracy, cross_validate,
                                 generate_synthetic_corpus, learning_curve,
-                                render_folds_csv, render_report_csv,
-                                strip_tags, synth_tagset)
+                                render_confusion_csv, render_folds_csv,
+                                render_report_csv, strip_tags, synth_tagset)
 from tbltagger.learner import TrainConfig
-from tbltagger.rules import MODEL_FILES, load_model, tag_corpus
+from tbltagger.rules import (MODEL_FILES, Tagger, load_model, save_model,
+                             tag_corpus)
 
 from test_learner import mini_spec
+from test_rules import TAGGING_CHARS, tagging_cases_st
 
 
 @pytest.fixture(scope="module")
@@ -270,16 +273,16 @@ class TestTag:
         outfile = tmp_path / "out.txt"
         infile.write_text("ζζζος\nζζζη\nζζζει\n", encoding="utf-8")
         outfile.write_text("previous output\n", encoding="utf-8")
-        real_tag_corpus = cli.tag_corpus
+        real_tag_words = Tagger.tag_words
         calls = []
 
-        def fail_on_second_sentence(raw, model):
-            calls.append(raw)
+        def fail_on_second_sentence(tagger, words):
+            calls.append(words)
             if len(calls) == 2:
                 raise TaggerError("simulated failure")
-            return real_tag_corpus(raw, model)
+            return real_tag_words(tagger, words)
 
-        monkeypatch.setattr(cli, "tag_corpus", fail_on_second_sentence)
+        monkeypatch.setattr(Tagger, "tag_words", fail_on_second_sentence)
         code = main(["tag", "--model", str(workspace["model"]),
                      "--in", str(infile), "--out", str(outfile)])
         assert code == EXIT_CONFIG
@@ -621,9 +624,63 @@ class TestEval:
                      "--gold", str(workspace["corpus"]),
                      "--confusion", str(confusion)])
         assert code == EXIT_OK
-        lines = confusion.read_text(encoding="utf-8").splitlines()
+        text = confusion.read_text(encoding="utf-8")
+        lines = text.splitlines()
         assert lines[0] == "gold_tag,predicted_tag,count"
-        assert len(lines) > 1
+        gold = parse_tagged_corpus(
+            workspace["corpus"].read_text(encoding="utf-8"),
+            load_tagset(workspace["tagset"].read_text(encoding="utf-8")))
+        # one row per (gold, predicted) pair, the counts summing to the
+        # corpus's tokens and the diagonal to the accuracy printed
+        rows = [line.split(",") for line in lines[1:]]
+        assert sum(int(count) for _, _, count in rows) == gold.word_count
+        hits = sum(int(count) for gold_tag, tag, count in rows
+                   if gold_tag == tag)
+        assert capsys.readouterr().out == "%.6f\n" % (hits / gold.word_count)
+        acc, want = accuracy(
+            tag_corpus(strip_tags(gold), load_model(workspace["model"])), gold)
+        assert text == render_confusion_csv(want)
+        assert acc == hits / gold.word_count
+
+
+class TestCommandsMatchTheLibrary:
+    """`tag` and `eval` write, byte for byte, what the library's pipeline
+    over ``Token`` corpora gives."""
+
+    @given(tagging_cases_st(TAGGING_CHARS + "/"))
+    @settings(max_examples=40, deadline=None)
+    def test_tag_and_eval(self, case):
+        # words and rule args hold "/", which the gold file's items split
+        # at the last one; rules of all templates, unknown words
+        model, other, first, second = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: os.path.join(tmp, name) for name in (
+                "model", "raw", "tagged", "gold", "confusion")}
+            save_model(model, paths["model"])
+            loaded = load_model(paths["model"])
+            text = "".join(" ".join(tok.word for tok in sent) + "\n"
+                           for sent in first + second)
+            Path(paths["raw"]).write_text(text, encoding="utf-8")
+            assert main(["tag", "--model", paths["model"], "--in",
+                         paths["raw"], "--out", paths["tagged"]]) == EXIT_OK
+            assert Path(paths["tagged"]).read_text(encoding="utf-8") == \
+                serialize_tagged_corpus(
+                    tag_corpus(parse_raw_corpus(text), loaded))
+            # gold from a model with other rules, so that tags differ
+            gold_text = serialize_tagged_corpus(
+                tag_corpus(parse_raw_corpus(text), other))
+            Path(paths["gold"]).write_text(gold_text, encoding="utf-8")
+            gold = parse_tagged_corpus(gold_text, loaded.tagset)
+            acc, confusion = accuracy(tag_corpus(strip_tags(gold), loaded),
+                                      gold)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["eval", "--model", paths["model"], "--gold",
+                             paths["gold"], "--confusion",
+                             paths["confusion"]]) == EXIT_OK
+            assert out.getvalue() == "%.6f\n" % acc
+            assert Path(paths["confusion"]).read_text(encoding="utf-8") == \
+                render_confusion_csv(confusion)
 
 
 class TestCrossval:
@@ -837,6 +894,8 @@ class TestAlignmentExit:
         code = main(["eval", "--model", str(workspace["model"]),
                      "--gold", str(gold)])
         assert code == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "error: cannot compute accuracy on an empty corpus\n"
 
 
 @contextlib.contextmanager

@@ -5,18 +5,22 @@ import csv
 import io
 import math
 import statistics
+from collections import Counter
 
 import pytest
 
 from tbltagger import evaluate
-from tbltagger.corpus import AlignmentError, TaggedCorpus, TaggerError, Token
+from tbltagger.corpus import (AlignmentError, TaggedCorpus, TaggerError,
+                              Token, kfold_split, select_sentences)
 from tbltagger.evaluate import (CurveRow, EvalReport, FoldResult, SynthSpec,
-                                accuracy, cross_validate,
+                                accuracy, count_hits, cross_validate,
                                 generate_synthetic_corpus, learning_curve,
                                 render_confusion_csv, render_folds_csv,
                                 render_report_csv, strip_tags, synth_tagset,
                                 _summarize)
-from tbltagger.learner import TrainConfig
+from tbltagger.learner import TrainConfig, train_model
+from tbltagger.lexicon import build_lexicon, default_greek_chain
+from tbltagger.rules import ContextualRule, TaggerModel, tag_corpus
 
 from oracles import most_frequent_tag_baseline, synthetic_oracle_tags
 from test_learner import mini_spec
@@ -169,6 +173,61 @@ class TestCrossValidate:
         c = TaggedCorpus(((Token("a", "NN"),),), tagset)
         with pytest.raises(TaggerError):
             cross_validate(c, k=2)
+
+    def test_folds_score_as_the_token_pipeline(self, corpus):
+        # each fold's figures, recomputed from its test fold tagged as a
+        # ``Token`` corpus and compared token by token
+        config = TrainConfig(seed=2)
+        plan = kfold_split(corpus, 3, config.seed)
+        report = cross_validate(corpus, k=3, config=config)
+        unknown_seen = 0
+        for fold in report.folds:
+            test = select_sentences(corpus, plan.fold_indices(fold.fold_id))
+            model = train_model(select_sentences(corpus, [
+                i for i, f in enumerate(plan.assignments)
+                if f != fold.fold_id]), config)
+            predicted = tag_corpus(strip_tags(test), model)
+            hits = {True: [], False: []}
+            for ps, gs in zip(predicted.sentences, test.sentences):
+                for pt, gt in zip(ps, gs):
+                    hits[gt.word in model.lexicon].append(pt.tag == gt.tag)
+            unknown_seen += len(hits[False])
+            assert fold.accuracy == accuracy(predicted, test)[0]
+            assert fold.test_tokens == test.word_count
+            for known, got in ((True, fold.known_accuracy),
+                               (False, fold.unknown_accuracy)):
+                assert got == (sum(hits[known]) / len(hits[known])
+                               if hits[known] else 1.0)
+        assert unknown_seen
+
+
+class TestCountHits:
+    @pytest.fixture
+    def model(self, tiny_corpus):
+        return TaggerModel(tiny_corpus.tagset, build_lexicon(tiny_corpus),
+                           default_greek_chain(), (), (ContextualRule(
+                               "PREVTAG", ("AT",), "NN", "VB"),))
+
+    def test_counts_as_accuracy_does(self, tiny_corpus, model):
+        gold = TaggedCorpus(tiny_corpus.sentences + ((
+            Token("Άννα", "PROP"), Token("γάτα", "NN"), Token("xyz", "NN")),),
+            tiny_corpus.tagset)
+        confusion = Counter()
+        hits, tokens, known_hits, known_tokens = count_hits(
+            model.tagger, gold.sentences, known={"γάτα", "xyz"},
+            confusion=confusion)
+        acc, want = accuracy(tag_corpus(strip_tags(gold), model), gold)
+        assert (hits / tokens, confusion) == (acc, want)
+        assert tokens == gold.word_count == 11
+        # γάτα is tagged VB after ο (gold NN), else NN (gold NN, VB, NN);
+        # xyz is tagged FW (gold NN)
+        assert (known_hits, known_tokens) == (2, 5)
+        assert count_hits(model.tagger, gold.sentences) == \
+            (hits, tokens, 0, 0)
+
+    def test_empty_corpus_refused(self, model):
+        with pytest.raises(AlignmentError, match="empty corpus"):
+            count_hits(model.tagger, ())
 
 
 class TestLearningCurve:

@@ -442,12 +442,12 @@ def tagged_sentences_st(word, max_sentences):
 
 
 @st.composite
-def tagging_cases_st(draw):
+def tagging_cases_st(draw, chars=TAGGING_CHARS):
     """(model, other, first, second): a model over a few characters, one
     that differs from it only in its rules, and two raw corpora mixing its
     known words with unknown ones."""
-    word = st.text(TAGGING_CHARS, min_size=1, max_size=4)
-    affix = st.text(TAGGING_CHARS, min_size=1, max_size=2)
+    word = st.text(chars, min_size=1, max_size=4)
+    affix = st.text(chars, min_size=1, max_size=2)
     corpus = TaggedCorpus(draw(tagged_sentences_st(word, 5)), make_tagset())
     lexicon = build_lexicon(corpus)
 
@@ -481,6 +481,11 @@ class TestTagger:
         for sent in second:
             assert tag_corpus([sent], model) == \
                 reference_tag_corpus([sent], model)
+        # the per-sentence method under tag_corpus, cold and warm
+        for tagger in (replace(model).tagger, model.tagger):
+            assert [tagger.tag_words(tuple(tok.word for tok in sent))
+                    for sent in second] == \
+                [[tok.tag for tok in sent] for sent in want.sentences]
         warm = replace(model)
         tag_corpus(first, warm)
         assert tag_corpus(second, warm) == want
@@ -589,6 +594,17 @@ class TestTagger:
         assert [t.tag for t in tagged] == ["NN", "NN"]
         assert other.tagger.tokens is not model.tagger.tokens
         assert tagged[1] is not model.tagger.tokens["γάτα"]
+
+    def test_every_output_tag_is_checked_against_the_tagset(self,
+                                                           tiny_corpus):
+        # no model the types accept gives a tag outside its tagset; a
+        # damaged memo stands in for one that would
+        model = TestTagCorpus._model(tiny_corpus)
+        model.tagger.tags["γάτα"] = "ZZ"
+        with pytest.raises(TagsetError, match="'ZZ' not in tagset"):
+            model.tagger.tag_words(("ο", "γάτα"))
+        with pytest.raises(TagsetError, match="'ZZ' not in tagset"):
+            tag_corpus([(Token("ο"), Token("γάτα"))], model)
 
     def test_built_once_per_model(self, tiny_corpus):
         model = TestTagCorpus._model(tiny_corpus)
@@ -1006,6 +1022,13 @@ class TestModelRoundTrip:
                     + ((OTHER, "FOREIGN"),))
         with pytest.raises(TaggerError):
             replace(chain, branches=chain.branches[::-1])
+
+    @pytest.mark.parametrize("chain", [
+        None, default_greek_chain().branches, "default"])
+    def test_chain_of_another_type_rejected(self, tagset, chain):
+        # a wrong chain would otherwise fail only at the first unknown word
+        with pytest.raises(TaggerError, match="InitialRuleChain"):
+            TaggerModel(tagset, EMPTY_LEX, chain, (), ())
 
     def test_lexicon_tag_outside_tagset_rejected(self, tagset):
         with pytest.raises(TagsetError):
