@@ -26,9 +26,14 @@ class TaggerError(Exception):
 
 
 class ParseError(TaggerError):
-    """Malformed input file; carries a 1-based line number when known."""
+    """Malformed input file. Given its 1-based ``line`` (and ``column``),
+    the message starts with ``"line L: "`` (``"line L col C: "``); both
+    stay readable as ``.line`` and ``.column``."""
 
     def __init__(self, message, line=None, column=None):
+        if line is not None:
+            col = "" if column is None else " col %d" % column
+            message = "line %d%s: %s" % (line, col, message)
         super().__init__(message)
         self.line = line
         self.column = column
@@ -187,25 +192,18 @@ def _normalize(word):
 def _parse_item(item, lineno, col, tagset) -> Token:
     word, sep, tag = item.rpartition("/")
     if not sep:
-        raise ParseError(
-            "line %d col %d: item %r has no '/' separator" % (lineno, col, item),
-            line=lineno, column=col)
+        raise ParseError("item %r has no '/' separator" % item,
+                         line=lineno, column=col)
     if not word:
-        raise ParseError(
-            "line %d col %d: empty word in %r" % (lineno, col, item),
-            line=lineno, column=col)
+        raise ParseError("empty word in %r" % item, line=lineno, column=col)
     if not tag:
-        raise ParseError(
-            "line %d col %d: empty tag in %r" % (lineno, col, item),
-            line=lineno, column=col)
+        raise ParseError("empty tag in %r" % item, line=lineno, column=col)
     if tag not in tagset:
-        raise TagsetError(
-            "line %d: tag %r not in tagset" % (lineno, tag), line=lineno)
+        raise TagsetError("tag %r not in tagset" % tag, line=lineno)
     word = _normalize(word)
     if not word:
-        raise ParseError(
-            "line %d col %d: word empty after normalization" % (lineno, col),
-            line=lineno, column=col)
+        raise ParseError("word empty after normalization",
+                         line=lineno, column=col)
     return Token(word, tag)
 
 
@@ -269,22 +267,18 @@ def load_tagset(text: str) -> Tagset:
         fields = line.split()
         if fields[0] == "tag" and len(fields) == 2:
             if fields[1] in tags:
-                raise TagsetError("line %d: duplicate tag %r" % (lineno, fields[1]),
-                                  line=lineno)
+                raise TagsetError("duplicate tag %r" % fields[1], line=lineno)
             tags.append(fields[1])
         elif fields[0] == "role" and len(fields) == 3:
             key, name = fields[1], fields[2]
             if key not in REQUIRED_ROLES:
-                raise TagsetError("line %d: unknown role key %r" % (lineno, key),
-                                  line=lineno)
+                raise TagsetError("unknown role key %r" % key, line=lineno)
             if name not in tags:
-                raise TagsetError(
-                    "line %d: role %s bound to undeclared tag %r" % (lineno, key, name),
-                    line=lineno)
+                raise TagsetError("role %s bound to undeclared tag %r"
+                                  % (key, name), line=lineno)
             roles[key] = name
         else:
-            raise ParseError("line %d: unrecognized tagset line %r" % (lineno, line),
-                             line=lineno)
+            raise ParseError("unrecognized tagset line %r" % line, line=lineno)
     return Tagset(tags, roles)
 
 

@@ -93,10 +93,12 @@ class RuleScore:
 def split_for_unknown_training(corpus: TaggedCorpus, fraction: float,
                                seed: int):
     """Seeded sentence-level split: ceil(fraction * S) sentences build the
-    guess lexicon, the rest drive rule learning."""
+    guess lexicon, the rest drive rule learning. Every training path splits
+    first, so this is where a corpus of fewer than 2 sentences is refused."""
     n = len(corpus.sentences)
     if n < 2:
-        raise TaggerError("need at least 2 sentences to split, got %d" % n)
+        raise TaggerError("need at least 2 sentences to split, got %d" % n
+                          if n else "cannot train on an empty corpus")
     order = list(range(n))
     random.Random(seed).shuffle(order)
     n_lex = math.ceil(fraction * n)
@@ -320,8 +322,6 @@ def learn_lexical_rules(train: TaggedCorpus,
                         config: TrainConfig = TrainConfig()):
     """Returns (lexicon built from the FULL training corpus, ordered lexical
     rules learned on the held-out-lexicon split)."""
-    if not train.sentences:
-        raise TaggerError("cannot train on an empty corpus")
     lex_part, rule_part = split_for_unknown_training(
         train, config.lexicon_split_fraction, config.seed)
     guess = build_lexicon(lex_part)
@@ -753,8 +753,6 @@ def learn_contextual_rules(train: TaggedCorpus, lexicon: Lexicon,
 def _learn_contextual(train, lexicon, lexical_rules, chain, config) -> tuple:
     """(rules, errors): ``learn_contextual_rules``'s rules and the tokens
     of ``train`` still tagged wrongly after them."""
-    if not train.sentences:
-        raise TaggerError("cannot train on an empty corpus")
     state, gold = initial_contextual_state(train, lexicon, lexical_rules, chain)
     return _greedy("contextual",
                    lambda: _ContextualLearner(state, gold,

@@ -141,30 +141,28 @@ def parse_lexicon(text: str, tagset: Tagset) -> Lexicon:
             continue
         fields = line.split()
         if len(fields) < 2:
-            raise ParseError("line %d: lexicon entry needs word and tag:count pairs"
-                             % lineno, line=lineno)
+            raise ParseError("lexicon entry needs word and tag:count pairs",
+                             line=lineno)
         word, pairs = fields[0], []
         for item in fields[1:]:
             tag, sep, count = item.rpartition(":")
             # ASCII digits only: str.isdigit() also accepts "²" and "١"
             if (not sep or not tag or not count.isascii()
                     or not count.isdigit()):
-                raise ParseError("line %d: malformed tag:count item %r"
-                                 % (lineno, item), line=lineno)
+                raise ParseError("malformed tag:count item %r" % item,
+                                 line=lineno)
             if tag not in tagset:
-                raise TagsetError("line %d: tag %r not in tagset" % (lineno, tag),
-                                  line=lineno)
+                raise TagsetError("tag %r not in tagset" % tag, line=lineno)
             try:
                 count = int(count)
             except ValueError as exc:  # more digits than int() converts
-                raise ParseError("line %d: count too long in %r"
-                                 % (lineno, item[:40]), line=lineno) from exc
+                raise ParseError("count too long in %r" % item[:40],
+                                 line=lineno) from exc
             if count <= 0:
-                raise ParseError("line %d: non-positive count in %r"
-                                 % (lineno, item), line=lineno)
+                raise ParseError("non-positive count in %r" % item,
+                                 line=lineno)
             pairs.append((tag, count))
         if word in entries:
-            raise ParseError("line %d: duplicate lexicon word %r" % (lineno, word),
-                             line=lineno)
+            raise ParseError("duplicate lexicon word %r" % word, line=lineno)
         entries[word] = tuple(pairs)
     return Lexicon(entries)

@@ -525,31 +525,30 @@ def parse_rules(text: str, tagset: Tagset):
         try:
             if kind == "LEX":
                 if len(fields) != 5:
-                    raise ParseError("line %d: LEX rule needs 4 fields" % lineno,
-                                     line=lineno)
+                    raise ParseError("LEX rule needs 4 fields", line=lineno)
                 template, arg, from_tag, to_tag = fields[1:]
                 rule = LexicalRule(template, arg,
                                    None if from_tag == "-" else from_tag, to_tag)
                 lexical.append(rule)
             elif kind == "CTX":
                 if len(fields) < 5:
-                    raise ParseError("line %d: CTX rule needs at least 4 fields"
-                                     % lineno, line=lineno)
+                    raise ParseError("CTX rule needs at least 4 fields",
+                                     line=lineno)
                 template, from_tag, to_tag = fields[1:4]
                 rule = ContextualRule(template, tuple(fields[4:]), from_tag,
                                       to_tag)
                 contextual.append(rule)
             else:
-                raise ParseError("line %d: rule line must start with LEX or CTX"
-                                 % lineno, line=lineno)
+                raise ParseError("rule line must start with LEX or CTX",
+                                 line=lineno)
             for tag in (rule.from_tag, rule.to_tag):
                 if tag is not None and tag not in tagset:
-                    raise TagsetError("line %d: tag %r not in tagset"
-                                      % (lineno, tag), line=lineno)
+                    raise TagsetError("tag %r not in tagset" % tag,
+                                      line=lineno)
         except TaggerError as exc:
             if isinstance(exc, ParseError):
                 raise
-            raise ParseError("line %d: %s" % (lineno, exc), line=lineno) from exc
+            raise ParseError(str(exc), line=lineno) from exc
     return tuple(lexical), tuple(contextual)
 
 

@@ -369,26 +369,20 @@ def reference_parse_tagged_corpus(text: str, tagset) -> TaggedCorpus:
             item, col = m.group(0), m.start() + 1
             word, sep, tag = item.rpartition("/")
             if not sep:
-                raise ParseError(
-                    "line %d col %d: item %r has no '/' separator"
-                    % (lineno, col, item), line=lineno, column=col)
+                raise ParseError("item %r has no '/' separator" % item,
+                                 line=lineno, column=col)
             if not word:
-                raise ParseError(
-                    "line %d col %d: empty word in %r" % (lineno, col, item),
-                    line=lineno, column=col)
+                raise ParseError("empty word in %r" % item,
+                                 line=lineno, column=col)
             if not tag:
-                raise ParseError(
-                    "line %d col %d: empty tag in %r" % (lineno, col, item),
-                    line=lineno, column=col)
+                raise ParseError("empty tag in %r" % item,
+                                 line=lineno, column=col)
             if tag not in tagset:
-                raise TagsetError(
-                    "line %d: tag %r not in tagset" % (lineno, tag),
-                    line=lineno)
+                raise TagsetError("tag %r not in tagset" % tag, line=lineno)
             word = unicodedata.normalize("NFC", word)
             if not word:
-                raise ParseError(
-                    "line %d col %d: word empty after normalization"
-                    % (lineno, col), line=lineno, column=col)
+                raise ParseError("word empty after normalization",
+                                 line=lineno, column=col)
             tokens.append(Token(word, tag))
         sentences.append(tuple(tokens))
     return TaggedCorpus(tuple(sentences), tagset)

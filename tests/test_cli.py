@@ -125,6 +125,21 @@ class TestTrain:
         assert "line 1" in err
         assert not (tmp_path / "m").exists()  # no partial model
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "cannot train on an empty corpus"),
+        ("x/NNM\n", "need at least 2 sentences to split, got 1"),
+    ], ids=["empty", "one-sentence"])
+    def test_untrainable_corpus_exits_2(self, workspace, tmp_path, capsys,
+                                        text, message):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text, encoding="utf-8")
+        code = main(["train", "--corpus", str(corpus),
+                     "--tagset", str(workspace["tagset"]),
+                     "--out", str(tmp_path / "m")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not (tmp_path / "m").exists()
+
     def test_unknown_flag_exits_2(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--corpus", str(workspace["corpus"]),
@@ -707,6 +722,22 @@ class TestCrossval:
         assert code == EXIT_CONFIG
         assert "--jobs" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("crossval", []), ("curve", ["--sizes", "100"])])
+    def test_fold_worker_refusal_exits_2(self, workspace, tmp_path, capsys,
+                                         command, flags):
+        # each of the two folds trains on one sentence, in a worker
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("x/NNM y/NNF\nz/VRB\n", encoding="utf-8")
+        code = main([command, "--corpus", str(corpus),
+                     "--tagset", str(workspace["tagset"]), "--k", "2",
+                     "--jobs", "2", "--out", str(tmp_path / "out.csv")]
+                    + flags)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: need at least 2 sentences to split, got 1\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_deterministic_csv(self, workspace, tmp_path):
         args = ["crossval", "--corpus", str(workspace["corpus"]),

@@ -121,6 +121,22 @@ class TestParseTaggedCorpus:
             parse_tagged_corpus("x/NN\nx/NN a x", tagset)
         assert (exc.value.line, exc.value.column) == (2, 6)
 
+    # reference_parse_tagged_corpus locates its errors through ParseError
+    # too, so only literal text pins the format
+    @pytest.mark.parametrize("text, error, message, line, column", [
+        ("x/NNM\nx/NNM a x", ParseError,
+         "line 2 col 7: item 'a' has no '/' separator", 2, 7),
+        ("x/NN\n\nx/NN x/BOGUS", TagsetError,
+         "line 3: tag 'BOGUS' not in tagset", 3, None),
+    ], ids=["no-slash", "unknown-tag"])
+    def test_error_message_leads_with_its_location(self, text, error, message,
+                                                   line, column):
+        with pytest.raises(error) as exc:
+            parse_tagged_corpus(text, make_tagset(TAG_NAMES + ("NNM",)))
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+        assert (exc.value.line, exc.value.column) == (line, column)
+
 
 class TestTaggedCorpusCheck:
     @given(sentences_st())
@@ -216,6 +232,12 @@ class TestLoadTagset:
     def test_duplicate_tag(self):
         with pytest.raises(TagsetError):
             load_tagset("tag FW\ntag FW\n" + self.CONFIG)
+
+    def test_error_message_leads_with_its_line(self):
+        with pytest.raises(TagsetError) as exc:
+            load_tagset("# roles\ntag FW\nrole FOREIGNER FW\n")
+        assert str(exc.value) == "line 3: unknown role key 'FOREIGNER'"
+        assert (exc.value.line, exc.value.column) == (3, None)
 
     def test_comments_and_round_trip(self):
         ts = load_tagset("# a comment\n" + self.CONFIG)

@@ -901,6 +901,12 @@ class TestLearnContextualRules:
                                        config=TrainConfig())
         assert rules == ()
 
+    def test_empty_corpus_learns_nothing(self):
+        # the one refusal of an untrainable corpus is the split, which
+        # contextual learning does not make
+        corpus = TaggedCorpus((), make_tagset())
+        assert learn_contextual_rules(corpus, Lexicon({}), ()) == ()
+
     @pytest.mark.parametrize("last_tag, threshold", [("NN", 1), ("VB", 2)])
     def test_fewer_errors_than_threshold_builds_no_learner(
             self, monkeypatch, last_tag, threshold):
@@ -1000,6 +1006,13 @@ class TestNonConvergence:
 
 
 class TestTrainModel:
+    @pytest.mark.parametrize("train", [train_model, learn_lexical_rules],
+                             ids=["train_model", "learn_lexical_rules"])
+    def test_empty_corpus_refused(self, train):
+        with pytest.raises(TaggerError) as exc:
+            train(TaggedCorpus((), make_tagset()))
+        assert str(exc.value) == "cannot train on an empty corpus"
+
     def test_deterministic(self):
         corpus = generate_synthetic_corpus(mini_spec(9, n_sentences=60))
         config = TrainConfig(seed=11)

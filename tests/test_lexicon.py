@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbltagger.corpus import TaggedCorpus, TaggerError, Token
+from tbltagger.corpus import ParseError, TaggedCorpus, TaggerError, Token
 from tbltagger.lexicon import (GREEK_CAPITAL_START, LATIN_START, OTHER,
                                InitialRuleChain, Lexicon, build_lexicon,
                                classify_script, default_greek_chain,
@@ -151,6 +151,13 @@ class TestLexiconSerialization:
     def test_malformed_item_rejected(self, tagset):
         with pytest.raises(TaggerError):
             parse_lexicon("can NN", tagset)
+
+    def test_error_message_leads_with_its_line(self, tagset):
+        with pytest.raises(ParseError) as exc:
+            parse_lexicon("can NN:1\n\nbad NN:1 VB:x", tagset)
+        assert type(exc.value) is ParseError
+        assert str(exc.value) == "line 3: malformed tag:count item 'VB:x'"
+        assert (exc.value.line, exc.value.column) == (3, None)
 
     @given(corpora_st())
     def test_round_trip(self, corpus):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from tbltagger.corpus import (REQUIRED_ROLES, TaggedCorpus, TaggerError,
-                              Tagset, TagsetError, Token)
+from tbltagger.corpus import (REQUIRED_ROLES, ParseError, TaggedCorpus,
+                              TaggerError, Tagset, TagsetError, Token)
 from tbltagger.lexicon import (GREEK_CAPITAL_START, LATIN_START, OTHER,
                                InitialRuleChain, Lexicon, build_lexicon,
                                default_greek_chain, initial_tag,
@@ -757,6 +757,13 @@ class TestRuleSerialization:
     def test_unknown_template_rejected(self, tagset):
         with pytest.raises(TaggerError):
             parse_rules("LEX NOSUCH ed - VB", tagset)
+
+    def test_rule_error_is_reraised_with_its_line(self, tagset):
+        with pytest.raises(ParseError) as exc:
+            parse_rules("LEX HASSUF ed - VB\nLEX BOGUS ed - VB", tagset)
+        assert type(exc.value) is ParseError
+        assert str(exc.value) == "line 2: unknown lexical template 'BOGUS'"
+        assert (exc.value.line, exc.value.column) == (2, None)
 
     def test_unknown_tag_rejected(self, tagset):
         with pytest.raises(TaggerError):
