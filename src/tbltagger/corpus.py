@@ -51,9 +51,12 @@ class ModelError(TaggerError):
     """A model directory is missing files or internally inconsistent."""
 
 
-def is_utf8_encodable(text) -> bool:
-    """False if ``text`` holds a lone surrogate, which no UTF-8 file, and
-    so no model file, can hold."""
+def is_field(text) -> bool:
+    """True if ``text`` survives as one field of a whitespace-split line
+    of a UTF-8 file: non-empty, with no whitespace and no lone surrogate
+    (which no UTF-8 file, and so no model file, can hold)."""
+    if text.split() != [text]:
+        return False
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
@@ -61,17 +64,9 @@ def is_utf8_encodable(text) -> bool:
     return True
 
 
-def is_field(text) -> bool:
-    """True if ``text`` survives as one field of a whitespace-split line
-    of a UTF-8 file: non-empty, with no whitespace or lone surrogate."""
-    return text.split() == [text] and is_utf8_encodable(text)
-
-
 def _check_tag_name(name):
     # "-" stands for "no from_tag" in the LEXRULES file format
-    if (not name or name == "-" or "/" in name
-            or any(c.isspace() for c in name)
-            or not is_utf8_encodable(name)):
+    if not is_field(name) or name == "-" or "/" in name:
         raise TagsetError("invalid tag name %r (empty, '-', whitespace, '/' "
                           "or a lone surrogate)" % name)
 
@@ -104,6 +99,15 @@ class Tagset:
 
     def __contains__(self, tag):
         return tag in self._members
+
+    def check(self, tags, what="tag", line=None):
+        """The one refusal of a tag outside the tagset: raise TagsetError
+        ``"<what> 'X' not in tagset"``, located at ``line``, for the first
+        tag X of ``tags`` that is not a member."""
+        for tag in tags:
+            if tag not in self._members:
+                raise TagsetError("%s %r not in tagset" % (what, tag),
+                                  line=line)
 
     def __len__(self):
         return len(self.tags)
@@ -141,7 +145,7 @@ class TaggedCorpus:
                     if tok.tag is None:
                         raise TaggerError("untagged token %r in tagged corpus"
                                           % tok.word)
-                    raise TagsetError("tag %r not in tagset" % tok.tag)
+                    self.tagset.check((tok.tag,))
 
     @property
     def word_count(self):
@@ -198,13 +202,8 @@ def _parse_item(item, lineno, col, tagset) -> Token:
         raise ParseError("empty word in %r" % item, line=lineno, column=col)
     if not tag:
         raise ParseError("empty tag in %r" % item, line=lineno, column=col)
-    if tag not in tagset:
-        raise TagsetError("tag %r not in tagset" % tag, line=lineno)
-    word = _normalize(word)
-    if not word:
-        raise ParseError("word empty after normalization",
-                         line=lineno, column=col)
-    return Token(word, tag)
+    tagset.check((tag,), line=lineno)
+    return Token(_normalize(word), tag)
 
 
 def parse_tagged_corpus(text: str, tagset: Tagset) -> TaggedCorpus:

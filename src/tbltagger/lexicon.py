@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 
-from .corpus import ParseError, TaggedCorpus, TaggerError, Tagset, TagsetError
+from .corpus import ParseError, TaggedCorpus, TaggerError, Tagset
 
 LATIN_START = "LATIN_START"
 GREEK_CAPITAL_START = "GREEK_CAPITAL_START"
@@ -151,8 +151,7 @@ def parse_lexicon(text: str, tagset: Tagset) -> Lexicon:
                     or not count.isdigit()):
                 raise ParseError("malformed tag:count item %r" % item,
                                  line=lineno)
-            if tag not in tagset:
-                raise TagsetError("tag %r not in tagset" % tag, line=lineno)
+            tagset.check((tag,), line=lineno)
             try:
                 count = int(count)
             except ValueError as exc:  # more digits than int() converts

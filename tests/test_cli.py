@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import re
+import stat
 import tempfile
 from datetime import timedelta
 from pathlib import Path
@@ -927,6 +928,72 @@ class TestAlignmentExit:
         assert code == EXIT_DATA
         assert capsys.readouterr().err == \
             "error: cannot compute accuracy on an empty corpus\n"
+
+
+@contextlib.contextmanager
+def umask(mask):
+    """Run the body under the umask ``mask``, then restore the old one."""
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+class TestOutputModes:
+    """What the commands write gets the mode that mkdir() (a directory) and
+    open() (a file) give under the caller's umask."""
+
+    @pytest.fixture(scope="class", params=[0o022, 0o027],
+                    ids=["umask-022", "umask-027"])
+    def outputs(self, request, tmp_path_factory):
+        """(umask, paths) after synth, train, tag, eval --confusion,
+        crossval --out and curve --out have run under the umask."""
+        root = tmp_path_factory.mktemp("modes")
+        paths = {name: str(root / name) for name in (
+            "corpus", "tagset", "raw", "model", "tagged", "confusion",
+            "folds", "curve")}
+        spec = root / "spec.json"
+        spec.write_text(json.dumps({"n_stems": 10, "n_sentences": 30,
+                                    "seed": 2}), encoding="utf-8")
+        data = ["--corpus", paths["corpus"], "--tagset", paths["tagset"]]
+        with umask(request.param), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--spec", str(spec), "--out",
+                         paths["corpus"], "--tagset-out",
+                         paths["tagset"]]) == EXIT_OK
+            corpus = Path(paths["corpus"]).read_text(encoding="utf-8")
+            Path(paths["raw"]).write_text(re.sub(r"/\S+", "", corpus),
+                                          encoding="utf-8")
+            words = len(corpus.split())
+            for argv in (
+                    ["train", *data, "--out", paths["model"]],
+                    ["tag", "--model", paths["model"], "--in", paths["raw"],
+                     "--out", paths["tagged"]],
+                    ["eval", "--model", paths["model"], "--gold",
+                     paths["corpus"], "--confusion", paths["confusion"]],
+                    ["crossval", *data, "--k", "3", "--out", paths["folds"]],
+                    ["curve", *data, "--k", "3", "--sizes",
+                     "%d,%d" % (words // 2, words), "--out", paths["curve"]]):
+                assert main(argv) == EXIT_OK, argv
+        return request.param, paths
+
+    def test_model_directory_gets_the_mkdir_mode(self, outputs):
+        mask, paths = outputs
+        assert mode(paths["model"]) == 0o777 & ~mask
+
+    def test_files_get_the_open_mode(self, outputs):
+        mask, paths = outputs
+        written = [paths[name] for name in (
+            "corpus", "tagset", "tagged", "confusion", "folds", "curve")]
+        written += [os.path.join(paths["model"], name)
+                    for name in MODEL_FILES]
+        assert {path: mode(path) for path in written} == \
+            dict.fromkeys(written, 0o666 & ~mask)
 
 
 @contextlib.contextmanager

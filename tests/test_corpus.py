@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbltagger.corpus import (FoldPlan, ParseError, TaggedCorpus, TaggerError,
-                              TagsetError, Token, kfold_split, load_tagset,
-                              parse_raw_corpus, parse_tagged_corpus,
-                              serialize_tagged_corpus, serialize_tagset,
-                              truncate_to_words)
+                              Tagset, TagsetError, Token, kfold_split,
+                              load_tagset, parse_raw_corpus,
+                              parse_tagged_corpus, serialize_tagged_corpus,
+                              serialize_tagset, truncate_to_words)
 from tbltagger.evaluate import strip_tags
 
-from conftest import TAG_NAMES, corpora_st, make_tagset, sentences_st
+from conftest import (DEFAULT_ROLES, TAG_NAMES, corpora_st, make_tagset,
+                      sentences_st)
 from oracles import reference_check_tagged_corpus, reference_parse_tagged_corpus
 
 
@@ -246,6 +247,25 @@ class TestLoadTagset:
     def test_invalid_tag_name(self):
         with pytest.raises(TagsetError):
             make_tagset(tags=("A/B", "FW", "PROP", "NNF"))
+
+
+class TestTagsetConstructor:
+    """The refusals of a ``Tagset`` built directly, which ``load_tagset``
+    makes first with a line of its own."""
+
+    @pytest.mark.parametrize("tags, roles, message", [
+        (TAG_NAMES + ("NN",), DEFAULT_ROLES, "duplicate tag 'NN'"),
+        (TAG_NAMES, {**DEFAULT_ROLES, "VERB": "VB"},
+         "unknown role key 'VERB'"),
+        (TAG_NAMES, {**DEFAULT_ROLES, "FOREIGN": "ZZ"},
+         "role FOREIGN bound to undeclared tag 'ZZ'"),
+    ], ids=["duplicate-tag", "unknown-role-key", "undeclared-role-tag"])
+    def test_refusal(self, tags, roles, message):
+        with pytest.raises(TagsetError) as exc:
+            Tagset(tags, roles)
+        assert type(exc.value) is TagsetError
+        assert str(exc.value) == message
+        assert (exc.value.line, exc.value.column) == (None, None)
 
 
 class TestKfoldSplit:

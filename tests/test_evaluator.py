@@ -75,6 +75,13 @@ class TestAccuracy:
         with pytest.raises(AlignmentError):
             accuracy(a, b)
 
+    def test_two_empty_corpora_refused(self, tagset):
+        empty = TaggedCorpus((), tagset)
+        with pytest.raises(AlignmentError) as exc:
+            accuracy(empty, empty)
+        assert type(exc.value) is AlignmentError
+        assert str(exc.value) == "cannot compute accuracy on an empty corpus"
+
 
 class TestStripTags:
     def test_strips(self, tiny_corpus):
@@ -82,6 +89,15 @@ class TestStripTags:
         assert all(t.tag is None for s in raw for t in s)
         assert [[t.word for t in s] for s in raw] == \
             [[t.word for t in s] for s in tiny_corpus.sentences]
+
+
+class TestFoldResult:
+    @pytest.mark.parametrize("acc", [-0.1, 1.5, float("nan")])
+    def test_accuracy_outside_unit_interval_refused(self, acc):
+        with pytest.raises(TaggerError) as exc:
+            FoldResult(0, acc, 0, 0, 10)
+        assert type(exc.value) is TaggerError
+        assert str(exc.value) == "accuracy out of [0, 1]"
 
 
 class TestSummarize:

@@ -159,6 +159,13 @@ class TestLexiconSerialization:
         assert str(exc.value) == "line 3: malformed tag:count item 'VB:x'"
         assert (exc.value.line, exc.value.column) == (3, None)
 
+    def test_duplicate_word_rejected_with_its_line(self, tagset):
+        with pytest.raises(ParseError) as exc:
+            parse_lexicon("can NN:1\nο AT:2\ncan VB:1\n", tagset)
+        assert type(exc.value) is ParseError
+        assert str(exc.value) == "line 3: duplicate lexicon word 'can'"
+        assert (exc.value.line, exc.value.column) == (3, None)
+
     @given(corpora_st())
     def test_round_trip(self, corpus):
         if not corpus.sentences:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -820,6 +821,22 @@ class TestModelPersistence:
         assert serialize_tagged_corpus(tag_corpus(raw, loaded)) == \
             serialize_tagged_corpus(tag_corpus(raw, model))
 
+    @pytest.mark.parametrize("name, line, message", [
+        ("LEXRULES", "CTX PREVTAG NN VB AT\n",
+         "LEXRULES contains contextual rules"),
+        ("CTXRULES", "LEX HASSUF α - NN\n",
+         "CTXRULES contains lexical rules"),
+    ], ids=["ctx-in-lexrules", "lex-in-ctxrules"])
+    def test_rule_of_the_other_kind_rejected(self, tiny_corpus, tmp_path,
+                                             name, line, message):
+        path = tmp_path / "model"
+        save_model(self._model(tiny_corpus), str(path))
+        with open(path / name, "a", encoding="utf-8") as fh:
+            fh.write(line)
+        with pytest.raises(ModelError) as exc:
+            load_model(str(path))
+        assert str(exc.value) == message
+
     def test_missing_file_rejected(self, tiny_corpus, tmp_path):
         path = str(tmp_path / "model")
         save_model(self._model(tiny_corpus), path)
@@ -1041,6 +1058,45 @@ class TestModelRoundTrip:
         with pytest.raises(TagsetError):
             TaggerModel(tagset, Lexicon({"a": (("ZZ", 1),)}),
                         default_greek_chain(), (), ())
+
+    @pytest.mark.parametrize("lexical, contextual", [
+        ((LexicalRule("HASSUF", "a", None, "ZZ"),), ()),
+        ((LexicalRule("HASSUF", "a", "NN", "VB"),),
+         (ContextualRule("PREVTAG", ("AT",), "ZZ", "NN"),)),
+    ], ids=["lexical-to-tag", "contextual-from-tag"])
+    def test_rule_tag_outside_tagset_rejected(self, tagset, lexical,
+                                              contextual):
+        with pytest.raises(TagsetError) as exc:
+            TaggerModel(tagset, EMPTY_LEX, default_greek_chain(), lexical,
+                        contextual)
+        assert str(exc.value) == "rule tag 'ZZ' not in tagset"
+        assert exc.value.line is None
+
+    def test_first_bad_lexicon_tag_named_under_any_hash_seed(self):
+        # the first bad tag in entry order, whatever order a set of the
+        # tags would have in this process
+        script = (
+            "from tbltagger.corpus import TaggerError, Tagset\n"
+            "from tbltagger.lexicon import Lexicon, default_greek_chain\n"
+            "from tbltagger.rules import TaggerModel\n"
+            "roles = dict.fromkeys(%r, 'NN')\n"
+            "lexicon = Lexicon({'a': (('NN', 2), ('XC', 1)), "
+            "'b': (('XA', 1),), 'c': (('XB', 1),)})\n"
+            "try:\n"
+            "    TaggerModel(Tagset(['NN'], roles), lexicon,\n"
+            "                default_greek_chain(), (), ())\n"
+            "except TaggerError as exc:\n"
+            "    print(exc)\n" % (REQUIRED_ROLES,))
+        src = os.path.dirname(os.path.dirname(rules_module.__file__))
+        named = set()
+        for seed in ("1", "2", "3", "4", "5", "6"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            named.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert named == {"lexicon tag 'XC' not in tagset\n"}
 
     @pytest.mark.parametrize("build", [
         lambda: LexicalRule("HASSUF", "a b", None, "NN"),
