@@ -8,8 +8,9 @@ provides a cross-validation / learning-curve evaluation harness.
 from .corpus import (AlignmentError, FoldPlan, ModelError, ParseError,
                      TaggedCorpus, TaggerError, Tagset, TagsetError, Token,
                      kfold_split, load_tagset, parse_raw_corpus,
-                     parse_tagged_corpus, serialize_tagged_corpus,
-                     serialize_tagset, truncate_to_words)
+                     parse_tagged_corpus, raw_sentences,
+                     serialize_tagged_corpus, serialize_tagset,
+                     truncate_to_words)
 from .lexicon import (InitialRuleChain, Lexicon, build_lexicon,
                       classify_script, default_greek_chain, initial_tag,
                       parse_lexicon, serialize_lexicon)

@@ -19,7 +19,7 @@ import tempfile
 from collections import Counter
 
 from .corpus import (AlignmentError, TaggerError, load_tagset,
-                     parse_raw_corpus, parse_tagged_corpus, read_text,
+                     parse_tagged_corpus, raw_sentences, read_text,
                      serialize_tagged_corpus, serialize_tagset)
 from .evaluate import (SynthSpec, count_hits, cross_validate,
                        generate_synthetic_corpus, learning_curve,
@@ -165,17 +165,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _tagged_lines(tag_words, raw_sentences):
-    """One ``word/TAG`` line per raw sentence, as the tagged corpus file
-    holds it (``serialize_tagged_corpus``)."""
-    for sent in raw_sentences:
-        words = tuple([tok.word for tok in sent])
+def _tagged_lines(tag_words, sentences):
+    """One ``word/TAG`` line per sentence of words, as the tagged corpus
+    file holds it (``serialize_tagged_corpus``)."""
+    for words in sentences:
         yield " ".join(map("/".join, zip(words, tag_words(words)))) + "\n"
 
 
 def cmd_tag(args) -> int:
     tag_words = load_model(args.model).tagger.tag_words
-    raw = parse_raw_corpus(read_text(args.infile))
+    raw = raw_sentences(read_text(args.infile))
     _write_atomically(args.out, _tagged_lines(tag_words, raw))
     return EXIT_OK
 

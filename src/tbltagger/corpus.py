@@ -14,6 +14,7 @@ import random
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Optional
 
 REQUIRED_ROLES = ("FOREIGN", "PROPER_MASC_SG", "NOUN_FEM_SG")
@@ -64,11 +65,11 @@ def is_field(text) -> bool:
     return True
 
 
-def _check_tag_name(name):
+def _check_tag_name(name, line=None):
     # "-" stands for "no from_tag" in the LEXRULES file format
     if not is_field(name) or name == "-" or "/" in name:
         raise TagsetError("invalid tag name %r (empty, '-', whitespace, '/' "
-                          "or a lone surrogate)" % name)
+                          "or a lone surrogate)" % name, line=line)
 
 
 class Tagset:
@@ -193,15 +194,15 @@ def _normalize(word):
     return unicodedata.normalize("NFC", word)
 
 
-def _parse_item(item, lineno, col, tagset) -> Token:
+def _parse_item(item, lineno, line, index, tagset) -> Token:
+    """The ``Token`` of ``item``, the ``index``-th item of ``line``."""
     word, sep, tag = item.rpartition("/")
-    if not sep:
-        raise ParseError("item %r has no '/' separator" % item,
-                         line=lineno, column=col)
-    if not word:
-        raise ParseError("empty word in %r" % item, line=lineno, column=col)
-    if not tag:
-        raise ParseError("empty tag in %r" % item, line=lineno, column=col)
+    if not sep or not word or not tag:
+        # only an error reports the column: that of the item's \S+ match
+        col = next(islice(_ITEM_RE.finditer(line), index, None)).start() + 1
+        message = ("item %r has no '/' separator" if not sep else
+                   "empty word in %r" if not word else "empty tag in %r")
+        raise ParseError(message % item, line=lineno, column=col)
     tagset.check((tag,), line=lineno)
     return Token(_normalize(word), tag)
 
@@ -221,10 +222,9 @@ def parse_tagged_corpus(text: str, tagset: Tagset) -> TaggedCorpus:
         if not items:
             continue
         if not all(map(tokens.__contains__, items)):
-            for m in _ITEM_RE.finditer(line):
-                item = m.group(0)
+            for index, item in enumerate(items):
                 if item not in tokens:
-                    tokens[item] = _parse_item(item, lineno, m.start() + 1,
+                    tokens[item] = _parse_item(item, lineno, line, index,
                                                tagset)
         sentences.append(tuple(map(tokens.__getitem__, items)))
     return TaggedCorpus(tuple(sentences), tagset)
@@ -235,16 +235,30 @@ def serialize_tagged_corpus(corpus: TaggedCorpus) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def parse_raw_corpus(text: str) -> list:
-    """Parse untagged one-sentence-per-line text; no tokenization beyond
-    whitespace splitting. Each distinct raw word is NFC-normalized and
-    wrapped once per call: its occurrences share one ``Token``."""
-    tokens = Memo(lambda word: Token(_normalize(word)))
+def raw_sentences(text: str) -> list:
+    """The words of untagged one-sentence-per-line text, one tuple per
+    non-blank line; no tokenization beyond whitespace splitting. This is
+    the one raw line splitter. Each distinct raw word is NFC-normalized
+    once per call."""
+    nfc = Memo(_normalize)
     sentences = []
     for line in text.splitlines():
         words = line.split()
         if words:
-            sentences.append(tuple(map(tokens.__getitem__, words)))
+            sentences.append(tuple(map(nfc.__getitem__, words)))
+    return sentences
+
+
+def parse_raw_corpus(text: str) -> list:
+    """``raw_sentences`` as untagged ``Token``s: each distinct normalized
+    word is wrapped once per call, and its occurrences share that
+    ``Token``."""
+    tokens = Memo(Token)
+    sentences = raw_sentences(text)
+    # in place: each word tuple is freed as its Token tuple is made, so
+    # the two lists are never held at once
+    for i, words in enumerate(sentences):
+        sentences[i] = tuple(map(tokens.__getitem__, words))
     return sentences
 
 
@@ -265,6 +279,7 @@ def load_tagset(text: str) -> Tagset:
             continue
         fields = line.split()
         if fields[0] == "tag" and len(fields) == 2:
+            _check_tag_name(fields[1], line=lineno)
             if fields[1] in tags:
                 raise TagsetError("duplicate tag %r" % fields[1], line=lineno)
             tags.append(fields[1])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 
@@ -56,7 +57,8 @@ class Lexicon:
                         # text, so serialize_lexicon could not write it
                         raise TaggerError("count in entry for %r is too "
                                           "long" % word) from exc
-            if list(pairs) != sorted(pairs, key=lambda p: (-p[1], p[0])):
+            if (len(pairs) > 1 and list(pairs)
+                    != sorted(pairs, key=lambda p: (-p[1], p[0]))):
                 raise TaggerError("entry for %r not in frequency order" % word)
             cleaned[word] = pairs
         self.entries = cleaned
@@ -86,6 +88,11 @@ class InitialRuleChain:
         if self.branches != _DEFAULT_BRANCHES:
             raise TaggerError("the initial rule chain must hold the default "
                               "branches, got %r" % (self.branches,))
+
+    @cached_property
+    def _role_keys(self):
+        """script class -> role key, built once per chain."""
+        return dict(self.branches)
 
 
 def default_greek_chain() -> InitialRuleChain:
@@ -123,7 +130,7 @@ def initial_tag(word: str, lexicon: Lexicon, chain: InitialRuleChain,
     role that the chain gives the word's script class."""
     if word in lexicon:
         return lexicon.most_frequent_tag(word)
-    return tagset.roles[dict(chain.branches)[classify_script(word)]]
+    return tagset.roles[chain._role_keys[classify_script(word)]]
 
 
 def serialize_lexicon(lexicon: Lexicon) -> str:
@@ -134,33 +141,41 @@ def serialize_lexicon(lexicon: Lexicon) -> str:
     return "".join(lines)
 
 
+def _parse_pair(item, lineno, tagset):
+    """The ``(tag, count)`` of one ``tag:count`` item on line ``lineno``."""
+    tag, sep, count = item.rpartition(":")
+    # ASCII digits only: str.isdigit() also accepts "²" and "١"
+    if not sep or not tag or not count.isascii() or not count.isdigit():
+        raise ParseError("malformed tag:count item %r" % item, line=lineno)
+    tagset.check((tag,), line=lineno)
+    try:
+        count = int(count)
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError("count too long in %r" % item[:40],
+                         line=lineno) from exc
+    if count <= 0:
+        raise ParseError("non-positive count in %r" % item, line=lineno)
+    return tag, count
+
+
 def parse_lexicon(text: str, tagset: Tagset) -> Lexicon:
+    """Each distinct ``tag:count`` item is checked once per call. A bad
+    item is never kept, so its first occurrence raises with its line."""
     entries = {}
+    pairs_of = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) < 2:
             raise ParseError("lexicon entry needs word and tag:count pairs",
                              line=lineno)
         word, pairs = fields[0], []
         for item in fields[1:]:
-            tag, sep, count = item.rpartition(":")
-            # ASCII digits only: str.isdigit() also accepts "²" and "١"
-            if (not sep or not tag or not count.isascii()
-                    or not count.isdigit()):
-                raise ParseError("malformed tag:count item %r" % item,
-                                 line=lineno)
-            tagset.check((tag,), line=lineno)
-            try:
-                count = int(count)
-            except ValueError as exc:  # more digits than int() converts
-                raise ParseError("count too long in %r" % item[:40],
-                                 line=lineno) from exc
-            if count <= 0:
-                raise ParseError("non-positive count in %r" % item,
-                                 line=lineno)
-            pairs.append((tag, count))
+            pair = pairs_of.get(item)
+            if pair is None:
+                pair = pairs_of[item] = _parse_pair(item, lineno, tagset)
+            pairs.append(pair)
         if word in entries:
             raise ParseError("duplicate lexicon word %r" % word, line=lineno)
         entries[word] = tuple(pairs)

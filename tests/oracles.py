@@ -7,9 +7,10 @@ never calls ``rules.LexicalRuleIndex``, and
 ``reference_apply_contextual_rules``, which never calls
 ``rules.rewrite_sentence``), and the references the evaluation
 is checked against: the synthetic language's exact tagger and the
-most-frequent-tag baseline. ``reference_parse_tagged_corpus`` and
-``reference_check_tagged_corpus`` check every item and token on its own,
-as the corpus reader and ``TaggedCorpus`` must behave.
+most-frequent-tag baseline. ``reference_parse_tagged_corpus``,
+``reference_parse_lexicon`` and ``reference_check_tagged_corpus`` check
+every item and token on its own, as the corpus and lexicon readers and
+``TaggedCorpus`` must behave.
 
 They score each candidate on its own, by a plain pass over the corpus, so
 they share no counting with the learner. Lexical learning is replayed on
@@ -400,3 +401,39 @@ def reference_check_tagged_corpus(sentences, tagset) -> None:
                                   % tok.word)
             if tok.tag not in tagset:
                 raise TagsetError("tag %r not in tagset" % tok.tag)
+
+
+def reference_parse_lexicon(text: str, tagset) -> Lexicon:
+    """What ``lexicon.parse_lexicon`` must return or raise: every
+    ``tag:count`` item split and checked on its own, in text order."""
+    entries = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) < 2:
+            raise ParseError("lexicon entry needs word and tag:count pairs",
+                             line=lineno)
+        pairs = []
+        for item in fields[1:]:
+            tag, sep, count = item.rpartition(":")
+            if (not sep or not tag or not count
+                    or any(c not in "0123456789" for c in count)):
+                raise ParseError("malformed tag:count item %r" % item,
+                                 line=lineno)
+            if tag not in tagset:
+                raise TagsetError("tag %r not in tagset" % tag, line=lineno)
+            try:
+                count = int(count)
+            except ValueError:  # more digits than int() converts
+                raise ParseError("count too long in %r" % item[:40],
+                                 line=lineno) from None
+            if count <= 0:
+                raise ParseError("non-positive count in %r" % item,
+                                 line=lineno)
+            pairs.append((tag, count))
+        if fields[0] in entries:
+            raise ParseError("duplicate lexicon word %r" % fields[0],
+                             line=lineno)
+        entries[fields[0]] = tuple(pairs)
+    return Lexicon(entries)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from tbltagger.corpus import (FoldPlan, ParseError, TaggedCorpus, TaggerError,
                               Tagset, TagsetError, Token, kfold_split,
                               load_tagset, parse_raw_corpus,
-                              parse_tagged_corpus, serialize_tagged_corpus,
-                              serialize_tagset, truncate_to_words)
+                              parse_tagged_corpus, raw_sentences,
+                              serialize_tagged_corpus, serialize_tagset,
+                              truncate_to_words)
 from tbltagger.evaluate import strip_tags
 
 from conftest import (DEFAULT_ROLES, TAG_NAMES, corpora_st, make_tagset,
@@ -48,9 +49,24 @@ def tagged_texts_st(draw):
         col = draw(st.integers(0, len(lines[row])))
         word = draw(st.sampled_from(WORDS))
         lines[row].insert(col, damaged.replace("WORD", word))
-    seps = st.sampled_from([" ", "  ", "\t", " \t "])
+    # "\x1f", "\xa0" and "\u3000" split words but not lines
+    seps = st.sampled_from([" ", "  ", "\t", " \t ", "\x1f", "\xa0",
+                            "\u3000"])
     return "\n".join(draw(seps).join(items) + draw(st.sampled_from(["", " "]))
                      for items in lines)
+
+
+@st.composite
+def raw_texts_st(draw):
+    """A raw text of repeated words, "ό" precomposed and decomposed among
+    them, with mixed whitespace, line breaks and blank lines."""
+    seps = st.sampled_from([" ", "  ", "\t", "\x1f", "\xa0", "\u3000"])
+    lines = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=6),
+                          max_size=8))
+    breaks = st.sampled_from(["\n", "\r\n", "\u2028"])
+    return "".join(draw(st.sampled_from(["", " "]))
+                   + "".join(word + draw(seps) for word in words)
+                   + draw(breaks) for words in lines)
 
 
 class TestParseTaggedCorpus:
@@ -208,6 +224,22 @@ class TestParseRawCorpus:
         assert sents[0][0] is sents[0][2] is sents[1][1]
         assert sents[0][1] is sents[2][0]
 
+    @given(raw_texts_st())
+    def test_tokens_wrap_raw_sentences(self, text):
+        words = raw_sentences(text)
+        assert words == [tuple(unicodedata.normalize("NFC", word)
+                               for word in line.split())
+                         for line in text.splitlines() if line.split()]
+        assert all(unicodedata.is_normalized("NFC", word)
+                   for sent in words for word in sent)
+        sents = parse_raw_corpus(text)
+        assert [tuple(tok.word for tok in sent) for sent in sents] == words
+        # one Token per distinct normalized word
+        by_word = {}
+        for tok in (tok for sent in sents for tok in sent):
+            assert tok.tag is None
+            assert by_word.setdefault(tok.word, tok) is tok
+
 
 class TestLoadTagset:
     CONFIG = ("tag FW\ntag PROP\ntag NNF\n"
@@ -240,6 +272,16 @@ class TestLoadTagset:
         assert str(exc.value) == "line 3: unknown role key 'FOREIGNER'"
         assert (exc.value.line, exc.value.column) == (3, None)
 
+    @pytest.mark.parametrize("name", ["A/B", "-"])
+    def test_invalid_tag_name_leads_with_its_line(self, name):
+        with pytest.raises(TagsetError) as exc:
+            load_tagset("tag FW\ntag %s\nrole FOREIGN FW\n" % name)
+        assert type(exc.value) is TagsetError
+        assert str(exc.value) == (
+            "line 2: invalid tag name %r (empty, '-', whitespace, '/' or a "
+            "lone surrogate)" % name)
+        assert exc.value.line == 2
+
     def test_comments_and_round_trip(self):
         ts = load_tagset("# a comment\n" + self.CONFIG)
         assert load_tagset(serialize_tagset(ts)) == ts
@@ -259,7 +301,11 @@ class TestTagsetConstructor:
          "unknown role key 'VERB'"),
         (TAG_NAMES, {**DEFAULT_ROLES, "FOREIGN": "ZZ"},
          "role FOREIGN bound to undeclared tag 'ZZ'"),
-    ], ids=["duplicate-tag", "unknown-role-key", "undeclared-role-tag"])
+        (TAG_NAMES + ("A/B",), DEFAULT_ROLES,
+         "invalid tag name 'A/B' (empty, '-', whitespace, '/' or a lone "
+         "surrogate)"),
+    ], ids=["duplicate-tag", "unknown-role-key", "undeclared-role-tag",
+            "invalid-tag-name"])
     def test_refusal(self, tags, roles, message):
         with pytest.raises(TagsetError) as exc:
             Tagset(tags, roles)

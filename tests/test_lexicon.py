@@ -11,7 +11,47 @@ from tbltagger.lexicon import (GREEK_CAPITAL_START, LATIN_START, OTHER,
                                initial_tag, parse_lexicon, serialize_lexicon)
 
 from conftest import TAG_NAMES, corpora_st, make_tagset
-from oracles import reference_build_lexicon
+from oracles import reference_build_lexicon, reference_parse_lexicon
+
+
+def outcome(call, *args):
+    """``("ok", value)``, or what ``call`` raised: its type, message and
+    line."""
+    try:
+        return "ok", call(*args)
+    except TaggerError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+# "WORD" stands for a word of an earlier entry
+DAMAGED_PAIRS = ("BOGUS:1", "NN:0", "NN:x", "NN:\u00b2", "NN", "WORD")
+
+
+@st.composite
+def lexicon_texts_st(draw):
+    """A lexicon text whose entries repeat a few ``tag:count`` items, with
+    blank lines and mixed whitespace, and at most one damaged item placed
+    after good repeats of the items."""
+    pairs = st.lists(st.tuples(st.sampled_from(TAG_NAMES[:3]),
+                               st.sampled_from((1, 2, 12))),
+                     min_size=1, max_size=3, unique_by=lambda p: p[0])
+    entries = [["w%d" % i] + ["%s:%d" % p for p in
+                              sorted(ps, key=lambda p: (-p[1], p[0]))]
+               for i, ps in enumerate(draw(st.lists(pairs, min_size=1,
+                                                    max_size=12)))]
+    damaged = draw(st.none() | st.sampled_from(DAMAGED_PAIRS))
+    if damaged is not None:
+        row = draw(st.integers(1, len(entries)))
+        if damaged == "WORD":
+            entries.insert(row, [draw(st.sampled_from(entries))[0], "NN:1"])
+        else:
+            entries.insert(row, ["bad", "NN:1"])
+            entries[row].insert(draw(st.integers(1, 2)), damaged)
+    seps = st.sampled_from([" ", "  ", "\t", " \t ", "\xa0"])
+    lines = [draw(seps).join(fields) for fields in entries]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(seps))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 def corpus_of(tokens, tagset):
@@ -165,6 +205,15 @@ class TestLexiconSerialization:
         assert type(exc.value) is ParseError
         assert str(exc.value) == "line 3: duplicate lexicon word 'can'"
         assert (exc.value.line, exc.value.column) == (3, None)
+
+    @given(lexicon_texts_st())
+    @settings(max_examples=300)
+    def test_equals_per_item_reference(self, text):
+        # a repeated item is checked once: every refusal still names the
+        # first damaged occurrence's line, and every good parse is equal
+        tagset = make_tagset()
+        assert (outcome(parse_lexicon, text, tagset)
+                == outcome(reference_parse_lexicon, text, tagset))
 
     @given(corpora_st())
     def test_round_trip(self, corpus):
