@@ -65,11 +65,25 @@ def is_field(text) -> bool:
     return True
 
 
-def _check_tag_name(name, line=None):
+def _check_new_tag(name, tags, line=None):
+    """Refuse ``name`` as the tag declared after ``tags``: an invalid name
+    or a duplicate. ``line`` locates a tagset file's line."""
     # "-" stands for "no from_tag" in the LEXRULES file format
     if not is_field(name) or name == "-" or "/" in name:
         raise TagsetError("invalid tag name %r (empty, '-', whitespace, '/' "
                           "or a lone surrogate)" % name, line=line)
+    if name in tags:
+        raise TagsetError("duplicate tag %r" % name, line=line)
+
+
+def _check_role(key, name, tags, line=None):
+    """Refuse binding role ``key`` to tag ``name`` unless the key is a
+    required role and ``tags`` declares the tag."""
+    if key not in REQUIRED_ROLES:
+        raise TagsetError("unknown role key %r" % key, line=line)
+    if name not in tags:
+        raise TagsetError("role %s bound to undeclared tag %r" % (key, name),
+                          line=line)
 
 
 class Tagset:
@@ -82,9 +96,7 @@ class Tagset:
     def __init__(self, tags: Iterable[str], roles: dict):
         seen = []
         for t in tags:
-            _check_tag_name(t)
-            if t in seen:
-                raise TagsetError("duplicate tag %r" % t)
+            _check_new_tag(t, seen)
             seen.append(t)
         self.tags = tuple(seen)
         self._members = frozenset(seen)
@@ -92,10 +104,7 @@ class Tagset:
             if key not in roles:
                 raise TagsetError("missing required role %s" % key)
         for key, t in roles.items():
-            if key not in REQUIRED_ROLES:
-                raise TagsetError("unknown role key %r" % key)
-            if t not in self._members:
-                raise TagsetError("role %s bound to undeclared tag %r" % (key, t))
+            _check_role(key, t, self._members)
         self.roles = dict(roles)
 
     def __contains__(self, tag):
@@ -190,10 +199,6 @@ class Memo(dict):
         return value
 
 
-def _normalize(word):
-    return unicodedata.normalize("NFC", word)
-
-
 def _parse_item(item, lineno, line, index, tagset) -> Token:
     """The ``Token`` of ``item``, the ``index``-th item of ``line``."""
     word, sep, tag = item.rpartition("/")
@@ -204,7 +209,7 @@ def _parse_item(item, lineno, line, index, tagset) -> Token:
                    "empty word in %r" if not word else "empty tag in %r")
         raise ParseError(message % item, line=lineno, column=col)
     tagset.check((tag,), line=lineno)
-    return Token(_normalize(word), tag)
+    return Token(unicodedata.normalize("NFC", word), tag)
 
 
 def parse_tagged_corpus(text: str, tagset: Tagset) -> TaggedCorpus:
@@ -235,31 +240,29 @@ def serialize_tagged_corpus(corpus: TaggedCorpus) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def raw_sentences(text: str) -> list:
-    """The words of untagged one-sentence-per-line text, one tuple per
-    non-blank line; no tokenization beyond whitespace splitting. This is
-    the one raw line splitter. Each distinct raw word is NFC-normalized
-    once per call."""
-    nfc = Memo(_normalize)
-    sentences = []
-    for line in text.splitlines():
+def raw_sentences(text: str):
+    """The words of untagged one-sentence-per-line text: one tuple of the
+    ``str.split()`` words of each non-blank line, yielded as the line is
+    reached; no tokenization beyond whitespace splitting. This is the one
+    raw line splitter. The text is NFC-normalized once, as a whole, which
+    equals normalizing each word: no canonical composition, decomposition
+    or reordering crosses a whitespace character, since every whitespace
+    character has combining class 0 and the only canonical decompositions
+    that hold one (U+2000 -> U+2002, U+2001 -> U+2003) map whitespace to
+    whitespace."""
+    for line in unicodedata.normalize("NFC", text).splitlines():
         words = line.split()
         if words:
-            sentences.append(tuple(map(nfc.__getitem__, words)))
-    return sentences
+            yield tuple(words)
 
 
 def parse_raw_corpus(text: str) -> list:
-    """``raw_sentences`` as untagged ``Token``s: each distinct normalized
-    word is wrapped once per call, and its occurrences share that
-    ``Token``."""
+    """``raw_sentences`` as a list of untagged ``Token`` tuples: each
+    distinct normalized word is wrapped once per call, and its occurrences
+    share that ``Token``."""
     tokens = Memo(Token)
-    sentences = raw_sentences(text)
-    # in place: each word tuple is freed as its Token tuple is made, so
-    # the two lists are never held at once
-    for i, words in enumerate(sentences):
-        sentences[i] = tuple(map(tokens.__getitem__, words))
-    return sentences
+    return [tuple(map(tokens.__getitem__, words))
+            for words in raw_sentences(text)]
 
 
 def read_text(path) -> str:
@@ -279,18 +282,11 @@ def load_tagset(text: str) -> Tagset:
             continue
         fields = line.split()
         if fields[0] == "tag" and len(fields) == 2:
-            _check_tag_name(fields[1], line=lineno)
-            if fields[1] in tags:
-                raise TagsetError("duplicate tag %r" % fields[1], line=lineno)
+            _check_new_tag(fields[1], tags, line=lineno)
             tags.append(fields[1])
         elif fields[0] == "role" and len(fields) == 3:
-            key, name = fields[1], fields[2]
-            if key not in REQUIRED_ROLES:
-                raise TagsetError("unknown role key %r" % key, line=lineno)
-            if name not in tags:
-                raise TagsetError("role %s bound to undeclared tag %r"
-                                  % (key, name), line=lineno)
-            roles[key] = name
+            _check_role(fields[1], fields[2], tags, line=lineno)
+            roles[fields[1]] = fields[2]
         else:
             raise ParseError("unrecognized tagset line %r" % line, line=lineno)
     return Tagset(tags, roles)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 import statistics
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import and_, eq
 
@@ -228,6 +227,14 @@ def _run_fold(args):
     )
 
 
+def _process_pool(max_workers):
+    """A process pool of ``max_workers`` workers. The import waits until a
+    pool is built, so that commands which run no pool do not pay for
+    loading ``concurrent.futures.process`` and ``multiprocessing``."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def cross_validate(corpus: TaggedCorpus, k: int = 10,
                    config: TrainConfig = TrainConfig(),
                    jobs: int = 1) -> EvalReport:
@@ -240,7 +247,7 @@ def cross_validate(corpus: TaggedCorpus, k: int = 10,
     jobs = min(jobs, k)
     if jobs > 1:
         # a fork pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _process_pool(jobs) as pool:
             folds = list(pool.map(_run_fold, tasks))
     else:
         folds = [_run_fold(t) for t in tasks]

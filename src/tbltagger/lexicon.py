@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 
@@ -89,11 +88,6 @@ class InitialRuleChain:
             raise TaggerError("the initial rule chain must hold the default "
                               "branches, got %r" % (self.branches,))
 
-    @cached_property
-    def _role_keys(self):
-        """script class -> role key, built once per chain."""
-        return dict(self.branches)
-
 
 def default_greek_chain() -> InitialRuleChain:
     """Latin-initial -> foreign word; Greek-capital-initial -> masculine
@@ -124,13 +118,19 @@ def classify_script(word: str) -> str:
     return OTHER
 
 
+def start_tags(chain: InitialRuleChain, tagset: Tagset) -> dict:
+    """script class -> the starting tag of an unknown word of that class:
+    the tag of the role that the chain's branch for the class names."""
+    return {script: tagset.roles[key] for script, key in chain.branches}
+
+
 def initial_tag(word: str, lexicon: Lexicon, chain: InitialRuleChain,
                 tagset: Tagset) -> str:
-    """Most frequent lexicon tag for known words; otherwise the tag of the
-    role that the chain gives the word's script class."""
+    """Most frequent lexicon tag for known words; otherwise the starting
+    tag of the word's script class (``start_tags``)."""
     if word in lexicon:
         return lexicon.most_frequent_tag(word)
-    return tagset.roles[chain._role_keys[classify_script(word)]]
+    return start_tags(chain, tagset)[classify_script(word)]
 
 
 def serialize_lexicon(lexicon: Lexicon) -> str:

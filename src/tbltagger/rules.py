@@ -46,8 +46,9 @@ from typing import Optional
 from .corpus import (Memo, ModelError, ParseError, TaggedCorpus, TaggerError,
                      Tagset, Token, is_field, load_tagset, read_text,
                      serialize_tagset)
-from .lexicon import (InitialRuleChain, Lexicon, default_greek_chain,
-                      initial_tag, parse_lexicon, serialize_lexicon)
+from .lexicon import (InitialRuleChain, Lexicon, classify_script,
+                      default_greek_chain, parse_lexicon, serialize_lexicon,
+                      start_tags)
 
 WORDS, TAGS = "words", "tags"
 
@@ -183,17 +184,22 @@ class LexicalRuleIndex:
     once per distinct argument, so compiling reads no lexicon entry. Every
     template's match implies its key, so the rules whose keys a word holds
     include every rule that matches it: the index is an exact pre-filter.
-    ``apply`` visits only those rules, in rule order, checks each one's
-    from_tag against the running tag and confirms the match with
-    ``lexical_template_matches``."""
+    ``apply`` visits only those rules, in rule order, and checks each
+    one's from_tag against the running tag. The key of a template that
+    does not delete is its match: a suffix, prefix or character the word
+    holds, or the lexicon probe of an added affix. Only the deleting
+    templates also need the remainder in the lexicon, so only their
+    matches are confirmed with ``lexical_template_matches``."""
 
     def __init__(self, rules, lexicon: Lexicon):
+        # per rule: template, arg, from_tag, to_tag, whether it deletes
         self.rules = tuple((rule.template, rule.arg, rule.from_tag,
-                            rule.to_tag) for rule in rules)
+                            rule.to_tag, LEXICAL_TABLE[rule.template][1])
+                           for rule in rules)
         self.lexicon = lexicon
         # key kind -> key -> ascending indices of the rules it admits
         keys = {kind: {} for kind, _ in LEXICAL_TABLE.values()}
-        for i, (template, arg, _, _) in enumerate(self.rules):
+        for i, (template, arg, _, _, _) in enumerate(self.rules):
             keys[LEXICAL_TABLE[template][0]].setdefault(arg, []).append(i)
         self.suffixes, self.prefixes = keys[SUFFIX], keys[PREFIX]
         self.suffix_lengths = sorted({len(arg) for arg in self.suffixes})
@@ -234,10 +240,11 @@ class LexicalRuleIndex:
         ``tag``."""
         rules = self.rules
         for i in self.candidates(word):
-            template, arg, from_tag, to_tag = rules[i]
+            template, arg, from_tag, to_tag, deletes = rules[i]
             if ((from_tag is None or from_tag == tag)
-                    and lexical_template_matches(template, arg, word,
-                                                 self.lexicon)):
+                    and (not deletes
+                         or lexical_template_matches(template, arg, word,
+                                                     self.lexicon))):
                 tag = to_tag
         return tag
 
@@ -426,9 +433,12 @@ class Tagger:
             (rule.checks, rule.from_tag, tuple(context_args(rule.checks)),
              rule.to_tag)
             for rule in model.contextual_rules)
-        # the memos' makers hold no reference to the tagger: no cycle
+        # the memos' makers hold no reference to the tagger: no cycle.
+        # Known words are filled in below, so the tag memo's maker sees
+        # only unknown words and probes no lexicon.
+        start = start_tags(chain, tagset)
         tags = self.tags = Memo(lambda word: lexical_rules.apply(
-            word, initial_tag(word, lexicon, chain, tagset)))
+            word, start[classify_script(word)]))
         tags.update((word, pairs[0][0])
                     for word, pairs in lexicon.entries.items())
         self.tokens = Memo(lambda word: Token(word, tags[word]))

@@ -1,5 +1,6 @@
 """Corpus model: parsing, serialization, folds, truncation."""
 
+import sys
 import unicodedata
 
 import pytest
@@ -56,14 +57,23 @@ def tagged_texts_st(draw):
                      for items in lines)
 
 
+# words that start with a combining mark, which NFC must not join to the
+# whitespace before them
+RAW_WORDS = WORDS + ("\u0301\u03b1", "\u0345", "\u0313\u0301\u03c9")
+
+
 @st.composite
 def raw_texts_st(draw):
-    """A raw text of repeated words, "ό" precomposed and decomposed among
-    them, with mixed whitespace, line breaks and blank lines."""
-    seps = st.sampled_from([" ", "  ", "\t", "\x1f", "\xa0", "\u3000"])
-    lines = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=6),
+    """A raw text of repeated words, "ό" precomposed and decomposed and
+    words that start with a combining mark among them, with mixed
+    whitespace (U+2000 and U+2001, which NFC maps to U+2002 and U+2003,
+    among it), every line break of ``str.splitlines`` and blank lines."""
+    seps = st.sampled_from([" ", "  ", "\t", "\x1f", "\xa0", "\u3000",
+                            "\u2000", "\u2001"])
+    lines = draw(st.lists(st.lists(st.sampled_from(RAW_WORDS), max_size=6),
                           max_size=8))
-    breaks = st.sampled_from(["\n", "\r\n", "\u2028"])
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c",
+                              "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
     return "".join(draw(st.sampled_from(["", " "]))
                    + "".join(word + draw(seps) for word in words)
                    + draw(breaks) for words in lines)
@@ -226,7 +236,7 @@ class TestParseRawCorpus:
 
     @given(raw_texts_st())
     def test_tokens_wrap_raw_sentences(self, text):
-        words = raw_sentences(text)
+        words = list(raw_sentences(text))
         assert words == [tuple(unicodedata.normalize("NFC", word)
                                for word in line.split())
                          for line in text.splitlines() if line.split()]
@@ -239,6 +249,24 @@ class TestParseRawCorpus:
         for tok in (tok for sent in sents for tok in sent):
             assert tok.tag is None
             assert by_word.setdefault(tok.word, tok) is tok
+
+
+class TestNormalizeAcrossWhitespace:
+    def test_no_normalization_crosses_whitespace(self):
+        # raw_sentences normalizes a whole text at once; that equals
+        # normalizing each word only while no composition, decomposition
+        # or reordering reaches across a whitespace character
+        nfc = unicodedata.normalize
+        chars = list(map(chr, range(sys.maxunicode + 1)))
+        spaces = [(w, nfc("NFC", w)) for w in chars if w.isspace()]
+        marked = [(c, nfc("NFC", c)) for c in chars
+                  if unicodedata.combining(c)
+                  or not unicodedata.is_normalized("NFD", c)]
+        assert spaces and marked
+        for w, nw in spaces:
+            for c, nc in marked:
+                assert nfc("NFC", w + c) == nw + nc, (w, c)
+                assert nfc("NFC", c + w) == nc + nw, (w, c)
 
 
 class TestLoadTagset:

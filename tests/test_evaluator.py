@@ -180,7 +180,7 @@ class TestCrossValidate:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(evaluate, "_process_pool", InProcessPool)
         report = cross_validate(corpus, k=3, jobs=jobs)
         assert sizes == [workers]
         assert report == cross_validate(corpus, k=3)

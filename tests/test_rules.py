@@ -720,11 +720,34 @@ class TestLexicalRuleIndex:
             "βιβλίο", "δέντρα"}
         assert asked == []
 
-    def test_word_with_one_suffix_asks_that_rule(self, tiny_corpus, asked):
+    def test_word_with_one_suffix_asks_no_rule(self, tiny_corpus, asked):
+        # the suffix key of a template that deletes nothing is its match
         model = TestTagCorpus._model(tiny_corpus, self.RULES)
         tagged = tag_corpus([(Token("λόγος"),)], model)
-        assert asked == [("HASSUF", "ος", "λόγος")]
+        assert asked == []
         assert tagged.sentences[0][0].tag == "NN"
+
+    @pytest.mark.parametrize("word, template, arg, matches", [
+        ("γάταων", "DELETESUF", "ων", True),
+        ("λύκων", "DELETESUF", "ων", False),
+        ("ξετρέχει", "DELETEPREF", "ξε", True),
+        ("ξελύνω", "DELETEPREF", "ξε", False),
+    ], ids=["deletesuf-entry", "deletesuf-no-entry", "deletepref-entry",
+            "deletepref-no-entry"])
+    def test_deleting_key_asks_its_rule(self, tiny_corpus, asked, word,
+                                        template, arg, matches):
+        # a deleting template's key leaves open whether the remainder is a
+        # lexicon entry, so its rule alone is asked
+        model = TestTagCorpus._model(tiny_corpus, self.RULES)
+        tagged = tag_corpus([(Token(word),)], model)
+        assert asked == [(template, arg, word)]
+        remainder = (word[len(arg):] if template == "DELETEPREF"
+                     else word[:-len(arg)])
+        assert (remainder in model.lexicon.entries) == matches
+        start = initial_tag(word, model.lexicon, default_greek_chain(),
+                            model.tagset)
+        assert start != "VB"
+        assert tagged.sentences[0][0].tag == ("VB" if matches else start)
 
     def test_index_built_once_per_model(self, tiny_corpus, monkeypatch):
         built = []
