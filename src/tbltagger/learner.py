@@ -14,8 +14,10 @@ after the rule indexing of Ramshaw & Marcus (1994) and fnTBL (Ngai &
 Florian 2001), and both code a candidate key as one integer. Lexical
 learning counts the matched types of every candidate key once; accepting a
 rule moves the counts of only the types it retagged, found through an index
-from each feature to the types holding it, and rescores only the keys they
-touch. Contextual learning counts the match sites of
+from each feature to the types holding it, sums those moves per key before
+writing each key once, and rescores only the keys they touch. Its
+candidate features list added affixes for the unknown types alone.
+Contextual learning counts the match sites of
 every candidate key in one pass over the tokens; accepting a rule visits
 only the sentences that hold its from_tag and the tags its context reads
 (``rules.context_args``), re-derives the counts of only the positions
@@ -51,12 +53,11 @@ from typing import Optional
 
 from .corpus import TaggedCorpus, TaggerError, select_sentences
 from .lexicon import (InitialRuleChain, Lexicon, build_lexicon,
-                      default_greek_chain, initial_tag)
+                      classify_script, default_greek_chain, start_tags)
 from .rules import (CONTEXT_WINDOW, CONTEXTUAL_TEMPLATES, WORD_TEMPLATES,
                     ContextualRule, LexicalRule, TaggerModel,
-                    apply_lexical_rules, build_affix_extension_maps,
-                    context_args, context_checks, lexical_candidate_features,
-                    rewrite_sentence)
+                    apply_lexical_rules, context_args, context_checks,
+                    lexical_candidate_features, rewrite_sentence)
 
 logger = logging.getLogger(__name__)
 
@@ -114,13 +115,14 @@ def unknown_types(rule_part: TaggedCorpus, guess_lexicon: Lexicon,
     its number of tokens in rule_part. The gold tag of a type is its most
     frequent gold tag in rule_part, ties broken by ascending tag name. Both
     hold the types in order of first occurrence."""
+    entries = guess_lexicon.entries
     gold_counts = defaultdict(Counter)
     for sent in rule_part.sentences:
         for tok in sent:
-            if tok.word not in guess_lexicon:
+            if tok.word not in entries:
                 gold_counts[tok.word][tok.tag] += 1
-    tags = {word: initial_tag(word, guess_lexicon, chain, rule_part.tagset)
-            for word in gold_counts}
+    start = start_tags(chain, rule_part.tagset)
+    tags = {word: start[classify_script(word)] for word in gold_counts}
     targets = {word: (min(counts, key=lambda t: (-counts[t], t)),
                       sum(counts.values()))
                for word, counts in gold_counts.items()}
@@ -151,6 +153,13 @@ class _LexicalLearner:
     they are. Only the keys so touched are scored again. Candidates
     reaching the threshold are kept in ``live``; a key none of whose fixes
     reaches it has none.
+
+    Counts are summed before they are written. A step groups the types it
+    retags by (old slot, new slot, gold slot), sums each group's token
+    counts per unconditioned key (``_sum``), and writes each key of the
+    group once (``_add``); ``__init__`` does the same per (slot, gold
+    slot). So a key shared by many retagged types is written once per
+    group, not once per type, and the keys touched are the same.
     """
 
     def __init__(self, tags: dict, targets: dict, features: dict,
@@ -173,15 +182,18 @@ class _LexicalLearner:
         self.live = {}      # key -> {to slot: (good, bad)}, net >= threshold
         self.index = defaultdict(list)  # unconditioned key -> types
         self.bases = {}     # type -> its unconditioned keys
+        sums = defaultdict(Counter)  # (slot, gold slot) -> base key -> tokens
         for word, tag in self.tags.items():
             bases = [self.base[f] for f in features[word]]
             for b in bases:
                 self.index[b].append(word)
             self.bases[word] = bases
             gold, count = targets[word]
-            table = self.correct if tag == gold else self.fixes
-            s = self.slot[tag]
-            _add(bases + [b + s for b in bases], table, self.slot[gold], count)
+            _sum(sums[self.slot[tag], self.slot[gold]], bases, count)
+        for (s, g), by_base in sums.items():
+            table = self.correct if s == g else self.fixes
+            _add(table, g, by_base)
+            _add(table, g, {b + s: c for b, c in by_base.items()})
         for key in self.fixes:
             self._rescore(key)
 
@@ -191,24 +203,6 @@ class _LexicalLearner:
         rank, slot = divmod(key, self.M)
         template, arg = self.feature_names[rank]
         return template, arg, self.tag_names[slot] or None
-
-    def _retag(self, word, was, tag, touched):
-        """Move one type's counts from tag ``was`` to ``tag``, adding every
-        key so changed to ``touched``."""
-        gold, count = self.targets[word]
-        bases = self.bases[word]
-        old = [b + self.slot[was] for b in bases]
-        new = [b + self.slot[tag] for b in bases]
-        src = self.correct if was == gold else self.fixes
-        dst = self.correct if tag == gold else self.fixes
-        if src is not dst:
-            # the type turns correct or wrong: its unconditioned keys move
-            old += bases
-            new += bases
-        _add(old, src, self.slot[gold], -count)
-        _add(new, dst, self.slot[gold], count)
-        touched.update(old)
-        touched.update(new)
 
     def _rescore(self, key):
         self.live.pop(key, None)
@@ -240,20 +234,48 @@ class _LexicalLearner:
         counts and scores of everything it retagged up to date."""
         base = self.base.get((rule.template, rule.arg))
         old = {word: self.tags[word] for word in self.index.get(base, ())}
-        touched = set()
+        slot = self.slot
+        # (old slot, new slot, gold slot) -> base key -> tokens moved
+        moves = defaultdict(Counter)
         for word, tag in apply_lexical_rules((rule,), old,
                                              self.lexicon).items():
             if tag != old[word]:
-                self._retag(word, old[word], tag, touched)
+                gold, count = self.targets[word]
+                _sum(moves[slot[old[word]], slot[tag], slot[gold]],
+                     self.bases[word], count)
                 self.tags[word] = tag
+        touched = set()
+        for (o, n, g), by_base in moves.items():
+            src = self.correct if o == g else self.fixes
+            dst = self.correct if n == g else self.fixes
+            old_keys = {b + o: -c for b, c in by_base.items()}
+            new_keys = {b + n: c for b, c in by_base.items()}
+            if src is not dst:
+                # the types turn correct or wrong: their unconditioned
+                # keys move
+                old_keys.update((b, -c) for b, c in by_base.items())
+                new_keys.update(by_base)
+            _add(src, g, old_keys)
+            _add(dst, g, new_keys)
+            touched.update(old_keys, new_keys)
         for key in touched:
             self._rescore(key)
 
 
-def _add(keys, table, gold, delta):
-    """Add ``delta`` to the count of ``gold`` under each key of ``table``
-    (key -> {gold: count}), dropping counts that reach zero."""
-    for key in keys:
+def _sum(sums, keys, count):
+    """Add ``count`` to the sum of each key in the Counter ``sums``."""
+    if count == 1:
+        sums.update(keys)  # counted in C
+    else:
+        for key in keys:
+            sums[key] += count
+
+
+def _add(table, gold, deltas):
+    """Add each key's delta in ``deltas`` (key -> delta) to the count of
+    ``gold`` under that key of ``table`` (key -> {gold: count}), dropping
+    counts that reach zero."""
+    for key, delta in deltas.items():
         by_gold = table.get(key)
         if by_gold is None:
             table[key] = {gold: delta}
@@ -331,17 +353,8 @@ def learn_lexical_rules(train: TaggedCorpus,
 
     def learner():
         # the feature tuples, local here, are freed once the learner is built
-        extension_maps = build_affix_extension_maps(guess,
-                                                    config.max_affix_len)
-        features = {
-            word: lexical_candidate_features(word, guess,
-                                             config.max_affix_len,
-                                             extension_maps)
-            for word in tags
-        }
-        # only the features need the maps: free them before the learner's
-        # counts are built
-        del extension_maps
+        features = lexical_candidate_features(tags, guess,
+                                              config.max_affix_len)
         return _LexicalLearner(tags, targets, features, guess,
                                config.score_threshold)
 

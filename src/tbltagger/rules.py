@@ -38,7 +38,6 @@ import json
 import os
 import shutil
 import tempfile
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -258,37 +257,38 @@ def apply_lexical_rules(rules, assignments: dict, lexicon: Lexicon) -> dict:
     return {word: index.apply(word, tag) for word, tag in assignments.items()}
 
 
-def build_affix_extension_maps(lexicon: Lexicon, max_affix_len: int):
-    """(add_suf, add_pref): word -> the added suffix or prefix keys it
-    holds (``LEXICAL_TABLE``) up to max_affix_len long, so that they are
-    found without scanning the lexicon per word."""
-    add_suf = defaultdict(list)
-    add_pref = defaultdict(list)
+def lexical_candidate_features(words, lexicon: Lexicon,
+                               max_affix_len: int) -> dict:
+    """word -> all (template, arg) pairs that match it, in ``LEXICAL_TABLE``
+    order, for each of ``words`` in the order given: each template's args
+    are the keys of its kind the word holds (its affixes up to
+    max_affix_len, its characters, the affixes whose addition gives a
+    lexicon entry), those of the templates that delete kept where
+    ``lexical_template_matches`` says they match. One pass over the
+    lexicon lists the added affixes, kept only for the words asked
+    about."""
+    words = dict.fromkeys(words)
+    add_suf = {word: [] for word in words}
+    add_pref = {word: [] for word in words}
     for other in lexicon.entries:
         for k in range(1, min(max_affix_len, len(other) - 1) + 1):
-            add_suf[other[:-k]].append(other[-k:])
-            add_pref[other[k:]].append(other[:k])
-    return dict(add_suf), dict(add_pref)
-
-
-def lexical_candidate_features(word: str, lexicon: Lexicon,
-                               max_affix_len: int, extension_maps) -> tuple:
-    """All (template, arg) pairs that match this word, in ``LEXICAL_TABLE``
-    order: each template's args are the keys of its kind the word holds
-    (its affixes up to max_affix_len, its characters, the added affixes of
-    ``build_affix_extension_maps``), those of the templates that delete
-    kept where ``lexical_template_matches`` says they match."""
-    add_suf, add_pref = extension_maps
-    lengths = range(1, min(max_affix_len, len(word)) + 1)
-    keys = {SUFFIX: [word[-k:] for k in lengths],
-            PREFIX: [word[:k] for k in lengths], CHAR: sorted(set(word)),
-            ADDED_SUFFIX: add_suf.get(word, ()),
-            ADDED_PREFIX: add_pref.get(word, ())}
-    return tuple((template, arg)
-                 for template, (key, deletes) in LEXICAL_TABLE.items()
-                 for arg in keys[key]
-                 if not deletes
-                 or lexical_template_matches(template, arg, word, lexicon))
+            if other[:-k] in add_suf:
+                add_suf[other[:-k]].append(other[-k:])
+            if other[k:] in add_pref:
+                add_pref[other[k:]].append(other[:k])
+    features = {}
+    for word in words:
+        lengths = range(1, min(max_affix_len, len(word)) + 1)
+        keys = {SUFFIX: [word[-k:] for k in lengths],
+                PREFIX: [word[:k] for k in lengths], CHAR: sorted(set(word)),
+                ADDED_SUFFIX: add_suf[word], ADDED_PREFIX: add_pref[word]}
+        features[word] = tuple(
+            (template, arg)
+            for template, (key, deletes) in LEXICAL_TABLE.items()
+            for arg in keys[key]
+            if not deletes
+            or lexical_template_matches(template, arg, word, lexicon))
+    return features
 
 
 def context_checks(template: str, args: tuple):

@@ -39,8 +39,7 @@ from tbltagger.evaluate import (SYNTH_ALT_TAG, SYNTH_FOREIGN_TAG,
 from tbltagger.learner import RuleScore, TrainConfig
 from tbltagger.lexicon import Lexicon, initial_tag
 from tbltagger.rules import (CONTEXT_TABLE, WORDS, ContextualRule,
-                             LexicalRule, build_affix_extension_maps,
-                             lexical_candidate_features)
+                             LexicalRule, lexical_candidate_features)
 
 
 def reference_lexical_template_matches(template: str, arg: str, word: str,
@@ -144,13 +143,12 @@ def apply_lexical_rule_to_states(rule: LexicalRule, states: dict,
 def generate_lexical_candidates(states: dict, lexicon, max_affix_len: int) -> set:
     """Candidates drawn from currently mis-tagged types, retagging to the
     type's gold tag, optionally conditioned on its current tag."""
-    extension_maps = build_affix_extension_maps(lexicon, max_affix_len)
+    wrong = [word for word, st in states.items() if st.current != st.gold]
     candidates = set()
-    for word, st in states.items():
-        if st.current == st.gold:
-            continue
-        for template, arg in lexical_candidate_features(
-                word, lexicon, max_affix_len, extension_maps):
+    for word, feats in lexical_candidate_features(wrong, lexicon,
+                                                  max_affix_len).items():
+        st = states[word]
+        for template, arg in feats:
             candidates.add(LexicalRule(template, arg, None, st.gold))
             candidates.add(LexicalRule(template, arg, st.current, st.gold))
     return candidates

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tbltagger.learner as learner_module
 from tbltagger.corpus import (TaggedCorpus, TaggerError, Token,
                               select_sentences, truncate_to_words)
 from tbltagger.evaluate import SynthSpec, generate_synthetic_corpus
@@ -23,7 +24,6 @@ from tbltagger.rules import (CONTEXT_TABLE, CONTEXT_WINDOW, TAGS,
                              ContextualRule, LexicalRule,
                              LEXICAL_TEMPLATES, WORD_TEMPLATES,
                              apply_contextual_rule, apply_lexical_rules,
-                             build_affix_extension_maps,
                              lexical_candidate_features,
                              lexical_template_matches, serialize_rules)
 
@@ -71,9 +71,7 @@ def lexical_learning_state(corpus, config):
 
 def candidate_features(words, guess, max_affix_len):
     """word -> its lexical candidate features, as the learner lists them."""
-    maps = build_affix_extension_maps(guess, max_affix_len)
-    return {w: lexical_candidate_features(w, guess, max_affix_len, maps)
-            for w in words}
+    return lexical_candidate_features(words, guess, max_affix_len)
 
 
 class TestTrainConfig:
@@ -207,11 +205,12 @@ class TestLexicalCandidateFeatures:
         lexicon = Lexicon({
             "γατ": (("NN", 1),), "γατες": (("NN", 1),), "τρεχ": (("VB", 1),),
         })
-        maps = build_affix_extension_maps(lexicon, 4)
         # with affixes of every length up to 4 to delete or add
-        for word in ("γατε", "γατες", "αγατ", "τρεχει", "γατακια",
-                     "ακιαγατ", "ατες", "γα"):
-            feats = set(lexical_candidate_features(word, lexicon, 4, maps))
+        words = ("γατε", "γατες", "αγατ", "τρεχει", "γατακια", "ακιαγατ",
+                 "ατες", "γα")
+        features = lexical_candidate_features(words, lexicon, 4)
+        for word in words:
+            feats = set(features[word])
             assert feats == fully_checked_features(word, lexicon, 4), word
 
     @given(st.lists(st.text("aβγδ", min_size=1, max_size=7), min_size=1,
@@ -594,8 +593,9 @@ def assert_lexical_steps_agree(tags, targets, features, guess, threshold,
                                steps):
     """Each step of the incremental lexical learner must pick the same
     (rule, RuleScore) as the full rescan, and leave the tag map that
-    ``apply_lexical_rules`` gives over every type. Returns the rules
-    accepted."""
+    ``apply_lexical_rules`` gives over every type and the tables a fresh
+    learner counts from it: no zero count, empty key or stale ``live``
+    entry. Returns the rules accepted."""
     learner = _LexicalLearner(tags, targets, features, guess, threshold)
     rules = []
     for _ in range(steps):
@@ -607,6 +607,8 @@ def assert_lexical_steps_agree(tags, targets, features, guess, threshold,
         learner.apply(got[0])
         tags = apply_lexical_rules((got[0],), tags, guess)
         assert learner.tags == tags
+        fresh = _LexicalLearner(tags, targets, features, guess, threshold)
+        assert decoded_tables(learner) == decoded_tables(fresh)
         rules.append(got[0])
     return rules
 
@@ -660,6 +662,38 @@ class TestIncrementalLexicalLearner:
                 assert decoded_tables(learner) == decoded_tables(fresh)
         # a retag between two wrong tags leaves the unconditioned keys be
         assert wrong_to_wrong
+
+    def test_apply_writes_each_key_once_per_step_group(self, monkeypatch):
+        # a step sums the count moves of the types it retags before writing
+        # them, so it writes fewer keys than one write per type and key
+        # would: 2 per key of a retagged type, 4 when it turns correct or
+        # wrong
+        ceilings = {0: 1044, 1: 1336, 2: 1148}
+        for seed, ceiling in ceilings.items():
+            corpus = generate_synthetic_corpus(mini_spec(
+                seed, n_sentences=60, suffix_paradigms=OVERLAPPING_SUFFIXES))
+            config = TrainConfig(score_threshold=1, seed=seed)
+            guess, (tags, targets) = lexical_learning_state(corpus, config)
+            features = candidate_features(tags, guess, config.max_affix_len)
+            learner = _LexicalLearner(tags, targets, features, guess, 1)
+            writes = []
+            add = learner_module._add
+            monkeypatch.setattr(
+                learner_module, "_add",
+                lambda table, gold, deltas: (writes.append(len(deltas)),
+                                             add(table, gold, deltas)))
+            per_type = 0
+            while (best := learner.best()) is not None:
+                before = dict(learner.tags)
+                learner.apply(best[0])
+                for w, tag in learner.tags.items():
+                    if tag != before[w]:
+                        gold = targets[w][0]
+                        turns = (before[w] == gold) != (tag == gold)
+                        per_type += 2 * len(features[w]) * (1 + turns)
+            monkeypatch.undo()
+            assert sum(writes) < per_type, seed
+            assert sum(writes) <= ceiling, seed
 
     @pytest.mark.parametrize("threshold", [1, 2])
     @pytest.mark.parametrize("seed", range(8))
