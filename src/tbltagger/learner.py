@@ -30,9 +30,9 @@ candidates whose argument tags include the rule's from_tag or to_tag. Such
 a candidate is ranked by an upper bound on its net; only when the argmax
 picks a bound are those sentences re-simulated, for that key.
 
-Both stages run on the tagger's code. Lexical candidates are the arguments
-``rules.lexical_template_matches`` accepts and the current guesses advance
-by ``rules.apply_lexical_rules``. Contextual training starts from the
+Both stages run on the tagger's code. Lexical candidates are the features
+``rules.lexical_candidate_features`` lists, and a rule retags the types
+holding its feature. Contextual training starts from the
 tagger's ``rules.Tagger.initial``, templates come from ``CONTEXT_TABLE``
 and rules are applied by ``rules.rewrite_sentence``; only ``_count`` spells
 out the templates, for speed, and a test pins it to the table. The
@@ -56,7 +56,7 @@ from .lexicon import (InitialRuleChain, Lexicon, build_lexicon,
                       classify_script, default_greek_chain, start_tags)
 from .rules import (CONTEXT_WINDOW, CONTEXTUAL_TEMPLATES, WORD_TEMPLATES,
                     ContextualRule, LexicalRule, TaggerModel,
-                    apply_lexical_rules, context_args, context_checks,
+                    context_args, context_checks,
                     lexical_candidate_features, rewrite_sentence)
 
 logger = logging.getLogger(__name__)
@@ -146,7 +146,8 @@ class _LexicalLearner:
     tag breaks them, one retagging to their own tag leaves them be).
 
     Accepting a rule retags only the types that hold its feature (``index``,
-    by the feature's unconditioned key) and satisfy its from_tag. A type
+    by the feature's unconditioned key, which is the rule's match, so no
+    lexicon is read), satisfy its from_tag and lack its to_tag. A type
     retagged from ``was`` to ``tag`` moves its conditioned keys from the one
     slot to the other. Its unconditioned keys change only when the type
     turns correct or wrong; a move between two wrong tags leaves them as
@@ -163,10 +164,9 @@ class _LexicalLearner:
     """
 
     def __init__(self, tags: dict, targets: dict, features: dict,
-                 lexicon: Lexicon, threshold: int):
+                 threshold: int):
         self.tags = dict(tags)
         self.targets = targets
-        self.lexicon = lexicon
         self.threshold = threshold
         self.feature_names = sorted({f for feats in features.values()
                                      for f in feats})
@@ -232,18 +232,18 @@ class _LexicalLearner:
     def apply(self, rule: LexicalRule) -> None:
         """Apply a rule to the types holding its feature and bring the
         counts and scores of everything it retagged up to date."""
-        base = self.base.get((rule.template, rule.arg))
-        old = {word: self.tags[word] for word in self.index.get(base, ())}
-        slot = self.slot
+        frm, to = rule.from_tag, rule.to_tag
+        slot, tags = self.slot, self.tags
+        new = slot[to]
         # (old slot, new slot, gold slot) -> base key -> tokens moved
         moves = defaultdict(Counter)
-        for word, tag in apply_lexical_rules((rule,), old,
-                                             self.lexicon).items():
-            if tag != old[word]:
+        for word in self.index[self.base[rule.template, rule.arg]]:
+            tag = tags[word]
+            if tag != to and (frm is None or tag == frm):
                 gold, count = self.targets[word]
-                _sum(moves[slot[old[word]], slot[tag], slot[gold]],
-                     self.bases[word], count)
-                self.tags[word] = tag
+                _sum(moves[slot[tag], new, slot[gold]], self.bases[word],
+                     count)
+                tags[word] = to
         touched = set()
         for (o, n, g), by_base in moves.items():
             src = self.correct if o == g else self.fixes
@@ -355,7 +355,7 @@ def learn_lexical_rules(train: TaggedCorpus,
         # the feature tuples, local here, are freed once the learner is built
         features = lexical_candidate_features(tags, guess,
                                               config.max_affix_len)
-        return _LexicalLearner(tags, targets, features, guess,
+        return _LexicalLearner(tags, targets, features,
                                config.score_threshold)
 
     rules, _ = _greedy("lexical", learner, errors, config)

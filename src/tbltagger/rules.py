@@ -10,8 +10,8 @@ Out-of-bounds context never matches (no sentinel tags).
 word templates, the context window and rule application are derived from
 it. ``rewrite_sentence`` is the one application of a contextual rule: it
 visits the from_tag positions it is given, with the context walk inline.
-``LEXICAL_TABLE`` defines the lexical templates once; the matcher, the rule
-index, the learner's candidates and the rule check are derived from it.
+``LEXICAL_TABLE`` defines the lexical templates once; the rule index, the
+learner's candidates, the rule check and ``remainder_known`` derive from it.
 
 A model compiles its ``Tagger`` once (``TaggerModel.tagger``).
 ``Tagger.tag_words``, which maps one sentence's words to their final tags,
@@ -153,26 +153,13 @@ class ContextualRule:
         return context_checks(self.template, self.args)
 
 
-def lexical_template_matches(template: str, arg: str, word: str,
-                             lexicon: Lexicon) -> bool:
-    """True if the lexical template instantiated with ``arg`` matches the
-    word, as ``LEXICAL_TABLE`` defines it; the from_tag check is the
-    caller's job."""
-    try:
-        key, deletes = LEXICAL_TABLE[template]
-    except KeyError:
-        raise TaggerError("unknown lexical template %r" % template) from None
-    if key == SUFFIX:
-        return word.endswith(arg) and (not deletes or len(word) > len(arg)
-                                       and word[:-len(arg)] in lexicon)
-    if key == PREFIX:
-        return word.startswith(arg) and (not deletes or len(word) > len(arg)
-                                         and word[len(arg):] in lexicon)
-    if key == CHAR:
-        return arg in word
-    if key == ADDED_SUFFIX:
-        return word + arg in lexicon
-    return arg + word in lexicon
+def remainder_known(template: str, arg: str, word: str,
+                    lexicon: Lexicon) -> bool:
+    """True if ``word`` minus the suffix (DELETESUF) or prefix (DELETEPREF)
+    ``arg`` is a non-empty lexicon entry; the caller has found the key."""
+    return len(word) > len(arg) and (
+        word[:-len(arg)] if LEXICAL_TABLE[template][0] == SUFFIX
+        else word[len(arg):]) in lexicon.entries
 
 
 class LexicalRuleIndex:
@@ -188,7 +175,7 @@ class LexicalRuleIndex:
     does not delete is its match: a suffix, prefix or character the word
     holds, or the lexicon probe of an added affix. Only the deleting
     templates also need the remainder in the lexicon, so only their
-    matches are confirmed with ``lexical_template_matches``."""
+    matches are confirmed, by ``remainder_known``."""
 
     def __init__(self, rules, lexicon: Lexicon):
         # per rule: template, arg, from_tag, to_tag, whether it deletes
@@ -242,8 +229,8 @@ class LexicalRuleIndex:
             template, arg, from_tag, to_tag, deletes = rules[i]
             if ((from_tag is None or from_tag == tag)
                     and (not deletes
-                         or lexical_template_matches(template, arg, word,
-                                                     self.lexicon))):
+                         or remainder_known(template, arg, word,
+                                            self.lexicon))):
                 tag = to_tag
         return tag
 
@@ -264,7 +251,7 @@ def lexical_candidate_features(words, lexicon: Lexicon,
     are the keys of its kind the word holds (its affixes up to
     max_affix_len, its characters, the affixes whose addition gives a
     lexicon entry), those of the templates that delete kept where
-    ``lexical_template_matches`` says they match. One pass over the
+    ``remainder_known`` finds the remainder in the lexicon. One pass over the
     lexicon lists the added affixes, kept only for the words asked
     about."""
     words = dict.fromkeys(words)
@@ -286,8 +273,7 @@ def lexical_candidate_features(words, lexicon: Lexicon,
             (template, arg)
             for template, (key, deletes) in LEXICAL_TABLE.items()
             for arg in keys[key]
-            if not deletes
-            or lexical_template_matches(template, arg, word, lexicon))
+            if not deletes or remainder_known(template, arg, word, lexicon))
     return features
 
 

@@ -16,9 +16,11 @@ They score each candidate on its own, by a plain pass over the corpus, so
 they share no counting with the learner. Lexical learning is replayed on
 ``TypeState`` records with its own application loop. The lexical rule
 predicate asks ``reference_lexical_template_matches``, the seven lexical
-templates written out by hand, and never ``rules.LEXICAL_TABLE``; lexical
-candidates are the package's ``lexical_candidate_features``, which
-``TestLexicalCandidateFeatures`` checks against the matcher. The contextual
+templates written out by hand, and never ``rules.LEXICAL_TABLE``. It is
+the one full lexical matcher: the package finds a template's key and
+probes only the remainder of a deleting one (``rules.remainder_known``).
+Lexical candidates are the package's ``lexical_candidate_features``, which
+``TestLexicalCandidateFeatures`` checks against this matcher. The contextual
 rule predicate asks ``ContextualRule.checks``, which ``context_predicate``
 here reads; ``context_instantiations`` reads the template table;
 ``contextual_reference.py`` holds an enumeration of the contextual
@@ -44,8 +46,9 @@ from tbltagger.rules import (CONTEXT_TABLE, WORDS, ContextualRule,
 
 def reference_lexical_template_matches(template: str, arg: str, word: str,
                                        lexicon) -> bool:
-    """What ``rules.lexical_template_matches`` must return, each template
-    written out on its own."""
+    """True if the lexical template instantiated with ``arg`` matches the
+    word, each template written out on its own; the from_tag check is the
+    caller's job."""
     if template == "HASSUF":
         return word.endswith(arg)
     if template == "HASPREF":

@@ -300,6 +300,21 @@ class TestLoadTagset:
         assert str(exc.value) == "line 3: unknown role key 'FOREIGNER'"
         assert (exc.value.line, exc.value.column) == (3, None)
 
+    def test_role_before_its_tag_refused_at_its_line(self):
+        # the file is read in order, so a role binds only a tag declared
+        # on an earlier line; Tagset, given the same declarations, accepts
+        # them: the two checks are different rules
+        lines = self.CONFIG.splitlines()
+        with pytest.raises(TagsetError) as exc:
+            load_tagset("\n".join([lines[3]] + lines[:3] + lines[4:]))
+        assert str(exc.value) == (
+            "line 1: role FOREIGN bound to undeclared tag 'FW'")
+        assert exc.value.line == 1
+        ts = Tagset(("FW", "PROP", "NNF"),
+                    {"FOREIGN": "FW", "PROPER_MASC_SG": "PROP",
+                     "NOUN_FEM_SG": "NNF"})
+        assert ts == load_tagset(self.CONFIG)
+
     @pytest.mark.parametrize("name", ["A/B", "-"])
     def test_invalid_tag_name_leads_with_its_line(self, name):
         with pytest.raises(TagsetError) as exc:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tbltagger.learner as learner_module
+import tbltagger.rules as rules_module
 from tbltagger.corpus import (TaggedCorpus, TaggerError, Token,
                               select_sentences, truncate_to_words)
 from tbltagger.evaluate import SynthSpec, generate_synthetic_corpus
@@ -24,8 +25,7 @@ from tbltagger.rules import (CONTEXT_TABLE, CONTEXT_WINDOW, TAGS,
                              ContextualRule, LexicalRule,
                              LEXICAL_TEMPLATES, WORD_TEMPLATES,
                              apply_contextual_rule, apply_lexical_rules,
-                             lexical_candidate_features,
-                             lexical_template_matches, serialize_rules)
+                             lexical_candidate_features, serialize_rules)
 
 from conftest import make_tagset
 from contextual_reference import rescan_contextual_iteration
@@ -34,6 +34,7 @@ from oracles import (TypeState, apply_lexical_rule_to_states,
                      context_instantiations, dynamic_contextual_score,
                      generate_contextual_candidates,
                      generate_lexical_candidates, initial_state,
+                     reference_lexical_template_matches,
                      score_contextual_candidate, score_lexical_candidate,
                      select_best_rule, type_states, weighted_type_errors)
 from test_rules import (TAGGING_CHARS, TAGGING_TAGS, lexical_rules_st,
@@ -187,21 +188,22 @@ class TestInitialContextualState:
 
 
 def fully_checked_features(word, lexicon, max_affix_len) -> set:
-    """Every (template, arg) that ``lexical_template_matches`` accepts for
-    the word, among args up to max_affix_len long: the word's characters
-    and the affixes of the word and of every lexicon word."""
+    """Every (template, arg) that ``reference_lexical_template_matches``
+    accepts for the word, among args up to max_affix_len long: the word's
+    characters and the affixes of the word and of every lexicon word."""
     args = set(word)
     for other in (word, *lexicon.entries):
         for k in range(1, max_affix_len + 1):
             args |= {other[:k], other[-k:]}
     return {(template, arg) for template in LEXICAL_TEMPLATES for arg in args
             if (template != "HASCHAR" or len(arg) == 1)
-            and lexical_template_matches(template, arg, word, lexicon)}
+            and reference_lexical_template_matches(template, arg, word,
+                                                   lexicon)}
 
 
 class TestLexicalCandidateFeatures:
     def test_matches_iff_feature_listed(self):
-        # the feature list must agree exactly with lexical_template_matches
+        # the feature list must agree exactly with the reference matcher
         lexicon = Lexicon({
             "γατ": (("NN", 1),), "γατες": (("NN", 1),), "τρεχ": (("VB", 1),),
         })
@@ -305,7 +307,7 @@ class TestFastSlowEquivalence:
         config = TrainConfig(score_threshold=1, seed=seed)
         guess, (tags, targets) = lexical_learning_state(corpus, config)
         cache = candidate_features(tags, guess, config.max_affix_len)
-        learner = _LexicalLearner(tags, targets, cache, guess,
+        learner = _LexicalLearner(tags, targets, cache,
                                   config.score_threshold)
         states = type_states(tags, targets)
         for _ in range(4):
@@ -596,7 +598,7 @@ def assert_lexical_steps_agree(tags, targets, features, guess, threshold,
     ``apply_lexical_rules`` gives over every type and the tables a fresh
     learner counts from it: no zero count, empty key or stale ``live``
     entry. Returns the rules accepted."""
-    learner = _LexicalLearner(tags, targets, features, guess, threshold)
+    learner = _LexicalLearner(tags, targets, features, threshold)
     rules = []
     for _ in range(steps):
         got = learner.best()
@@ -607,7 +609,7 @@ def assert_lexical_steps_agree(tags, targets, features, guess, threshold,
         learner.apply(got[0])
         tags = apply_lexical_rules((got[0],), tags, guess)
         assert learner.tags == tags
-        fresh = _LexicalLearner(tags, targets, features, guess, threshold)
+        fresh = _LexicalLearner(tags, targets, features, threshold)
         assert decoded_tables(learner) == decoded_tables(fresh)
         rules.append(got[0])
     return rules
@@ -630,7 +632,7 @@ class TestIncrementalLexicalLearner:
         tags = {w: tag for w, (tag, _, _) in types.items()}
         targets = {w: (gold, count) for w, (_, gold, count) in types.items()}
         features = candidate_features(tags, guess, 3)
-        learner = _LexicalLearner(tags, targets, features, guess, 1)
+        learner = _LexicalLearner(tags, targets, features, 1)
         keys = sorted(set(learner.fixes) | set(learner.correct))
         decoded = [learner._decode(key) for key in keys]
         # every key a type matches, each under a key of its own
@@ -650,15 +652,14 @@ class TestIncrementalLexicalLearner:
             config = TrainConfig(score_threshold=1, seed=seed)
             guess, (tags, targets) = lexical_learning_state(corpus, config)
             features = candidate_features(tags, guess, config.max_affix_len)
-            learner = _LexicalLearner(tags, targets, features, guess, 1)
+            learner = _LexicalLearner(tags, targets, features, 1)
             while (best := learner.best()) is not None:
                 before = dict(learner.tags)
                 learner.apply(best[0])
                 wrong_to_wrong += sum(
                     before[w] != tag and targets[w][0] not in (before[w], tag)
                     for w, tag in learner.tags.items())
-                fresh = _LexicalLearner(learner.tags, targets, features,
-                                        guess, 1)
+                fresh = _LexicalLearner(learner.tags, targets, features, 1)
                 assert decoded_tables(learner) == decoded_tables(fresh)
         # a retag between two wrong tags leaves the unconditioned keys be
         assert wrong_to_wrong
@@ -675,7 +676,7 @@ class TestIncrementalLexicalLearner:
             config = TrainConfig(score_threshold=1, seed=seed)
             guess, (tags, targets) = lexical_learning_state(corpus, config)
             features = candidate_features(tags, guess, config.max_affix_len)
-            learner = _LexicalLearner(tags, targets, features, guess, 1)
+            learner = _LexicalLearner(tags, targets, features, 1)
             writes = []
             add = learner_module._add
             monkeypatch.setattr(
@@ -708,6 +709,25 @@ class TestIncrementalLexicalLearner:
         assert 0 < len(rules) < 200
         _, learned = learn_lexical_rules(corpus, config=config)
         assert learned == tuple(rules)
+
+    def test_retags_from_its_own_index(self, monkeypatch):
+        # a step retags the types its feature index holds: learning builds
+        # no rule index of the tagger's, and learns the same rules
+        corpora = [generate_synthetic_corpus(mini_spec(
+            seed, n_sentences=60, suffix_paradigms=OVERLAPPING_SUFFIXES))
+            for seed in range(3)]
+        configs = [TrainConfig(score_threshold=1, seed=seed)
+                   for seed in range(3)]
+        expected = [learn_lexical_rules(corpus, config=config)
+                    for corpus, config in zip(corpora, configs)]
+        assert all(rules for _, rules in expected)
+
+        def refuse(*args):
+            raise AssertionError("lexical learning built a LexicalRuleIndex")
+
+        monkeypatch.setattr(rules_module, "LexicalRuleIndex", refuse)
+        for corpus, config, learned in zip(corpora, configs, expected):
+            assert learn_lexical_rules(corpus, config=config) == learned
 
     @pytest.mark.parametrize("cap", [0, 1, 3])
     @pytest.mark.parametrize("threshold", [1, 2])
@@ -751,7 +771,7 @@ class TestIncrementalLexicalLearner:
                    "wb": ("C", 1)}
         guess = Lexicon({})
         features = candidate_features(tags, guess, 4)
-        learner = _LexicalLearner(tags, targets, features, guess, 2)
+        learner = _LexicalLearner(tags, targets, features, 2)
         assert learner.best() == (LexicalRule("HASCHAR", "a", None, "A"),
                                   RuleScore(2, 0))
         rules = assert_lexical_steps_agree(tags, targets, features, guess,

@@ -18,14 +18,15 @@ from tbltagger.lexicon import (GREEK_CAPITAL_START, LATIN_START, OTHER,
                                default_greek_chain, initial_tag,
                                parse_lexicon, serialize_lexicon)
 from tbltagger import rules as rules_module
-from tbltagger.rules import (CONTEXT_TABLE, CONTEXTUAL_TEMPLATES,
-                             LEXICAL_TEMPLATES, MODEL_FILES, WORDS,
-                             ContextualRule, LexicalRule,
-                             LexicalRuleIndex, ModelError, TaggerModel,
-                             apply_contextual_rule, apply_contextual_rules,
-                             apply_lexical_rules, context_args,
-                             context_checks, lexical_template_matches,
-                             load_model, parse_rules, rewrite_sentence,
+from tbltagger.rules import (ADDED_PREFIX, ADDED_SUFFIX, CHAR,
+                             CONTEXT_TABLE, CONTEXTUAL_TEMPLATES,
+                             LEXICAL_TABLE, LEXICAL_TEMPLATES, MODEL_FILES,
+                             PREFIX, SUFFIX, WORDS, ContextualRule,
+                             LexicalRule, LexicalRuleIndex, ModelError,
+                             TaggerModel, apply_contextual_rule,
+                             apply_contextual_rules, apply_lexical_rules,
+                             context_args, context_checks, load_model,
+                             parse_rules, remainder_known, rewrite_sentence,
                              save_model, serialize_rules, tag_corpus)
 from tbltagger.corpus import serialize_tagged_corpus
 
@@ -104,30 +105,32 @@ class TestLexicalRuleMatches:
         assert lexical_rule_matches(rule, "τρέχω", "NN", EMPTY_LEX)
         assert not lexical_rule_matches(rule, "γάτα", "NN", EMPTY_LEX)
 
-    def test_unknown_template_is_a_tagger_error(self):
-        pytest.raises(TaggerError, lexical_template_matches, "NOSUCH", "a",
-                      "ab", EMPTY_LEX)
-
     @pytest.mark.parametrize("template", LEXICAL_TEMPLATES)
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_table_matcher_equals_reference(self, template, data):
-        # args as long as the word or longer, and lexicon entries the word
-        # gives with an arg taken away or added, "" among them
+        # for a word that holds the template's key, the package's match is
+        # the key itself, or the remainder probe for a template that
+        # deletes. Affix args as long as the word, and lexicon entries the
+        # word gives with an arg taken away, "" among them
+        key, deletes = LEXICAL_TABLE[template]
         word = data.draw(st.text(WORD_CHARS, min_size=1, max_size=6))
-        extra = st.text(WORD_CHARS, max_size=3)
-        arg = data.draw(st.one_of(
-            st.text(WORD_CHARS, min_size=1, max_size=8),
-            st.sampled_from([word[:k] for k in range(1, len(word) + 1)]
-                            + [word[-k:] for k in range(1, len(word) + 1)]),
-            st.builds(lambda a, b: a + word + b, extra, extra)))
+        lengths = range(1, len(word) + 1)
+        held = {SUFFIX: [word[-k:] for k in lengths],
+                PREFIX: [word[:k] for k in lengths], CHAR: sorted(set(word))}
+        arg = data.draw(st.sampled_from(held[key]) if key in held
+                        else st.text(WORD_CHARS, min_size=1, max_size=8))
         entries = data.draw(st.lists(st.text(WORD_CHARS, max_size=6),
                                      max_size=3))
         entries += data.draw(st.lists(st.sampled_from(
-            ["", word.removesuffix(arg), word.removeprefix(arg),
-             word + arg, arg + word]), max_size=3))
+            ["", word.removesuffix(arg), word.removeprefix(arg)]),
+            max_size=3))
+        # an added affix's key is the entry that adding it gives
+        entries += {ADDED_SUFFIX: [word + arg],
+                    ADDED_PREFIX: [arg + word]}.get(key, [])
         lexicon = Lexicon({entry: (("NN", 1),) for entry in entries})
-        assert lexical_template_matches(template, arg, word, lexicon) == \
+        assert (not deletes
+                or remainder_known(template, arg, word, lexicon)) == \
             reference_lexical_template_matches(template, arg, word, lexicon)
 
 
@@ -665,7 +668,7 @@ def lexical_index_cases_st(draw):
 
 class TestLexicalRuleIndex:
     """``rules.LexicalRuleIndex`` against the per-rule scan, and the
-    number of rules it asks ``lexical_template_matches`` about."""
+    number of rules whose remainder it probes (``remainder_known``)."""
 
     # No shrinking, as in TestModelRoundTrip: shrinking a failure of this
     # strategy took minutes.
@@ -688,8 +691,9 @@ class TestLexicalRuleIndex:
             assert found == sorted(set(found))
             assert set(found) >= {
                 i for i, rule in enumerate(rules)
-                if lexical_template_matches(rule.template, rule.arg, word,
-                                            lexicon)}
+                if reference_lexical_template_matches(rule.template,
+                                                      rule.arg, word,
+                                                      lexicon)}
 
     RULES = (LexicalRule("HASSUF", "ος", None, "NN"),
              LexicalRule("DELETESUF", "ων", None, "VB"),
@@ -701,16 +705,16 @@ class TestLexicalRuleIndex:
 
     @pytest.fixture
     def asked(self, monkeypatch):
-        """The (template, arg, word) of every ``lexical_template_matches``
-        call the package makes."""
+        """The (template, arg, word) of every ``remainder_known`` call the
+        package makes."""
         calls = []
-        real = rules_module.lexical_template_matches
+        real = rules_module.remainder_known
 
         def counted(template, arg, word, lexicon):
             calls.append((template, arg, word))
             return real(template, arg, word, lexicon)
 
-        monkeypatch.setattr(rules_module, "lexical_template_matches", counted)
+        monkeypatch.setattr(rules_module, "remainder_known", counted)
         return calls
 
     def test_word_without_keys_asks_no_rule(self, tiny_corpus, asked):
