@@ -2,7 +2,8 @@
 
 Subcommands: train, tag, eval, crossval, curve, synth. All randomness flows
 from explicit --seed flags (default 0). Exit codes: 0 success, 2 config or
-parse error, 3 I/O error, 4 data alignment error.
+parse error, 3 I/O error, 4 data alignment error. ``corpus`` and ``rules``
+read and write every file; this module holds no file format.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ import dataclasses
 import gc
 import json
 import logging
-import os
 import sys
-import tempfile
 from collections import Counter
 
 from .corpus import (AlignmentError, TaggerError, load_tagset,
                      parse_tagged_corpus, raw_sentences, read_text,
-                     serialize_tagged_corpus, serialize_tagset)
+                     serialize_tagged_corpus, serialize_tagset, tagged_lines,
+                     write_atomically)
 from .evaluate import (SynthSpec, count_hits, cross_validate,
                        generate_synthetic_corpus, learning_curve,
                        render_confusion_csv, render_folds_csv,
@@ -32,29 +32,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DATA = 4
-
-
-def _write(path, text):
-    _write_atomically(path, (text,))
-
-
-def _write_atomically(path, chunks):
-    """Write the text chunks to a temp file next to ``path`` and rename it
-    into place: ``path`` is left untouched unless every chunk is written."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".tbltagger-", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        # mkstemp creates the file private; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _train_config(args) -> TrainConfig:
@@ -165,17 +142,10 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _tagged_lines(tag_words, sentences):
-    """One ``word/TAG`` line per sentence of words, as the tagged corpus
-    file holds it (``serialize_tagged_corpus``)."""
-    for words in sentences:
-        yield " ".join(map("/".join, zip(words, tag_words(words)))) + "\n"
-
-
 def cmd_tag(args) -> int:
     tag_words = load_model(args.model).tagger.tag_words
     raw = raw_sentences(read_text(args.infile))
-    _write_atomically(args.out, _tagged_lines(tag_words, raw))
+    write_atomically(args.out, tagged_lines(tag_words, raw))
     return EXIT_OK
 
 
@@ -187,7 +157,7 @@ def cmd_eval(args) -> int:
                                     confusion=confusion)
     print("%.6f" % (hits / tokens))
     if args.confusion:
-        _write(args.confusion, render_confusion_csv(confusion))
+        write_atomically(args.confusion, (render_confusion_csv(confusion),))
     return EXIT_OK
 
 
@@ -195,7 +165,7 @@ def _write_report(path, csv) -> None:
     """The report CSV of crossval or curve, to ``path`` (--out) atomically
     or, with no path, to stdout."""
     if path:
-        _write(path, csv)
+        write_atomically(path, (csv,))
     else:
         sys.stdout.write(csv)
 
@@ -244,9 +214,9 @@ def cmd_synth(args) -> int:
     except TypeError as exc:
         raise TaggerError("bad synthetic spec: %s" % exc) from exc
     corpus = generate_synthetic_corpus(spec)
-    _write(args.out, serialize_tagged_corpus(corpus))
+    write_atomically(args.out, (serialize_tagged_corpus(corpus),))
     tagset_path = args.tagset_out or args.out + ".tagset"
-    _write(tagset_path, serialize_tagset(corpus.tagset))
+    write_atomically(tagset_path, (serialize_tagset(corpus.tagset),))
     print("wrote %d sentences, %d tokens"
           % (len(corpus.sentences), corpus.word_count))
     return EXIT_OK

@@ -1,4 +1,5 @@
-"""Corpus data model: tagsets, tokens, sentences, tagged corpora.
+"""Corpus data model: tagsets, tokens, sentences, tagged corpora; and the
+package's file reading and writing (``read_text``, ``write_atomically``).
 
 File formats are line oriented and UTF-8 throughout:
   - tagged corpus: one sentence per line, whitespace-separated ``word/TAG``
@@ -10,8 +11,12 @@ File formats are line oriented and UTF-8 throughout:
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
 import re
+import shutil
+import tempfile
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import islice
@@ -240,6 +245,13 @@ def serialize_tagged_corpus(corpus: TaggedCorpus) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def tagged_lines(tag_words, sentences):
+    """One ``word/TAG`` line per sentence of words, tagged by ``tag_words``
+    (the lines of ``serialize_tagged_corpus``)."""
+    for words in sentences:
+        yield " ".join(map("/".join, zip(words, tag_words(words)))) + "\n"
+
+
 def raw_sentences(text: str):
     """The words of untagged one-sentence-per-line text: one tuple of the
     ``str.split()`` words of each non-blank line, yielded as the line is
@@ -271,6 +283,29 @@ def read_text(path) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError("%s is not UTF-8: %s" % (path, exc)) from exc
+
+
+@contextlib.contextmanager
+def work_dir(path):
+    """A private directory beside ``path``, removed with its contents on
+    exit: every file and model directory the package writes is built in
+    one and renamed to ``path``, so a crash leaves only ``.tbltagger-*``."""
+    work = tempfile.mkdtemp(prefix=".tbltagger-",
+                            dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        yield work
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+def write_atomically(path, chunks) -> None:
+    """Write the text chunks to ``path`` through ``work_dir(path)``; the
+    file gets the mode that ``open`` gives under the umask."""
+    with work_dir(path) as work:
+        tmp = os.path.join(work, "file")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
 
 
 def load_tagset(text: str) -> Tagset:

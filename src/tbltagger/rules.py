@@ -36,15 +36,13 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from .corpus import (Memo, ModelError, ParseError, TaggedCorpus, TaggerError,
                      Tagset, Token, is_field, load_tagset, read_text,
-                     serialize_tagset)
+                     serialize_tagset, work_dir)
 from .lexicon import (InitialRuleChain, Lexicon, classify_script,
                       default_greek_chain, parse_lexicon, serialize_lexicon,
                       start_tags)
@@ -545,20 +543,18 @@ def parse_rules(text: str, tagset: Tagset):
 
 
 def save_model(model: TaggerModel, path: str, manifest_extra: dict = None) -> None:
-    """Write TAGSET/LEXICON/LEXRULES/CTXRULES/MANIFEST atomically: build in a
-    work directory next to ``path`` and rename into place. An existing model
-    directory is renamed aside first and deleted only once the new one is
-    in place. A directory holding anything else is refused before anything
-    is written. The package's ``format_version`` overrides an extra's."""
+    """Write TAGSET/LEXICON/LEXRULES/CTXRULES/MANIFEST atomically: build in
+    ``work_dir(path)`` and rename into place. An existing model directory
+    is renamed aside first and deleted only once the new one is in place.
+    A directory holding anything else is refused before anything is
+    written. The package's ``format_version`` overrides an extra's."""
     if os.path.isdir(path):
         foreign = sorted(set(os.listdir(path)) - set(MODEL_FILES))
         if foreign:
             raise ModelError("not replacing directory %s: it holds %r, "
                              "which is no model file" % (path, foreign[0]))
-    parent = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(parent, exist_ok=True)
-    work = tempfile.mkdtemp(prefix=".model-", dir=parent)
-    try:
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with work_dir(path) as work:
         # mkdtemp makes its directory private; mkdir gives the model the
         # mode that the umask leaves
         tmp = os.path.join(work, "model")
@@ -585,8 +581,6 @@ def save_model(model: TaggerModel, path: str, manifest_extra: dict = None) -> No
                 raise
         else:
             os.replace(tmp, path)
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
 
 
 def load_model(path: str) -> TaggerModel:

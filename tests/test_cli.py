@@ -260,6 +260,20 @@ class TestTag:
                      "--out", str(tmp_path / "out.txt")])
         assert code == EXIT_IO
 
+    def test_bad_byte_past_the_first_read_chunk(self, workspace, tmp_path,
+                                                capsys):
+        # the position is the byte's offset in the file, not in the read
+        # chunk (8 KiB) that holds it; no output and no work entry is left
+        infile = tmp_path / "in.txt"
+        infile.write_bytes("το ζζζος\n".encode("utf-8") * 5000 + b"\xff")
+        code = main(["tag", "--model", str(workspace["model"]),
+                     "--in", str(infile), "--out", str(tmp_path / "out.txt")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: %s is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 80000: invalid start byte\n" % infile)
+        assert os.listdir(tmp_path) == ["in.txt"]
+
     def test_invalid_model_exits_2(self, workspace, tmp_path, capsys):
         broken = tmp_path / "broken_model"
         broken.mkdir()
@@ -930,12 +944,22 @@ class TestAlignmentExit:
             "error: cannot compute accuracy on an empty corpus\n"
 
 
+def umask_changed(mask):
+    raise AssertionError("os.umask(0o%o) called" % mask)
+
+
 @contextlib.contextmanager
-def umask(mask):
-    """Run the body under the umask ``mask``, then restore the old one."""
+def umask(mask, frozen=False):
+    """Run the body under the umask ``mask``, then restore the old one.
+    With ``frozen``, the body may not call ``os.umask``: a command that
+    sets it, even for a moment, gives the wrong mode to a file that another
+    thread of the process creates meanwhile."""
     old = os.umask(mask)
     try:
-        yield
+        with pytest.MonkeyPatch.context() as patch:
+            if frozen:
+                patch.setattr(os, "umask", umask_changed)
+            yield
     finally:
         os.umask(old)
 
@@ -948,11 +972,14 @@ class TestOutputModes:
     """What the commands write gets the mode that mkdir() (a directory) and
     open() (a file) give under the caller's umask."""
 
-    @pytest.fixture(scope="class", params=[0o022, 0o027],
-                    ids=["umask-022", "umask-027"])
+    @pytest.fixture(scope="class",
+                    params=[(0o022, False), (0o027, False), (0o027, True)],
+                    ids=["umask-022", "umask-027", "umask-027-frozen"])
     def outputs(self, request, tmp_path_factory):
         """(umask, paths) after synth, train, tag, eval --confusion,
-        crossval --out and curve --out have run under the umask."""
+        crossval --out and curve --out have run under the umask, which
+        with "frozen" no command may change."""
+        mask, frozen = request.param
         root = tmp_path_factory.mktemp("modes")
         paths = {name: str(root / name) for name in (
             "corpus", "tagset", "raw", "model", "tagged", "confusion",
@@ -961,8 +988,7 @@ class TestOutputModes:
         spec.write_text(json.dumps({"n_stems": 10, "n_sentences": 30,
                                     "seed": 2}), encoding="utf-8")
         data = ["--corpus", paths["corpus"], "--tagset", paths["tagset"]]
-        with umask(request.param), \
-                contextlib.redirect_stdout(io.StringIO()):
+        with umask(mask, frozen), contextlib.redirect_stdout(io.StringIO()):
             assert main(["synth", "--spec", str(spec), "--out",
                          paths["corpus"], "--tagset-out",
                          paths["tagset"]]) == EXIT_OK
@@ -980,7 +1006,7 @@ class TestOutputModes:
                     ["curve", *data, "--k", "3", "--sizes",
                      "%d,%d" % (words // 2, words), "--out", paths["curve"]]):
                 assert main(argv) == EXIT_OK, argv
-        return request.param, paths
+        return mask, paths
 
     def test_model_directory_gets_the_mkdir_mode(self, outputs):
         mask, paths = outputs

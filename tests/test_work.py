@@ -1,0 +1,54 @@
+"""The algorithms' work on one fixed, seeded workload, counted through
+wrappers and held under the ceilings in ``work_ceilings.json``.
+
+Losing a filter or a skip of the learner or the tagger (the left-offset
+filter of the contextual learner's ``near`` keys, the ``context_args``
+skip of ``Tagger.tag_words``) keeps every model byte-identical, so no
+output test notices it; these counts do. A change that cuts work lowers
+the ceilings it cuts in the same change."""
+
+import json
+from collections import Counter
+from pathlib import Path
+
+from tbltagger import learner as learner_module
+from tbltagger import rules as rules_module
+from tbltagger.corpus import select_sentences
+from tbltagger.evaluate import (SynthSpec, count_hits,
+                                generate_synthetic_corpus)
+from tbltagger.learner import TrainConfig, train_model
+
+CEILINGS = Path(__file__).with_name("work_ceilings.json")
+
+
+def test_work_stays_under_its_ceilings(monkeypatch):
+    # 500 sentences to train, 200 to tag; about 0.1 s
+    corpus = generate_synthetic_corpus(
+        SynthSpec(n_stems=80, n_sentences=700, seed=5))
+    counts = Counter()
+
+    def count(owner, name, key, weight=lambda *args: 1):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += weight(*args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    contextual = learner_module._ContextualLearner
+    count(learner_module, "rewrite_sentence", "learner.rewrite_sentence")
+    count(contextual, "_simulate", "learner._ContextualLearner._simulate")
+    count(contextual, "_rescore", "learner._ContextualLearner._rescore")
+    count(learner_module._LexicalLearner, "_rescore",
+          "learner._LexicalLearner._rescore")
+    count(learner_module, "_add", "learner._add keys",
+          lambda table, gold, deltas: len(deltas))
+    model = train_model(select_sentences(corpus, range(500)), TrainConfig())
+    count(rules_module, "rewrite_sentence",
+          "rules.rewrite_sentence while tagging")
+    count_hits(model.tagger, corpus.sentences[500:])
+    # a different model is a different workload: measure the ceilings again
+    assert (len(model.lexical_rules), len(model.contextual_rules)) == (7, 21)
+    ceilings = json.loads(CEILINGS.read_text(encoding="utf-8"))
+    assert set(counts) == set(ceilings)
+    assert {key: n for key, n in counts.items() if n > ceilings[key]} == {}
