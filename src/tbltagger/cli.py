@@ -2,8 +2,8 @@
 
 Subcommands: train, tag, eval, crossval, curve, synth. All randomness flows
 from explicit --seed flags (default 0). Exit codes: 0 success, 2 config or
-parse error, 3 I/O error, 4 data alignment error. ``corpus`` and ``rules``
-read and write every file; this module holds no file format.
+parse error, 3 I/O error, 4 data alignment error. ``corpus`` reads and
+writes every file; this module holds no file format.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Corpus data model: tagsets, tokens, sentences, tagged corpora; and the
-package's file reading and writing (``read_text``, ``write_atomically``).
+package's file I/O: ``read_text``, ``write_text`` and ``work_dir``.
 
 File formats are line oriented and UTF-8 throughout:
   - tagged corpus: one sentence per line, whitespace-separated ``word/TAG``
@@ -285,17 +285,28 @@ def read_text(path) -> str:
             raise ParseError("%s is not UTF-8: %s" % (path, exc)) from exc
 
 
+def write_text(path, chunks) -> None:
+    """The package's one text writer: the chunks, in UTF-8, to ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+
+
 @contextlib.contextmanager
 def work_dir(path):
     """A private directory beside ``path``, removed with its contents on
     exit: every file and model directory the package writes is built in
-    one and renamed to ``path``, so a crash leaves only ``.tbltagger-*``."""
-    work = tempfile.mkdtemp(prefix=".tbltagger-",
-                            dir=os.path.dirname(os.path.abspath(path)))
+    one and renamed to ``path``, so a crash leaves only ``.tbltagger-*``.
+    ``path``'s directory must exist: none is made. An ``OSError`` raised
+    meanwhile is raised again, with its class and errno, naming ``path``."""
     try:
-        yield work
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+        work = tempfile.mkdtemp(prefix=".tbltagger-",
+                                dir=os.path.dirname(os.path.abspath(path)))
+        try:
+            yield work
+        finally:
+            shutil.rmtree(work, ignore_errors=True)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
 
 
 def write_atomically(path, chunks) -> None:
@@ -303,8 +314,7 @@ def write_atomically(path, chunks) -> None:
     file gets the mode that ``open`` gives under the umask."""
     with work_dir(path) as work:
         tmp = os.path.join(work, "file")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        write_text(tmp, chunks)
         os.replace(tmp, path)
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
+import builtins
 import contextlib
 import gc
 import io
@@ -1020,6 +1021,122 @@ class TestOutputModes:
                     for name in MODEL_FILES]
         assert {path: mode(path) for path in written} == \
             dict.fromkeys(written, 0o666 & ~mask)
+
+
+class TestBadOutputPaths:
+    """An output that cannot be written exits 3 with the OSError of the
+    path as the user gave it, in a directory holding ``sub/`` and
+    ``f.txt``: no command makes a missing directory, leaves a work entry
+    or touches an existing target."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["tag", "--model", "@model", "--in", "@raw", "--out", "sub"],
+         "[Errno 21] Is a directory: 'sub'"),
+        (["tag", "--model", "@model", "--in", "@raw",
+          "--out", "missing/x.txt"],
+         "[Errno 2] No such file or directory: 'missing/x.txt'"),
+        (["train", "--corpus", "@corpus", "--tagset", "@tagset",
+          "--out", "f.txt"],
+         "[Errno 20] Not a directory: 'f.txt'"),
+        (["train", "--corpus", "@corpus", "--tagset", "@tagset",
+          "--out", "missing/m"],
+         "[Errno 2] No such file or directory: 'missing/m'"),
+        (["eval", "--model", "@model", "--gold", "@corpus",
+          "--confusion", "missing/c.csv"],
+         "[Errno 2] No such file or directory: 'missing/c.csv'"),
+        (["crossval", "--corpus", "@corpus", "--tagset", "@tagset",
+          "--k", "3", "--out", "missing/f.csv"],
+         "[Errno 2] No such file or directory: 'missing/f.csv'"),
+        (["synth", "--spec", "@spec", "--out", "missing/c.txt"],
+         "[Errno 2] No such file or directory: 'missing/c.txt'"),
+    ], ids=["tag-directory", "tag-missing", "train-file", "train-missing",
+            "eval-missing", "crossval-missing", "synth-missing"])
+    def test_exits_3_naming_the_path(self, workspace, tmp_path, capsys,
+                                     argv, message):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        raw = inputs / "raw.txt"
+        raw.write_text("το ζζζος\nζζζει\n", encoding="utf-8")
+        spec = inputs / "spec.json"
+        spec.write_text('{"n_stems": 5, "n_sentences": 6}', encoding="utf-8")
+        files = {"@model": workspace["model"], "@corpus": workspace["corpus"],
+                 "@tagset": workspace["tagset"], "@raw": raw, "@spec": spec}
+        cwd = tmp_path / "cwd"
+        (cwd / "sub").mkdir(parents=True)
+        (cwd / "f.txt").write_text("keep me\n", encoding="utf-8")
+        with chdir(cwd):
+            code = main([str(files.get(arg, arg)) for arg in argv])
+        assert (code, capsys.readouterr().err) == \
+            (EXIT_IO, "error: %s\n" % message)
+        assert sorted(os.listdir(cwd)) == ["f.txt", "sub"]
+        assert os.listdir(cwd / "sub") == []
+        assert (cwd / "f.txt").read_text(encoding="utf-8") == "keep me\n"
+
+
+class TestWritesGoThroughWorkDir:
+    def test_every_write_is_inside_a_work_directory(self, tmp_path,
+                                                    monkeypatch):
+        # every file opened for writing and every directory made lies in
+        # a .tbltagger-* directory beside the outputs (or is one), and no
+        # command makes a directory tree
+        root = tmp_path / "out"
+        root.mkdir()
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_stems": 10, "n_sentences": 30,
+                                    "seed": 2}), encoding="utf-8")
+        paths = {name: str(root / name) for name in (
+            "corpus", "tagset", "raw", "model", "tagged", "confusion",
+            "folds", "curve")}
+        written, made, trees = [], [], []
+        real_open, real_mkdir = open, os.mkdir
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                written.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        def recording_mkdir(path, *args, **kwargs):
+            made.append(path)
+            return real_mkdir(path, *args, **kwargs)
+
+        def run(argv):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(builtins, "open", recording_open)
+                patch.setattr(os, "mkdir", recording_mkdir)
+                patch.setattr(os, "makedirs",
+                              lambda *args, **kwargs: trees.append(args))
+                assert main(argv) == EXIT_OK, argv
+
+        data = ["--corpus", paths["corpus"], "--tagset", paths["tagset"]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            run(["synth", "--spec", str(spec), "--out", paths["corpus"],
+                 "--tagset-out", paths["tagset"]])
+            corpus = Path(paths["corpus"]).read_text(encoding="utf-8")
+            Path(paths["raw"]).write_text(re.sub(r"/\S+", "", corpus),
+                                          encoding="utf-8")
+            words = len(corpus.split())
+            for argv in (
+                    ["train", *data, "--out", paths["model"]],
+                    ["train", *data, "--out", paths["model"]],
+                    ["tag", "--model", paths["model"], "--in", paths["raw"],
+                     "--out", paths["tagged"]],
+                    ["eval", "--model", paths["model"], "--gold",
+                     paths["corpus"], "--confusion", paths["confusion"]],
+                    ["crossval", *data, "--k", "3", "--out", paths["folds"]],
+                    ["curve", *data, "--k", "3", "--sizes",
+                     "%d,%d" % (words // 2, words), "--out", paths["curve"]]):
+                run(argv)
+        # synth's two files, then tag, eval, crossval and curve one each;
+        # each train writes the five model files into a directory it made
+        assert len(written) == 2 + 2 * len(MODEL_FILES) + 4
+        assert len(made) == 2 + 2 * 2 + 4
+        assert trees == []
+        for path in written + made:
+            parts = Path(path).relative_to(root).parts
+            assert parts[0].startswith(".tbltagger-"), path
+        for path in written:
+            assert len(Path(path).relative_to(root).parts) > 1, path
+        assert sorted(os.listdir(root)) == sorted(paths)
 
 
 @contextlib.contextmanager

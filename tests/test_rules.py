@@ -31,7 +31,7 @@ from tbltagger.rules import (ADDED_PREFIX, ADDED_SUFFIX, CHAR,
 from tbltagger.corpus import serialize_tagged_corpus
 
 from conftest import (TAG_NAMES, WORD_CHARS, corpora_st, make_tagset,
-                      words_st)
+                      sentences_st, words_st)
 from oracles import (contextual_rule_matches, lexical_rule_matches,
                      reference_apply_contextual_rules,
                      reference_apply_lexical_rules,
@@ -601,14 +601,39 @@ class TestTagger:
 
     def test_every_output_tag_is_checked_against_the_tagset(self,
                                                            tiny_corpus):
-        # no model the types accept gives a tag outside its tagset; a
-        # damaged memo stands in for one that would
+        # no model the types accept gives a tag outside its tagset
+        # (test_output_tags_are_in_the_tagset); a damaged memo stands in
+        # for one that would, and TaggedCorpus refuses its tag
         model = TestTagCorpus._model(tiny_corpus)
         model.tagger.tags["γάτα"] = "ZZ"
         with pytest.raises(TagsetError, match="'ZZ' not in tagset"):
-            model.tagger.tag_words(("ο", "γάτα"))
-        with pytest.raises(TagsetError, match="'ZZ' not in tagset"):
             tag_corpus([(Token("ο"), Token("γάτα"))], model)
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_output_tags_are_in_the_tagset(self, data):
+        # tag_words tests no tag: every tag it can return (a known word's
+        # lexicon tag, an unknown word's role tag, a rule's to_tag) was
+        # checked when the model and its tagset were built, and a model
+        # naming another tag is refused
+        # (TestModelRoundTrip::test_rule_tag_outside_tagset_rejected)
+        sentences = data.draw(sentences_st(max_sentences=4).filter(bool))
+        tagset = make_tagset()
+        model = TaggerModel(
+            tagset, build_lexicon(TaggedCorpus(sentences, tagset)),
+            default_greek_chain(),
+            tuple(data.draw(st.lists(lexical_rules_st(), max_size=4))),
+            tuple(data.draw(st.lists(contextual_rules_st(), max_size=6))))
+        # known words, and unknown words of every script class: Latin-,
+        # Greek-capital- and other-initial
+        word = st.one_of(st.sampled_from(sorted(model.lexicon.entries)),
+                         words_st(),
+                         st.builds(str.__add__, st.sampled_from("aΆ."),
+                                   words_st(max_size=4)))
+        for words in data.draw(st.lists(st.lists(word, min_size=1,
+                                                 max_size=6).map(tuple),
+                                        min_size=1, max_size=4)):
+            assert set(model.tagger.tag_words(words)) <= set(tagset.tags)
 
     def test_built_once_per_model(self, tiny_corpus):
         model = TestTagCorpus._model(tiny_corpus)
