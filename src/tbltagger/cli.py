@@ -145,7 +145,7 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     tag_words = load_model(args.model).tagger.tag_words
     raw = raw_sentences(read_text(args.infile))
-    write_atomically(args.out, tagged_lines(tag_words, raw))
+    write_atomically((args.out, tagged_lines(tag_words, raw)))
     return EXIT_OK
 
 
@@ -157,7 +157,7 @@ def cmd_eval(args) -> int:
                                     confusion=confusion)
     print("%.6f" % (hits / tokens))
     if args.confusion:
-        write_atomically(args.confusion, (render_confusion_csv(confusion),))
+        write_atomically((args.confusion, (render_confusion_csv(confusion),)))
     return EXIT_OK
 
 
@@ -165,7 +165,7 @@ def _write_report(path, csv) -> None:
     """The report CSV of crossval or curve, to ``path`` (--out) atomically
     or, with no path, to stdout."""
     if path:
-        write_atomically(path, (csv,))
+        write_atomically((path, (csv,)))
     else:
         sys.stdout.write(csv)
 
@@ -214,9 +214,9 @@ def cmd_synth(args) -> int:
     except TypeError as exc:
         raise TaggerError("bad synthetic spec: %s" % exc) from exc
     corpus = generate_synthetic_corpus(spec)
-    write_atomically(args.out, (serialize_tagged_corpus(corpus),))
     tagset_path = args.tagset_out or args.out + ".tagset"
-    write_atomically(tagset_path, (serialize_tagset(corpus.tagset),))
+    write_atomically((args.out, (serialize_tagged_corpus(corpus),)),
+                     (tagset_path, (serialize_tagset(corpus.tagset),)))
     print("wrote %d sentences, %d tokens"
           % (len(corpus.sentences), corpus.word_count))
     return EXIT_OK

@@ -292,30 +292,51 @@ def write_text(path, chunks) -> None:
 
 
 @contextlib.contextmanager
+def _naming(path):
+    """Raise an ``OSError`` again, with its class and errno, naming
+    ``path``; the original, which may name a work entry, is its cause."""
+    try:
+        yield
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
+
+
+def _make_work_dir(path, stack) -> str:
+    """A new private directory beside ``path``, removed with its contents
+    when ``stack`` closes. ``path``'s directory must exist: none is made."""
+    work = tempfile.mkdtemp(prefix=".tbltagger-",
+                            dir=os.path.dirname(os.path.abspath(path)))
+    stack.callback(shutil.rmtree, work, ignore_errors=True)
+    return work
+
+
+@contextlib.contextmanager
 def work_dir(path):
     """A private directory beside ``path``, removed with its contents on
     exit: every file and model directory the package writes is built in
     one and renamed to ``path``, so a crash leaves only ``.tbltagger-*``.
     ``path``'s directory must exist: none is made. An ``OSError`` raised
     meanwhile is raised again, with its class and errno, naming ``path``."""
-    try:
-        work = tempfile.mkdtemp(prefix=".tbltagger-",
-                                dir=os.path.dirname(os.path.abspath(path)))
-        try:
-            yield work
-        finally:
-            shutil.rmtree(work, ignore_errors=True)
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, path) from exc
+    with _naming(path), contextlib.ExitStack() as stack:
+        yield _make_work_dir(path, stack)
 
 
-def write_atomically(path, chunks) -> None:
-    """Write the text chunks to ``path`` through ``work_dir(path)``; the
-    file gets the mode that ``open`` gives under the umask."""
-    with work_dir(path) as work:
-        tmp = os.path.join(work, "file")
-        write_text(tmp, chunks)
-        os.replace(tmp, path)
+def write_atomically(*outputs) -> None:
+    """Write each ``(path, text chunks)`` pair to its path, as ``work_dir``
+    does: built in a private directory beside the path, then renamed. All
+    the files are written before the first rename, so a path whose
+    directory is missing leaves none of them. An ``OSError`` names its
+    path; each file gets the mode that ``open`` gives under the umask."""
+    with contextlib.ExitStack() as stack:
+        moves = []
+        for path, chunks in outputs:
+            with _naming(path):
+                tmp = os.path.join(_make_work_dir(path, stack), "file")
+                write_text(tmp, chunks)
+            moves.append((tmp, path))
+        for tmp, path in moves:
+            with _naming(path):
+                os.replace(tmp, path)
 
 
 def load_tagset(text: str) -> Tagset:

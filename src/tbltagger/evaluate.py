@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import random
 import statistics
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import and_, eq
 
 from .corpus import (AlignmentError, Memo, TaggedCorpus, TaggerError, Tagset,
@@ -284,7 +286,11 @@ def synth_tagset(spec: SynthSpec) -> Tagset:
 def generate_synthetic_corpus(spec: SynthSpec):
     """Deterministic (TaggedCorpus, Tagset) realizing the spec. The learnable
     regularities are the suffix -> tag paradigms (lexical) and the forced
-    alternate tag after the trigger word (contextual)."""
+    alternate tag after the trigger word (contextual).
+
+    A weighted draw is ``Random.choices``'s own expression, inline, so the
+    random stream and every corpus are those of calling ``choices``. Tokens
+    with equal word and tag share one ``Token``."""
     rnd = random.Random(spec.seed)
     tagset = synth_tagset(spec)
 
@@ -301,44 +307,47 @@ def generate_synthetic_corpus(spec: SynthSpec):
             word_types.append((stem + suffix, tag, ambiguous))
     # Zipf-distributed type frequencies: the long tail of rare types is what
     # makes unknown words appear in held-out data.
-    cum_weights = []
-    total = 0.0
-    for rank in range(len(word_types)):
-        total += 1.0 / (rank + 1)
-        cum_weights.append(total)
+    type_weights = list(accumulate(1.0 / rank
+                                   for rank in range(1, len(word_types) + 1)))
+    type_total = type_weights[-1] + 0.0
+    type_hi = len(word_types) - 1
+    trigger_weights = list(accumulate(w for _, _, w in SYNTH_TRIGGERS))
+    trigger_total = trigger_weights[-1] + 0.0
+    trigger_hi = len(SYNTH_TRIGGERS) - 1
 
+    random_ = rnd.random
+    choice = rnd.choice
+    token = Memo(lambda pair: Token(*pair))
     lo, hi = spec.sentence_len_range
     sentences = []
     for _ in range(spec.n_sentences):
         tokens = []
         for _ in range(rnd.randint(lo, hi)):
-            r = rnd.random()
+            r = random_()
             if r < _FOREIGN_PROB:
-                tokens.append(Token(rnd.choice(_FOREIGN_POOL),
-                                    SYNTH_FOREIGN_TAG))
+                tokens.append(token[choice(_FOREIGN_POOL), SYNTH_FOREIGN_TAG])
                 continue
             if r < _FOREIGN_PROB + _PROPER_PROB:
-                tokens.append(Token(rnd.choice(_PROPER_POOL),
-                                    SYNTH_PROPER_TAG))
+                tokens.append(token[choice(_PROPER_POOL), SYNTH_PROPER_TAG])
                 continue
             if r < _FOREIGN_PROB + _PROPER_PROB + _COMPOUND_PROB:
                 suffix, tag = spec.suffix_paradigms[
                     rnd.randrange(len(spec.suffix_paradigms))]
-                word = rnd.choice(stems) + rnd.choice(stems) + suffix
-                tokens.append(Token(word, tag))
+                tokens.append(token[choice(stems) + choice(stems) + suffix,
+                                    tag])
                 continue
-            word, base_tag, ambiguous = rnd.choices(
-                word_types, cum_weights=cum_weights)[0]
-            if ambiguous and rnd.random() < _TRIGGER_PROB:
-                trig_word, trig_tag, _ = rnd.choices(
-                    SYNTH_TRIGGERS, weights=[w for _, _, w in SYNTH_TRIGGERS])[0]
-                tokens.append(Token(trig_word, trig_tag))
+            word, base_tag, ambiguous = word_types[bisect_right(
+                type_weights, random_() * type_total, 0, type_hi)]
+            if ambiguous and random_() < _TRIGGER_PROB:
+                trig_word, trig_tag, _ = SYNTH_TRIGGERS[bisect_right(
+                    trigger_weights, random_() * trigger_total, 0, trigger_hi)]
+                tokens.append(token[trig_word, trig_tag])
                 tag = (SYNTH_ALT_TAG
-                       if rnd.random() < spec.context_rule_strength
+                       if random_() < spec.context_rule_strength
                        else base_tag)
-                tokens.append(Token(word, tag))
+                tokens.append(token[word, tag])
             else:
-                tokens.append(Token(word, base_tag))
+                tokens.append(token[word, base_tag])
         sentences.append(tuple(tokens))
     return TaggedCorpus(tuple(sentences), tagset)
 

@@ -1049,8 +1049,12 @@ class TestBadOutputPaths:
          "[Errno 2] No such file or directory: 'missing/f.csv'"),
         (["synth", "--spec", "@spec", "--out", "missing/c.txt"],
          "[Errno 2] No such file or directory: 'missing/c.txt'"),
+        (["synth", "--spec", "@spec", "--out", "c.txt",
+          "--tagset-out", "missing/t.txt"],
+         "[Errno 2] No such file or directory: 'missing/t.txt'"),
     ], ids=["tag-directory", "tag-missing", "train-file", "train-missing",
-            "eval-missing", "crossval-missing", "synth-missing"])
+            "eval-missing", "crossval-missing", "synth-missing",
+            "synth-tagset-missing"])
     def test_exits_3_naming_the_path(self, workspace, tmp_path, capsys,
                                      argv, message):
         inputs = tmp_path / "inputs"

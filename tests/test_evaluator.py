@@ -2,6 +2,7 @@
 CSV rendering."""
 
 import csv
+import hashlib
 import io
 import math
 import statistics
@@ -11,7 +12,8 @@ import pytest
 
 from tbltagger import evaluate
 from tbltagger.corpus import (AlignmentError, TaggedCorpus, TaggerError,
-                              Token, kfold_split, select_sentences)
+                              Token, kfold_split, select_sentences,
+                              serialize_tagged_corpus, serialize_tagset)
 from tbltagger.evaluate import (CurveRow, EvalReport, FoldResult, SynthSpec,
                                 accuracy, count_hits, cross_validate,
                                 generate_synthetic_corpus, learning_curve,
@@ -24,6 +26,10 @@ from tbltagger.rules import ContextualRule, TaggerModel, tag_corpus
 
 from oracles import most_frequent_tag_baseline, synthetic_oracle_tags
 from test_learner import mini_spec
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def retag(corpus, mapper):
@@ -299,6 +305,35 @@ class TestGenerateSyntheticCorpus:
         a = generate_synthetic_corpus(spec)
         b = generate_synthetic_corpus(spec)
         assert a.sentences == b.sentences
+
+    @pytest.mark.parametrize("spec, corpus_sha256, tagset_sha256", [
+        (SynthSpec(n_stems=20, ambiguity_rate=0.5, context_rule_strength=0.7,
+                   n_sentences=40, seed=3),
+         "d8778238392ff6de0c98a219eb58ee66f07f1ee30423372e044128658c392098",
+         "ef8d19f1dfaba4426a0ba4ab2b9ad7026d3e090ebfc899e973aca2decbd79570"),
+        (SynthSpec(n_stems=15, ambiguity_rate=0.0, n_sentences=40, seed=11,
+                   suffix_paradigms=(("η", "NNF"), ("ος", "NNM"),
+                                     ("ιος", "ADJ"), ("α", "NFP"),
+                                     ("ες", "NFPL"), ("ιες", "APL"))),
+         "f6143c1c5ca8758515aff36a1c7792b32a195331bc6b7f043b0cea59f5ebfef3",
+         "05269ced2384637c7c4c615cebfe88757d956e0ee1698467a08d4d617cab6077"),
+        (SynthSpec(n_stems=10, n_sentences=15, sentence_len_range=(20, 60),
+                   seed=5),
+         "80fd5f3b44473a34192cb5938896f7361719580557399da0de0cd40e1e9e98f5",
+         "ef8d19f1dfaba4426a0ba4ab2b9ad7026d3e090ebfc899e973aca2decbd79570"),
+    ], ids=["ambiguous", "overlapping-suffixes", "long-sentences"])
+    def test_output_is_pinned(self, spec, corpus_sha256, tagset_sha256):
+        # the random stream behind every synthetic corpus, bench workload
+        # and recorded model digest
+        corpus = generate_synthetic_corpus(spec)
+        assert sha256(serialize_tagged_corpus(corpus)) == corpus_sha256
+        assert sha256(serialize_tagset(corpus.tagset)) == tagset_sha256
+
+    def test_equal_tokens_are_one_object(self):
+        corpus = generate_synthetic_corpus(mini_spec(4, n_sentences=60))
+        tokens = [tok for sent in corpus.sentences for tok in sent]
+        assert len({id(tok) for tok in tokens}) == \
+            len({(tok.word, tok.tag) for tok in tokens}) < len(tokens)
 
     def test_zero_ambiguity_gives_unambiguous_types(self):
         corpus = generate_synthetic_corpus(
