@@ -198,6 +198,9 @@ def cmd_curve(args) -> int:
 def cmd_synth(args) -> int:
     try:
         raw = json.loads(read_text(args.spec))
+    except json.JSONDecodeError as exc:
+        raise TaggerError("synthetic spec is not valid JSON: %s"
+                          % exc) from exc
     except RecursionError as exc:
         raise TaggerError("synthetic spec nests too deeply") from exc
     if not isinstance(raw, dict):

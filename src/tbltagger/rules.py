@@ -18,15 +18,16 @@ A model compiles its ``Tagger`` once (``TaggerModel.tagger``).
 is the one tagging path: ``tag_corpus`` wraps its tags in ``Token``s, while
 the ``tag`` and ``eval`` commands and the cross-validation folds write and
 count the tag lists as they are. The tagger maps known words to their
-lexicon tag and memoises the tag of each unknown word type it has seen. Per
-sentence it keeps a map from each tag to the positions holding it, so that
-a contextual rule visits only its from_tag positions and is skipped when
-the sentence lacks its from_tag or a tag its context reads
-(``context_args``). ``tag_corpus`` reuses one memoised ``Token`` per word
-for every output token that keeps its word's starting tag.
-``Tagger.initial`` is still the one place where a sentence gets its
-starting tags: ``tag_words`` runs the contextual rules on its output, and
-the learner starts contextual training from it. Tagging and training share
+lexicon tag and memoises the tag of each unknown word type it has seen.
+The contextual rules run as one left-to-right transducer, built lazily
+and memoised: each rule is a FIFO stage that decides a position with
+``rewrite_sentence`` once it has read the context to the right, and a
+sentence read in known states costs one lookup per token. ``tag_corpus``
+reuses one memoised ``Token`` per word for every output token that keeps
+its word's starting tag.
+The tagger's tag memo is the one source of starting tags: ``tag_words``
+reads it, and the learner starts contextual training from
+``Tagger.initial``, which reads it too. Tagging and training share
 ``rewrite_sentence`` and ``LexicalRuleIndex``, which files each lexical
 rule under its key, so that a word is checked only against the rules it
 can match; ``apply_lexical_rules`` runs through it.
@@ -289,12 +290,12 @@ def context_args(checks) -> frozenset:
     template (each alternative in ``CONTEXT_TABLE`` holds one offset per
     arg), none of a word template.
 
-    This is the one filter of the sentences a rule can change, in tagging
-    and learning: a rule can first match only in a sentence holding its
+    This is the one filter of what a rule can change: a rule can first
+    match only in a sentence, or a tagger stage's window, holding its
     from_tag and each of these tags, since a match needs one alternative
     to hold in full and ``rewrite_sentence`` reads the sentence as given
-    up to the first match. Other sentences are left unchanged by the rule
-    and may be skipped."""
+    up to the first match. Learning skips the other sentences, and a
+    stage decides the other windows without calling it."""
     reads_words, alternatives = checks
     return frozenset(arg for _, arg in alternatives[0] if not reads_words)
 
@@ -381,6 +382,68 @@ class TaggerModel:
         return Tagger(self)
 
 
+# the symbol read past a sentence's end: no word, tag or argument is empty
+_END = ""
+
+
+def _split(symbol) -> tuple:
+    """(word or None, tag) of a transducer symbol (see ``Tagger``)."""
+    return symbol if type(symbol) is tuple else (None, symbol)
+
+
+class _Stage(dict):
+    """One contextual rule as a FIFO stage of ``Tagger``'s transducer.
+
+    Its state is (history, pending): its last ``left`` outputs, each
+    reduced to the argument of the rule it equals or None (``view``), and
+    up to ``right`` symbols read but not yet decided, where ``left`` and
+    ``right`` are the template's reach in ``CONTEXT_TABLE``. Before the
+    sentence the history holds None, and past it the stage reads ``_END``,
+    whose view is None too: like context out of bounds, it never matches.
+    The stage maps (state, symbol) to (next state, symbol emitted or None),
+    each built once."""
+
+    def __init__(self, rule: ContextualRule):
+        super().__init__()
+        self.rule = rule
+        reads_words, alternatives = rule.checks
+        offsets = [offset for alternative in alternatives
+                   for offset, _ in alternative]
+        self.left, self.right = -min(0, *offsets), max(0, *offsets)
+        self.reads = 0 if reads_words else 1
+        self.context = context_args(rule.checks)
+
+    def view(self, symbol):
+        """The word or tag of ``symbol`` that the rule reads, if it is an
+        argument of the rule, else None."""
+        value = _split(symbol)[self.reads]
+        return value if value in self.rule.args else None
+
+    def __missing__(self, key) -> tuple:
+        """Read a symbol. Once ``right`` symbols follow the first pending
+        one, decide that one and emit it: ``rewrite_sentence`` decides it
+        over the window of the history and the pending symbols, when it
+        holds the from_tag and the window holds each tag the context reads
+        (``context_args``)."""
+        (history, pending), symbol = key
+        pending += (symbol,)
+        symbol = None
+        if len(pending) > self.right:
+            rule, symbol = self.rule, pending[0]
+            word, tag = _split(symbol)
+            if tag == rule.from_tag:
+                # the window holds what the rule reads, words or tags
+                window = history + tuple(map(self.view, pending))
+                if self.context.issubset(window) and rewrite_sentence(
+                        rule.checks, rule.to_tag, window, window,
+                        [self.left])[1]:
+                    symbol = (word, rule.to_tag) if word else rule.to_tag
+            history = (history + (self.view(symbol),))[1:]
+            pending = pending[1:]
+        step = self[key] = (history, pending), symbol
+        return step
+
+
 class Tagger:
     """A model's tagging pipeline, built once per model (``model.tagger``).
 
@@ -390,33 +453,30 @@ class Tagger:
     and the model, so the memo is exact; it grows with the distinct
     unknown types tagged. A new unknown type goes through the model's
     ``LexicalRuleIndex``, compiled here once, which visits only the
-    lexical rules whose keys the word holds. ``initial`` reads starting
-    tags through this memo, and is the one place where a sentence gets
-    them: ``tag_words`` starts from it, and so does the learner.
+    lexical rules whose keys the word holds. This memo is the one source
+    of starting tags, for ``tag_words`` and, through ``initial``, the
+    learner.
 
     ``tag_words`` is the one tagging path: it maps one sentence's words to
-    their final tags, and ``tag`` is a loop over it. Contextual rules run
-    per sentence through a map from each tag to the ascending positions
-    holding it. A rule is skipped unless its from_tag and every tag its
-    context reads have positions, an emptied list counting as none: a rule
-    cannot first match in a sentence lacking one (``context_args``). The
-    others visit only their from_tag positions (``rewrite_sentence``). The
-    map follows the positions each rule moves. ``tokens`` memoises, per
-    word, the ``Token`` of its starting tag; an output token of ``tag``
-    whose tag is its word's starting tag is that one object, which is
-    exact because ``Token`` is frozen. It grows with the distinct words
-    output."""
+    their final tags, and ``tag`` is a loop over it. The contextual rules
+    run as one deterministic left-to-right transducer (Roche & Schabes
+    1995), built lazily. Each rule is a FIFO ``_Stage``. A state of the
+    transducer is a number that stands for one state per stage (``keys``),
+    so that the tagger holds no reference cycle. ``table`` maps a state
+    and a symbol read in it to the next state and the tag emitted, if any;
+    ``_transition`` builds each entry once. A symbol is a token's starting
+    tag, paired with the word only when the word is an argument of a
+    ``PREVWD`` or ``NEXTWD`` rule, so the alphabet is finite. The output
+    lags the input by the stages' reach to the right, and ``ends`` pushes
+    the last tags out. ``tokens`` memoises, per word, the ``Token`` of its
+    starting tag; an output token of ``tag`` whose tag is its word's
+    starting tag is that one object, which is exact because ``Token`` is
+    frozen. Every memo grows with what it meets and is never emptied."""
 
     def __init__(self, model: TaggerModel):
         lexicon, chain = model.lexicon, model.initial_chain
         tagset = self.tagset = model.tagset
         lexical_rules = LexicalRuleIndex(model.lexical_rules, lexicon)
-        # per rule: checks, from_tag, the tags its context reads (see
-        # ``context_args``), to_tag
-        self.contextual_rules = tuple(
-            (rule.checks, rule.from_tag, tuple(context_args(rule.checks)),
-             rule.to_tag)
-            for rule in model.contextual_rules)
         # the memos' makers hold no reference to the tagger: no cycle.
         # Known words are filled in below, so the tag memo's maker sees
         # only unknown words and probes no lexicon.
@@ -426,6 +486,16 @@ class Tagger:
         tags.update((word, pairs[0][0])
                     for word, pairs in lexicon.entries.items())
         self.tokens = Memo(lambda word: Token(word, tags[word]))
+        self.stages = tuple(map(_Stage, model.contextual_rules))
+        self.ends = (_END,) * sum(stage.right for stage in self.stages)
+        # state 0 is the start; ``ids`` numbers the keys
+        key = tuple(((None,) * stage.left, ()) for stage in self.stages)
+        self.keys, self.ids, self.table = [key], {key: 0}, [{}]
+        word_args = {arg for rule in model.contextual_rules
+                     if rule.template in WORD_TEMPLATES for arg in rule.args}
+        self.symbols = (Memo(lambda word: (word, tags[word])
+                             if word in word_args else tags[word])
+                        if word_args else tags)
 
     def initial(self, words) -> list:
         """The tags of a sentence's words before the contextual rules; see
@@ -433,34 +503,38 @@ class Tagger:
         return list(map(self.tags.__getitem__, words))
 
     def tag_words(self, words) -> list:
-        """The final tags of one sentence's words: its starting tags
-        (``initial``), then each contextual rule in turn. It needs no tagset
+        """The final tags of one sentence's words: their starting tags, then
+        the contextual rules, through the transducer. It needs no tagset
         test: ``TaggerModel`` and ``Tagset`` checked every tag it returns."""
-        tags = self.initial(words)
-        if self.contextual_rules:
-            where = {}
-            for pos, tag in enumerate(tags):
-                if tag in where:
-                    where[tag].append(pos)
-                else:
-                    where[tag] = [pos]
-            for checks, from_tag, context, to_tag in self.contextual_rules:
-                positions = where.get(from_tag)
-                if not positions:
-                    continue
-                for tag in context:
-                    if not where.get(tag):
-                        break
-                else:
-                    new, moved = rewrite_sentence(checks, to_tag, words,
-                                                  tags, positions)
-                    if new is not None:
-                        tags = new
-                        where[from_tag] = [pos for pos in positions
-                                           if new[pos] == from_tag]
-                        where[to_tag] = sorted(where.get(to_tag, [])
-                                               + moved)
+        if not self.stages:
+            return self.initial(words)
+        state, table, ends = 0, self.table, self.ends
+        tags = []
+        for symbol in (*map(self.symbols.__getitem__, words), *ends):
+            state, tag = (table[state].get(symbol)
+                          or self._transition(state, symbol))
+            tags.append(tag)
+        del tags[:len(ends)]
         return tags
+
+    def _transition(self, state: int, symbol) -> tuple:
+        """(next state, tag emitted or None) on reading ``symbol`` in
+        ``state``, kept in ``table``: the symbol runs through the stages in
+        rule order until one holds it back."""
+        key, emitted = list(self.keys[state]), symbol
+        for i, stage in enumerate(self.stages):
+            key[i], emitted = stage[key[i], emitted]
+            if emitted is None:
+                break
+        else:
+            emitted = _split(emitted)[1]
+        key = tuple(key)
+        if key not in self.ids:
+            self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.table.append({})
+        step = self.table[state][symbol] = self.ids[key], emitted
+        return step
 
     def tag(self, raw_sentences) -> TaggedCorpus:
         """The raw sentences tagged by ``tag_words``, as ``Token``s."""
@@ -469,7 +543,7 @@ class Tagger:
         for sent in raw_sentences:
             words = tuple([tok.word for tok in sent])
             tags = tag_words(words)
-            if self.contextual_rules:
+            if self.stages:
                 out.append(tuple([tokens[word] if tag == start[word]
                                   else Token(word, tag)
                                   for word, tag in zip(words, tags)]))

@@ -882,6 +882,8 @@ class TestSynth:
         code = main(["synth", "--spec", str(spec_path),
                      "--out", str(tmp_path / "x.txt")])
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "error: synthetic spec is not valid JSON: ")
 
     @pytest.mark.parametrize("spec, named", [
         ('{"suffix_paradigms": 7}', "suffix_paradigms"),

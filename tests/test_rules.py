@@ -287,10 +287,12 @@ CONTEXT_CASE_MAX_LEN = 12
 
 
 @st.composite
-def contextual_cases_st(draw):
+def contextual_cases_st(draw, max_len=CONTEXT_CASE_MAX_LEN,
+                        n_sentences=(1, 4)):
     """(rules, state, lexicon): rules of all 13 templates, sentence states
-    whose starting tags are their words' lexicon tags, and the lexicon.
-    Rules repeat from_tags, and a rule whose from_tag is an earlier rule's
+    of up to ``max_len`` tokens, as many as ``n_sentences`` allows, whose
+    starting tags are their words' lexicon tags, and the lexicon. Rules
+    repeat from_tags, and a rule whose from_tag is an earlier rule's
     to_tag follows it."""
     lexicon = draw(st.dictionaries(st.text("abc", min_size=1, max_size=2),
                                    st.sampled_from(CONTEXT_CASE_TAGS),
@@ -315,15 +317,23 @@ def contextual_cases_st(draw):
     rules.append(draw(rule_st(st.just(rules[at].to_tag))))
     sentences = draw(st.lists(
         st.lists(st.sampled_from(words), min_size=1,
-                 max_size=CONTEXT_CASE_MAX_LEN).map(tuple),
-        min_size=1, max_size=4))
+                 max_size=max_len).map(tuple),
+        min_size=n_sentences[0], max_size=n_sentences[1]))
     return (tuple(rules), [(sent, [lexicon[w] for w in sent])
                            for sent in sentences], lexicon)
 
 
 class TestContextualRuleApplication:
-    """``apply_contextual_rules`` and ``rules.Tagger``'s position map
-    against the reference that checks every position of every sentence."""
+    """``apply_contextual_rules`` and ``rules.Tagger``'s transducer against
+    the reference that checks every position of every sentence."""
+
+    @staticmethod
+    def _model(rules, lexicon):
+        tagset = make_tagset(CONTEXT_CASE_TAGS,
+                             dict.fromkeys(REQUIRED_ROLES, "FW"))
+        return TaggerModel(tagset, Lexicon({w: ((t, 1),) for w, t
+                                            in lexicon.items()}),
+                           default_greek_chain(), (), rules)
 
     @given(contextual_cases_st())
     @settings(max_examples=300, deadline=None)
@@ -334,11 +344,7 @@ class TestContextualRuleApplication:
         got = [(words, list(tags)) for words, tags in state]
         apply_contextual_rules(rules, got)
         assert got == want
-        tagset = make_tagset(CONTEXT_CASE_TAGS,
-                             dict.fromkeys(REQUIRED_ROLES, "FW"))
-        model = TaggerModel(tagset, Lexicon({w: ((t, 1),) for w, t
-                                             in lexicon.items()}),
-                            default_greek_chain(), (), rules)
+        model = self._model(rules, lexicon)
         raw = [tuple(map(Token, words)) for words, _ in state]
         assert [[t.tag for t in sent] for sent
                 in tag_corpus(raw, model).sentences] == \
@@ -346,6 +352,25 @@ class TestContextualRuleApplication:
         for sent, (_, tags) in zip(raw, want):
             assert [t.tag for t in tag_corpus([sent], model).sentences[0]] \
                 == tags
+
+    @given(contextual_cases_st(max_len=30, n_sentences=(8, 12)))
+    @settings(max_examples=100, deadline=None)
+    def test_transducer_equals_reference_across_sentences(self, case):
+        # sentences longer than any window, many through one model object:
+        # the transducer's states and memos carry from token to token and
+        # from sentence to sentence, and must give each sentence what the
+        # reference gives it alone
+        rules, state, lexicon = case
+        model = self._model(rules, lexicon)
+        raw = [tuple(map(Token, words)) for words, _ in state]
+        want = reference_tag_corpus(raw, model)
+        cold = replace(model)
+        assert tag_corpus(raw, cold) == want
+        assert tag_corpus(raw, cold) == want
+        one_by_one = replace(model)
+        for sent, tagged in zip(raw, want.sentences):
+            for warmed in (one_by_one, cold):
+                assert tag_corpus([sent], warmed).sentences == (tagged,)
 
 
 class TestTagCorpus:
@@ -523,8 +548,9 @@ class TestTagger:
 
     def test_rule_fires_on_a_context_tag_an_earlier_rule_made(
             self, tiny_corpus, monkeypatch):
-        # "ο γάτα ." starts as AT NN PUNCT: the sentence holds no VB
-        # until the first rule makes the one the second rule reads
+        # "ο γάτα ." starts as AT NN PUNCT: the second rule's stage reads
+        # the VB that the first rule's stage emits, and each stage decides
+        # one from_tag position
         model = TestTagCorpus._model(tiny_corpus, contextual=(
             ContextualRule("PREVTAG", ("AT",), "NN", "VB"),
             ContextualRule("PREVTAG", ("VB",), "PUNCT", "FW")))
@@ -534,17 +560,33 @@ class TestTagger:
 
     def test_rule_reading_its_own_to_tag_cascades(self, tiny_corpus,
                                                   monkeypatch):
-        # "τρέχει γάτα γάτα" starts as VB NN NN
+        # "τρέχει γάτα γάτα" starts as VB NN NN; the stage's history holds
+        # the VB it emitted for the first γάτα, so the second one meets the
+        # same (state, symbol) and reuses that decision
         model = TestTagCorpus._model(tiny_corpus, contextual=(
             ContextualRule("PREVTAG", ("VB",), "NN", "VB"),))
         raw = [(Token("τρέχει"), Token("γάτα"), Token("γάτα"))]
         assert self._tag_counting_rewrites(model, raw, monkeypatch) == \
             ([["VB", "VB", "VB"]], 1)
 
+    def test_output_depends_on_context_beyond_any_window(self, tiny_corpus,
+                                                          monkeypatch):
+        # "τρέχει" then ten "γάτα" start as VB and ten NN: each γάτα reads
+        # the VB its left neighbour was retagged to, so the last one's tag
+        # depends on the VB ten tokens back, out of every window's reach.
+        # A stage's history holds its outputs, not its inputs.
+        model = TestTagCorpus._model(tiny_corpus, contextual=(
+            ContextualRule("PREVTAG", ("VB",), "NN", "VB"),))
+        raw = [(Token("τρέχει"),) + (Token("γάτα"),) * 10]
+        assert self._tag_counting_rewrites(model, raw, monkeypatch) == \
+            ([["VB"] * 11], 1)
+
     def test_rule_skipped_once_its_context_tag_is_gone(self, tiny_corpus,
                                                        monkeypatch):
-        # "ο γάτα ." starts as AT NN PUNCT; the first rule retags the
-        # only AT, so the second rule, which reads AT, is not run
+        # "ο γάτα ." starts as AT NN PUNCT; the first rule's stage emits
+        # FW for the only AT, so at γάτα the second rule's window holds no
+        # AT, the tag its context reads, and its stage decides without
+        # calling rewrite_sentence
         model = TestTagCorpus._model(tiny_corpus, contextual=(
             ContextualRule("NEXTTAG", ("NN",), "AT", "FW"),
             ContextualRule("PREVTAG", ("AT",), "NN", "VB")))

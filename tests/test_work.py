@@ -1,9 +1,10 @@
 """The algorithms' work on one fixed, seeded workload, counted through
 wrappers and held under the ceilings in ``work_ceilings.json``.
 
-Losing a filter or a skip of the learner or the tagger (the left-offset
-filter of the contextual learner's ``near`` keys, the ``context_args``
-skip of ``Tagger.tag_words``) keeps every model byte-identical, so no
+Losing a filter, a skip or a memo of the learner or the tagger (the
+left-offset filter of the contextual learner's ``near`` keys, the
+``context_args`` filter of a transducer stage, the transducer's memo of
+its transitions) keeps every model and output byte-identical, so no
 output test notices it; these counts do. A change that cuts work lowers
 the ceilings it cuts in the same change."""
 
@@ -46,6 +47,8 @@ def test_work_stays_under_its_ceilings(monkeypatch):
     model = train_model(select_sentences(corpus, range(500)), TrainConfig())
     count(rules_module, "rewrite_sentence",
           "rules.rewrite_sentence while tagging")
+    count(rules_module.Tagger, "_transition",
+          "rules.Tagger._transition while tagging")
     count_hits(model.tagger, corpus.sentences[500:])
     # a different model is a different workload: measure the ceilings again
     assert (len(model.lexical_rules), len(model.contextual_rules)) == (7, 21)
