@@ -384,6 +384,10 @@ class TaggerModel:
 
 # the symbol read past a sentence's end: no word, tag or argument is empty
 _END = ""
+# the states past which a tagger builds its transducer again
+MAX_STATES = 1 << 14
+# the most parts one ``_Cascade`` runs in a row
+CASCADE_WIDTH = 3
 
 
 def _split(symbol) -> tuple:
@@ -391,20 +395,38 @@ def _split(symbol) -> tuple:
     return symbol if type(symbol) is tuple else (None, symbol)
 
 
-class _Stage(dict):
+class _Machine:
+    """A transducer built lazily. ``keys`` holds its states, numbered by
+    ``ids`` so that no machine holds a reference cycle; ``_build`` fills
+    ``table[state][symbol]`` = (next state, symbols emitted) from ``read``
+    once."""
+
+    def __init__(self, start):
+        self.keys, self.ids, self.table = [start], {start: 0}, [{}]
+
+    def _build(self, state: int, symbol) -> tuple:
+        key, emitted = self.read(self.keys[state], symbol)
+        if key not in self.ids:
+            self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.table.append({})
+        step = self.table[state][symbol] = self.ids[key], emitted
+        return step
+
+
+class _Stage(_Machine):
     """One contextual rule as a FIFO stage of ``Tagger``'s transducer.
 
-    Its state is (history, pending): its last ``left`` outputs, each
-    reduced to the argument of the rule it equals or None (``view``), and
-    up to ``right`` symbols read but not yet decided, where ``left`` and
-    ``right`` are the template's reach in ``CONTEXT_TABLE``. Before the
-    sentence the history holds None, and past it the stage reads ``_END``,
-    whose view is None too: like context out of bounds, it never matches.
-    The stage maps (state, symbol) to (next state, symbol emitted or None),
-    each built once."""
+    Its key is (history, pending): its last ``left`` outputs, each reduced
+    to the argument of the rule it equals or None (``view``), and the
+    symbols read but not yet decided, where ``left`` and ``right`` are the
+    template's reach in ``CONTEXT_TABLE``. A symbol without the from_tag is
+    decided as it is read, so pending symbols start with one that holds it
+    and number at most ``right``. Before the sentence the history holds
+    None, and past it the stage reads ``_END``, whose view is None too:
+    like context out of bounds, it never matches."""
 
     def __init__(self, rule: ContextualRule):
-        super().__init__()
         self.rule = rule
         reads_words, alternatives = rule.checks
         offsets = [offset for alternative in alternatives
@@ -412,36 +434,63 @@ class _Stage(dict):
         self.left, self.right = -min(0, *offsets), max(0, *offsets)
         self.reads = 0 if reads_words else 1
         self.context = context_args(rule.checks)
+        super().__init__(((None,) * self.left, ()))
 
     def view(self, symbol):
-        """The word or tag of ``symbol`` that the rule reads, if it is an
-        argument of the rule, else None."""
+        """The word or tag of ``symbol`` the rule reads, if an argument."""
         value = _split(symbol)[self.reads]
         return value if value in self.rule.args else None
 
-    def __missing__(self, key) -> tuple:
-        """Read a symbol. Once ``right`` symbols follow the first pending
-        one, decide that one and emit it: ``rewrite_sentence`` decides it
-        over the window of the history and the pending symbols, when it
-        holds the from_tag and the window holds each tag the context reads
-        (``context_args``)."""
-        (history, pending), symbol = key
+    def read(self, key, symbol) -> tuple:
+        """Emit, in order, each pending symbol decided. One that holds the
+        from_tag is decided once ``right`` symbols follow it, by
+        ``rewrite_sentence`` over the window of the history and the pending
+        symbols if it holds each tag the context reads (``context_args``)."""
+        (history, pending), rule, emitted = key, self.rule, ()
         pending += (symbol,)
-        symbol = None
-        if len(pending) > self.right:
-            rule, symbol = self.rule, pending[0]
+        while pending:
+            symbol = pending[0]
             word, tag = _split(symbol)
             if tag == rule.from_tag:
+                if len(pending) <= self.right:
+                    break
                 # the window holds what the rule reads, words or tags
                 window = history + tuple(map(self.view, pending))
                 if self.context.issubset(window) and rewrite_sentence(
                         rule.checks, rule.to_tag, window, window,
                         [self.left])[1]:
                     symbol = (word, rule.to_tag) if word else rule.to_tag
+            emitted += (symbol,)
             history = (history + (self.view(symbol),))[1:]
             pending = pending[1:]
-        step = self[key] = (history, pending), symbol
-        return step
+        return (history, pending), emitted
+
+
+class _Cascade(_Machine):
+    """Stages in a row, each reading what the one before it emits, run as
+    a tree: at most ``CASCADE_WIDTH`` parts, each a stage or a cascade, so
+    that a transition is built from those of parts with fewer states. The
+    key holds one state per part."""
+
+    def __init__(self, stages: tuple):
+        size = -(-len(stages) // CASCADE_WIDTH)
+        self.parts = tuple(part[0] if len(part) == 1 else _Cascade(part)
+                           for part in (stages[i:i + size] for i
+                                        in range(0, len(stages), size)))
+        super().__init__((0,) * len(self.parts))
+
+    def read(self, key, symbol) -> tuple:
+        key, emitted = list(key), (symbol,)
+        for i, part in enumerate(self.parts):
+            table, out = part.table, ()
+            for symbol in emitted:
+                key[i], symbols = (table[key[i]].get(symbol)
+                                   or part._build(key[i], symbol))
+                out += symbols
+            emitted = out
+            if not emitted:
+                break
+        return tuple(key), emitted
 
 
 class Tagger:
@@ -460,18 +509,17 @@ class Tagger:
     ``tag_words`` is the one tagging path: it maps one sentence's words to
     their final tags, and ``tag`` is a loop over it. The contextual rules
     run as one deterministic left-to-right transducer (Roche & Schabes
-    1995), built lazily. Each rule is a FIFO ``_Stage``. A state of the
-    transducer is a number that stands for one state per stage (``keys``),
-    so that the tagger holds no reference cycle. ``table`` maps a state
-    and a symbol read in it to the next state and the tag emitted, if any;
-    ``_transition`` builds each entry once. A symbol is a token's starting
-    tag, paired with the word only when the word is an argument of a
-    ``PREVWD`` or ``NEXTWD`` rule, so the alphabet is finite. The output
-    lags the input by the stages' reach to the right, and ``ends`` pushes
-    the last tags out. ``tokens`` memoises, per word, the ``Token`` of its
-    starting tag; an output token of ``tag`` whose tag is its word's
-    starting tag is that one object, which is exact because ``Token`` is
-    frozen. Every memo grows with what it meets and is never emptied."""
+    1995), ``machine``, the ``_Cascade`` of the rules' ``_Stage``s, read
+    once per token. A symbol is a token's starting tag, paired with the
+    word only if it is an argument of a word template, so the alphabet is
+    finite. A tag is emitted once every stage has decided it, so a state
+    holds only tokens that wait for context to the right; ``ends`` pushes
+    the last ones out. The stages' memos are bounded, as their keys and
+    symbols are; between sentences, a ``machine`` of over ``MAX_STATES``
+    states is built again. ``tokens`` memoises, per word, the ``Token``
+    of its starting tag; an output token of ``tag`` whose tag is its
+    word's starting tag is that one object, which is exact because
+    ``Token`` is frozen. The other memos are never emptied."""
 
     def __init__(self, model: TaggerModel):
         lexicon, chain = model.lexicon, model.initial_chain
@@ -487,10 +535,9 @@ class Tagger:
                     for word, pairs in lexicon.entries.items())
         self.tokens = Memo(lambda word: Token(word, tags[word]))
         self.stages = tuple(map(_Stage, model.contextual_rules))
-        self.ends = (_END,) * sum(stage.right for stage in self.stages)
-        # state 0 is the start; ``ids`` numbers the keys
-        key = tuple(((None,) * stage.left, ()) for stage in self.stages)
-        self.keys, self.ids, self.table = [key], {key: 0}, [{}]
+        self.ends = (_END,) * max((stage.right for stage in self.stages),
+                                  default=0)
+        self.machine = self.stages and _Cascade(self.stages)
         word_args = {arg for rule in model.contextual_rules
                      if rule.template in WORD_TEMPLATES for arg in rule.args}
         self.symbols = (Memo(lambda word: (word, tags[word])
@@ -508,33 +555,17 @@ class Tagger:
         test: ``TaggerModel`` and ``Tagset`` checked every tag it returns."""
         if not self.stages:
             return self.initial(words)
-        state, table, ends = 0, self.table, self.ends
-        tags = []
-        for symbol in (*map(self.symbols.__getitem__, words), *ends):
-            state, tag = (table[state].get(symbol)
-                          or self._transition(state, symbol))
-            tags.append(tag)
-        del tags[:len(ends)]
-        return tags
-
-    def _transition(self, state: int, symbol) -> tuple:
-        """(next state, tag emitted or None) on reading ``symbol`` in
-        ``state``, kept in ``table``: the symbol runs through the stages in
-        rule order until one holds it back."""
-        key, emitted = list(self.keys[state]), symbol
-        for i, stage in enumerate(self.stages):
-            key[i], emitted = stage[key[i], emitted]
-            if emitted is None:
-                break
-        else:
-            emitted = _split(emitted)[1]
-        key = tuple(key)
-        if key not in self.ids:
-            self.ids[key] = len(self.keys)
-            self.keys.append(key)
-            self.table.append({})
-        step = self.table[state][symbol] = self.ids[key], emitted
-        return step
+        machine = self.machine
+        if len(machine.keys) > MAX_STATES:
+            machine = self.machine = _Cascade(self.stages)
+        state, table, tags = 0, machine.table, []
+        for symbol in (*map(self.symbols.__getitem__, words), *self.ends):
+            state, emitted = (table[state].get(symbol)
+                              or machine._build(state, symbol))
+            tags += emitted
+        del tags[len(words):]
+        return (tags if self.symbols is self.tags
+                else [_split(symbol)[1] for symbol in tags])
 
     def tag(self, raw_sentences) -> TaggedCorpus:
         """The raw sentences tagged by ``tag_words``, as ``Token``s."""

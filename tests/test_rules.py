@@ -18,6 +18,9 @@ from tbltagger.lexicon import (GREEK_CAPITAL_START, LATIN_START, OTHER,
                                default_greek_chain, initial_tag,
                                parse_lexicon, serialize_lexicon)
 from tbltagger import rules as rules_module
+from tbltagger.corpus import select_sentences
+from tbltagger.evaluate import SynthSpec, generate_synthetic_corpus
+from tbltagger.learner import TrainConfig, train_model
 from tbltagger.rules import (ADDED_PREFIX, ADDED_SUFFIX, CHAR,
                              CONTEXT_TABLE, CONTEXTUAL_TEMPLATES,
                              LEXICAL_TABLE, LEXICAL_TEMPLATES, MODEL_FILES,
@@ -371,6 +374,39 @@ class TestContextualRuleApplication:
         for sent, tagged in zip(raw, want.sentences):
             for warmed in (one_by_one, cold):
                 assert tag_corpus([sent], warmed).sentences == (tagged,)
+        # a transducer built again before nearly every sentence
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rules_module, "MAX_STATES", 1)
+            assert tag_corpus(raw, replace(model)) == want
+
+    def test_rules_reading_to_the_right_keep_the_states_bounded(
+            self, monkeypatch):
+        # trained on reversed sentences, the model's rules read to the
+        # right. A stage emits each token it has decided, so a state holds
+        # only the tokens that wait for context to the right, and the
+        # states grow far slower than the text; past MAX_STATES the
+        # transducer is built again between sentences
+        corpus = generate_synthetic_corpus(
+            SynthSpec(n_stems=80, n_sentences=2500, seed=5))
+        corpus = TaggedCorpus(tuple(sent[::-1] for sent in corpus.sentences),
+                              corpus.tagset)
+        model = train_model(select_sentences(corpus, range(500)),
+                            TrainConfig())
+        assert len(model.contextual_rules) > 8
+        assert all(min(offset for alternative in CONTEXT_TABLE[rule.template][1]
+                       for offset in alternative) > 0
+                   for rule in model.contextual_rules)
+        raw = [tuple(Token(tok.word) for tok in sent)
+               for sent in corpus.sentences[500:]]
+        want = reference_tag_corpus(raw, model)
+        assert tag_corpus(raw, model) == want
+        assert len(model.tagger.machine.keys) < sum(map(len, raw)) / 5
+        monkeypatch.setattr(rules_module, "MAX_STATES", 100)
+        small = replace(model)
+        for sent, tagged in zip(raw, want.sentences):
+            assert tag_corpus([sent], small).sentences == (tagged,)
+            assert len(small.tagger.machine.keys) <= \
+                100 + len(sent) + len(small.tagger.ends)
 
 
 class TestTagCorpus:

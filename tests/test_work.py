@@ -4,9 +4,12 @@ wrappers and held under the ceilings in ``work_ceilings.json``.
 Losing a filter, a skip or a memo of the learner or the tagger (the
 left-offset filter of the contextual learner's ``near`` keys, the
 ``context_args`` filter of a transducer stage, the transducer's memo of
-its transitions) keeps every model and output byte-identical, so no
-output test notices it; these counts do. A change that cuts work lowers
-the ceilings it cuts in the same change."""
+its transitions, a stage's early emission of the symbols it decides)
+keeps every model and output byte-identical, so no output test notices
+it; these counts do. The tagger is counted twice: with the model trained
+on the sentences as they are, whose rules read to the left, and with one
+trained on them reversed, whose rules read to the right. A change that
+cuts work lowers the ceilings it cuts in the same change."""
 
 import json
 from collections import Counter
@@ -14,7 +17,7 @@ from pathlib import Path
 
 from tbltagger import learner as learner_module
 from tbltagger import rules as rules_module
-from tbltagger.corpus import select_sentences
+from tbltagger.corpus import TaggedCorpus, select_sentences
 from tbltagger.evaluate import (SynthSpec, count_hits,
                                 generate_synthetic_corpus)
 from tbltagger.learner import TrainConfig, train_model
@@ -23,9 +26,14 @@ CEILINGS = Path(__file__).with_name("work_ceilings.json")
 
 
 def test_work_stays_under_its_ceilings(monkeypatch):
-    # 500 sentences to train, 200 to tag; about 0.1 s
+    # 500 sentences to train, 200 to tag, each as they are and reversed;
+    # about 0.2 s
     corpus = generate_synthetic_corpus(
         SynthSpec(n_stems=80, n_sentences=700, seed=5))
+    reversed_corpus = TaggedCorpus(tuple(sent[::-1] for sent
+                                         in corpus.sentences), corpus.tagset)
+    mirrored = train_model(select_sentences(reversed_corpus, range(500)),
+                           TrainConfig())
     counts = Counter()
 
     def count(owner, name, key, weight=lambda *args: 1):
@@ -47,11 +55,18 @@ def test_work_stays_under_its_ceilings(monkeypatch):
     model = train_model(select_sentences(corpus, range(500)), TrainConfig())
     count(rules_module, "rewrite_sentence",
           "rules.rewrite_sentence while tagging")
-    count(rules_module.Tagger, "_transition",
-          "rules.Tagger._transition while tagging")
+    count(rules_module._Machine, "_build",
+          "rules._Machine._build while tagging")
     count_hits(model.tagger, corpus.sentences[500:])
+    monkeypatch.undo()
+    count(rules_module._Machine, "_build",
+          "rules._Machine._build while tagging right to left")
+    count_hits(mirrored.tagger, reversed_corpus.sentences[500:])
     # a different model is a different workload: measure the ceilings again
     assert (len(model.lexical_rules), len(model.contextual_rules)) == (7, 21)
+    assert {rule.template for rule in mirrored.contextual_rules} <= {
+        "NEXTTAG", "NEXT2TAG", "NEXT1OR2TAG", "NEXT1OR2OR3TAG", "NEXTWD",
+        "NEXTBIGRAM"}
     ceilings = json.loads(CEILINGS.read_text(encoding="utf-8"))
     assert set(counts) == set(ceilings)
     assert {key: n for key, n in counts.items() if n > ceilings[key]} == {}
