@@ -50,6 +50,14 @@ def _read_corpus(args):
     return parse_tagged_corpus(read_text(args.corpus), tagset)
 
 
+def _path(value: str) -> str:
+    """The value of a flag that names a file or directory, refused when it
+    holds a NUL, which no path can hold."""
+    if "\0" in value:
+        raise TaggerError("path %r holds a NUL byte" % value)
+    return value
+
+
 def _jobs(args) -> int:
     if args.jobs < 1:
         raise TaggerError("--jobs must be at least 1, got %d" % args.jobs)
@@ -97,8 +105,10 @@ def _gc_paused():
 
 def _add_train_flags(p):
     """The flags of every command that trains on a corpus."""
-    p.add_argument("--corpus", required=True, help="tagged corpus file")
-    p.add_argument("--tagset", required=True, help="tagset config file")
+    p.add_argument("--corpus", type=_path, required=True,
+                   help="tagged corpus file")
+    p.add_argument("--tagset", type=_path, required=True,
+                   help="tagset config file")
     p.add_argument("--threshold", type=int,
                    default=TrainConfig.score_threshold,
                    help="minimum net score for a rule to be accepted")
@@ -126,7 +136,8 @@ def _add_fold_flags(p):
     p.add_argument("--k", type=int, default=10, help="number of folds")
     p.add_argument("--jobs", type=int, default=1,
                    help="evaluate folds in parallel")
-    p.add_argument("--out", default=None, help="report CSV path (default stdout)")
+    p.add_argument("--out", type=_path, default=None,
+                   help="report CSV path (default stdout)")
 
 
 def cmd_train(args) -> int:
@@ -233,20 +244,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model from a tagged corpus")
     _add_train_flags(p)
-    p.add_argument("--out", required=True, help="model directory to write")
+    p.add_argument("--out", type=_path, required=True,
+                   help="model directory to write")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tag", help="tag a raw corpus with a trained model")
-    p.add_argument("--model", required=True, help="model directory")
-    p.add_argument("--in", dest="infile", required=True,
+    p.add_argument("--model", type=_path, required=True,
+                   help="model directory")
+    p.add_argument("--in", dest="infile", type=_path, required=True,
                    help="raw corpus file, one sentence per line")
-    p.add_argument("--out", required=True, help="tagged output file")
+    p.add_argument("--out", type=_path, required=True,
+                   help="tagged output file")
     p.set_defaults(func=cmd_tag)
 
     p = sub.add_parser("eval", help="evaluate a model against a gold corpus")
-    p.add_argument("--model", required=True, help="model directory")
-    p.add_argument("--gold", required=True, help="gold tagged corpus")
-    p.add_argument("--confusion", default=None,
+    p.add_argument("--model", type=_path, required=True,
+                   help="model directory")
+    p.add_argument("--gold", type=_path, required=True,
+                   help="gold tagged corpus")
+    p.add_argument("--confusion", type=_path, default=None,
                    help="write the confusion matrix CSV here")
     p.set_defaults(func=cmd_eval)
 
@@ -261,9 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("synth", help="generate a synthetic tagged corpus")
-    p.add_argument("--spec", required=True, help="JSON spec file")
-    p.add_argument("--out", required=True, help="corpus file to write")
-    p.add_argument("--tagset-out", default=None,
+    p.add_argument("--spec", type=_path, required=True,
+                   help="JSON spec file")
+    p.add_argument("--out", type=_path, required=True,
+                   help="corpus file to write")
+    p.add_argument("--tagset-out", type=_path, default=None,
                    help="tagset file (default: <out>.tagset)")
     p.set_defaults(func=cmd_synth)
     return parser
@@ -271,15 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     with _gc_paused():
-        parser = build_parser()
-        args = parser.parse_args(argv)
         try:
+            # a refused path flag raises from inside the parse
+            args = build_parser().parse_args(argv)
             with _log_to_stderr(getattr(args, "log_level", None)):
                 return args.func(args)
         except AlignmentError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_DATA
-        except (TaggerError, ValueError) as exc:
+        except TaggerError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_CONFIG
         except OSError as exc:

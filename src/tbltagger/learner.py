@@ -18,11 +18,14 @@ from each feature to the types holding it, sums those moves per key before
 writing each key once, and rescores only the keys they touch. Its
 candidate features list added affixes for the unknown types alone.
 Contextual learning counts the match sites of
-every candidate key in one pass over the tokens; accepting a rule visits
-only the sentences that hold its from_tag and the tags its context reads
-(``rules.context_args``), re-derives the counts of only the positions
-within the context window of a position it retagged, and rescores only the
-keys they touch. Rules apply left to right, so a later site sees an
+every candidate key from n-gram tallies: each distinct n-gram of tags,
+words and gold tags around a position is counted in C (``Counter``) and
+spells its keys once, weighted by its count. Accepting a rule visits only
+the sentences that hold its from_tag and the tags its context reads
+(``rules.context_args``), tallies the n-grams that read a position it
+retagged under the new tags minus the old, so that unchanged contexts
+cancel before any key is spelled, and rescores only the keys whose counts
+moved and the near keys of the changed sentences. Rules apply left to right, so a later site sees an
 earlier retag only through an offset its template reads on its left: the
 dynamic net equals the static count except where a match site has another
 from_tag position d tokens after it and the template reads offset -d, for
@@ -34,8 +37,9 @@ Both stages run on the tagger's code. Lexical candidates are the features
 ``rules.lexical_candidate_features`` lists, and a rule retags the types
 holding its feature. Contextual training starts from the
 tagger's ``rules.Tagger.initial``, templates come from ``CONTEXT_TABLE``
-and rules are applied by ``rules.rewrite_sentence``; only ``_count`` spells
-out the templates, for speed, and a test pins it to the table. The
+and rules are applied by ``rules.rewrite_sentence``; only ``_spell``,
+``_left`` and ``_right`` spell out the templates, for speed, and a test
+pins them to the table. The
 brute-force scorers the greedy steps are checked against live under
 ``tests/``.
 """
@@ -43,6 +47,7 @@ brute-force scorers the greedy steps are checked against live under
 from __future__ import annotations
 
 import bisect
+import itertools
 import logging
 import math
 import random
@@ -259,7 +264,9 @@ class _LexicalLearner:
             _add(dst, g, new_keys)
             touched.update(old_keys, new_keys)
         for key in touched:
-            self._rescore(key)
+            # _rescore does nothing to a key in neither table
+            if key in self.fixes or key in self.live:
+                self._rescore(key)
 
 
 def _sum(sums, keys, count):
@@ -383,6 +390,64 @@ def token_errors(state, gold) -> int:
 _TEMPLATE_NAMES = tuple(sorted(CONTEXTUAL_TEMPLATES))
 
 
+# what a column holds beyond either end of a sentence
+_PAD = (-1,) * CONTEXT_WINDOW
+# the positions whose n-grams a learner's first count tallies at once, so
+# that the corpus is never copied whole
+_BLOCK = 4096
+
+
+def _grams(t, w, g, lo, hi):
+    """The n-grams that read a position in lo..hi-1 of the columns ``t``,
+    ``w`` and ``g`` (tags, words and gold tags, each sentence with ``_PAD``
+    on either side), one iterator per family of a position with tag f and
+    gold tag g: (t-3, t-2, t-1, f, g) of positions lo..hi+2, (f, t+1, t+2,
+    t+3, g) of lo-3..hi-1, (t-1, f, t+1, g) of lo-1..hi, (w-1, f, g) and
+    (w+1, f, g) of lo..hi-1, t+d and w+d being the tag and word at p+d and
+    every position within 3..len(t)-4. A ``_PAD`` inside that range gives
+    n-grams whose f is -1, which ``_spell`` skips."""
+    def col(c, d, a, b):
+        return itertools.islice(c, a + d, b + d)
+    end = len(t) - 3
+    a, b = max(lo - 3, 3), min(hi + 3, end)
+    c, d = max(lo - 1, 3), min(hi + 1, end)
+    return (zip(col(t, -3, lo, b), col(t, -2, lo, b), col(t, -1, lo, b),
+                col(t, 0, lo, b), col(g, 0, lo, b)),
+            zip(col(t, 0, a, hi), col(t, 1, a, hi), col(t, 2, a, hi),
+                col(t, 3, a, hi), col(g, 0, a, hi)),
+            zip(col(t, -1, c, d), col(t, 0, c, d), col(t, 1, c, d),
+                col(g, 0, c, d)),
+            zip(col(w, -1, lo, hi), col(t, 0, lo, hi), col(g, 0, lo, hi)),
+            zip(col(w, 1, lo, hi), col(t, 0, lo, hi), col(g, 0, lo, hi)))
+
+
+def _update(correct, fixes, counts):
+    """Add each (class, count, keys) of ``counts`` to ``correct`` (key ->
+    count) under each key when its class is -1, and else to ``fixes`` (key
+    -> {class: count}), dropping counts that reach zero."""
+    for cls, c, keys in counts:
+        if cls < 0:
+            for k in keys:
+                n = correct.get(k, 0) + c
+                if n:
+                    correct[k] = n
+                else:
+                    del correct[k]
+            continue
+        for k in keys:
+            fx = fixes.get(k)
+            if fx is None:
+                fixes[k] = {cls: c}
+                continue
+            n = fx.get(cls, 0) + c
+            if n:
+                fx[cls] = n
+            elif len(fx) > 1:
+                del fx[cls]
+            else:
+                del fixes[k]
+
+
 class _ContextualLearner:
     """Exact greedy contextual learning that keeps its counts across steps.
 
@@ -414,17 +479,28 @@ class _ContextualLearner:
     (``context_args``; a word rule visits every sentence holding its
     from_tag): ``holders`` maps each tag to the sentences holding it. The
     order of visits does not matter, since every update is a sum or a
-    sorted insert. In each sentence it changed, the contributions of the
-    positions within CONTEXT_WINDOW of a retagged position are subtracted
-    under the old tags and added under the new ones. No other position's
-    keys or near status can change: the keys at position p read only the
-    tags at p-3..p+3, the words at p-1 and p+1 and the gold tag at p, and
-    its near status the tags at p..p+3. Since ``inter`` needs the near keys
-    of the whole sentence, the near keys of the positions outside that
-    window are added to both sides unchanged; they count as touched, since
-    their exact scores read the sentence. Only the keys so touched are
-    scored again. An untouched key keeps its exact score, so its bound, if
-    it holds one, stays sound though ``confusion`` moves.
+    sorted insert.
+
+    The counts come from n-gram tallies (see ``_grams``): five families of
+    n-grams of a position, each holding the tags, words and gold tag its
+    keys read. ``__init__`` tallies the whole corpus one family at a time,
+    and each distinct n-gram spells its keys once (``_spell``), weighted
+    by its count. In each sentence it changed, ``apply`` tallies the
+    n-grams that read a retagged position, under the new tags and, with
+    the opposite sign, the old, from the first retagged position - 3 to
+    the last + 3: no other n-gram changes, since a key at position p reads
+    only the tags at p-3..p+3, the words at p-1 and p+1 and the gold tag
+    at p. The changed sentences' n-grams are summed before any key is
+    spelled, so that unchanged contexts cancel, and the keys' moves are
+    summed before they are written (``_update``), so that a key whose
+    counts do not move is neither written nor touched. ``inter`` is kept
+    from each changed sentence's whole near keys (``_near``) under the old
+    and the new tags. Only the keys whose counts moved and the changed
+    sentences' near keys, whose exact scores read those sentences, are
+    scored again, and only if ``fixes`` or ``live`` holds them. An
+    untouched key keeps its static counts and its ``inter`` sentences, so
+    its live entry stays exact or stays a sound bound though
+    ``confusion`` moves.
     """
 
     def __init__(self, state, gold, threshold: int):
@@ -436,15 +512,14 @@ class _ContextualLearner:
         self.word_id = {w: i for i, w in enumerate(word_names)}
         self.T = len(tag_names)
         self.R = max(self.T, len(word_names), 1)
-        self.base = {name: rank * self.R * self.R * self.T
-                     for rank, name in enumerate(_TEMPLATE_NAMES)}
+        # the base key of each template, in the order of _TEMPLATE_NAMES
+        self.bases = tuple(rank * self.R * self.R * self.T
+                           for rank in range(len(_TEMPLATE_NAMES)))
         self.threshold = threshold
         self.words = [tuple(self.word_id[w] for w in words)
                       for words, _ in state]
         self.tags = [[self.tag_id[t] for t in tags] for _, tags in state]
         self.gold = [[self.tag_id[t] for t in gtags] for gtags in gold]
-        self.correct = {}       # key -> match sites already correct
-        self.fixes = {}         # key -> {gold tag: match sites in error}
         self.inter = {}         # tag key -> array of sentence numbers
         self.bounded = set()    # keys whose live entry holds a bound
         self.live = {}          # key -> {to_tag: (good, bad)}, net >= threshold
@@ -456,127 +531,137 @@ class _ContextualLearner:
                 self.holders[t].add(s)
             for t, g in zip(tags, self.gold[s]):
                 self.confusion[t][g] += 1
-            near = set()
-            self._count(s, tags, 1, None, near, range(len(tags)))
-            for k in near:
+            for k in self._near((*_PAD, *tags, *_PAD), 3, len(tags) + 3):
                 sents = self.inter.get(k)
                 if sents is None:
                     self.inter[k] = array("l", (s,))
                 else:
                     sents.append(s)
+        self.correct = {}   # key -> match sites already correct
+        self.fixes = {}     # key -> {gold tag: match sites in error}
+        _update(self.correct, self.fixes, self._spell(map(self._tally,
+                                                          range(5))))
         for key in self.fixes:
             self._rescore(key)
 
-    def _count(self, s, tags, sign, touched, near, positions):
-        """Add (sign 1) or subtract (sign -1) the match sites at
-        ``positions`` of sentence ``s`` under ``tags``; sign 0 counts
-        nothing. Every key seen goes into ``touched`` (unless None); a site
-        with a twin (its tag) d to its right puts into ``near`` its keys
-        whose template reads offset -d.
+    def _tally(self, family):
+        """The Counter of one family of ``_grams`` over the whole corpus,
+        summed block by block (about ``_BLOCK`` positions)."""
+        counts = Counter()
+        t, w, g = list(_PAD), list(_PAD), list(_PAD)
+        for s, tags in enumerate(self.tags):
+            t += tags
+            t += _PAD
+            w += self.words[s]
+            w += _PAD
+            g += self.gold[s]
+            g += _PAD
+            if len(t) > _BLOCK or s == len(self.tags) - 1:
+                counts.update(_grams(t, w, g, 3, len(t) - 3)[family])
+                del t[3:], w[3:], g[3:]
+        return counts
 
-        The keys of each template are written out here for speed rather
-        than read from ``CONTEXT_TABLE``; ``TestCountMatchesTemplateTable``
-        checks them against the table."""
-        words = self.words[s]
-        gtags = self.gold[s]
-        correct, fixes = self.correct, self.fixes
-        T = self.T
-        RT = self.R * T
-        base = self.base
-        PW, NW = base["PREVWD"], base["NEXTWD"]
-        PT, NT = base["PREVTAG"], base["NEXTTAG"]
-        P2, N2 = base["PREV2TAG"], base["NEXT2TAG"]
-        P12, N12 = base["PREV1OR2TAG"], base["NEXT1OR2TAG"]
-        P123, N123 = base["PREV1OR2OR3TAG"], base["NEXT1OR2OR3TAG"]
-        PB, NB, SR = base["PREVBIGRAM"], base["NEXTBIGRAM"], base["SURROUNDTAG"]
-        n = len(tags)
-        for p in positions:
-            f = tags[p]
-            keys = []
-            if p + 1 < n:
-                keys.append(NW + words[p + 1] * RT + f)
-                u1 = tags[p + 1]
-                y1 = u1 * RT + f
-                keys.append(NT + y1)
-                keys.append(N12 + y1)
-                keys.append(N123 + y1)
-                if p + 2 < n:
-                    u2 = tags[p + 2]
-                    y2 = u2 * RT + f
-                    keys.append(N2 + y2)
-                    if u2 != u1:
-                        keys.append(N12 + y2)
-                        keys.append(N123 + y2)
-                    keys.append(NB + y1 + u2 * T)
-                    if p + 3 < n:
-                        u3 = tags[p + 3]
-                        if u3 != u1 and u3 != u2:
-                            keys.append(N123 + u3 * RT + f)
-            # the tag keys that read offset -1 are keys[left:end], -2
-            # keys[mid:] and -3 keys[mid3:end]: PREVTAG and SURROUNDTAG,
-            # then PREV1OR2TAG and PREVBIGRAM, PREV1OR2OR3TAG, PREV2TAG
-            left = mid = mid3 = end = len(keys)
-            if p >= 1:
-                keys.append(PW + words[p - 1] * RT + f)
-                left = len(keys)
-                t1 = tags[p - 1]
-                x1 = t1 * RT + f
-                keys.append(PT + x1)
-                if p + 1 < n:
-                    keys.append(SR + x1 + u1 * T)
-                mid = len(keys)
-                keys.append(P12 + x1)
-                if p >= 2:
-                    t2 = tags[p - 2]
-                    x2 = t2 * RT + f
-                    if t2 != t1:
-                        keys.append(P12 + x2)
-                    keys.append(PB + x2 + t1 * T)
-                mid3 = len(keys)
-                keys.append(P123 + x1)
-                if p >= 2:
-                    if t2 != t1:
-                        keys.append(P123 + x2)
-                    if p >= 3:
-                        t3 = tags[p - 3]
-                        if t3 != t1 and t3 != t2:
-                            keys.append(P123 + t3 * RT + f)
-                    end = len(keys)
-                    keys.append(P2 + x2)
-                else:
-                    end = len(keys)
-            g = gtags[p]
-            if not sign:
-                pass  # only the near keys are asked for
-            elif g == f:
-                for k in keys:
-                    c = correct.get(k, 0) + sign
-                    if c:
-                        correct[k] = c
-                    else:
-                        del correct[k]
-            else:
-                for k in keys:
-                    fx = fixes.get(k)
-                    if fx is None:
-                        fixes[k] = {g: sign}
-                        continue
-                    c = fx.get(g, 0) + sign
-                    if c:
-                        fx[g] = c
-                    elif len(fx) > 1:
-                        del fx[g]
-                    else:
-                        del fixes[k]
-            if touched is not None:
-                touched.update(keys)
-            if f in tags[p + 1:p + 1 + CONTEXT_WINDOW]:
-                if tags[p + 1] == f:
-                    near.update(keys[left:end])
-                if p + 2 < n and tags[p + 2] == f:
-                    near.update(keys[mid:])
-                if p + 3 < n and tags[p + 3] == f:
+    def _near(self, t, lo, hi):
+        """The near keys of the positions lo..hi-1 of the tags ``t``, a
+        sentence with ``_PAD`` on either side: the keys of a site with a
+        twin (its tag) d to its right whose template reads offset -d."""
+        T, R, SR = self.T, self.R, self.bases[-1]
+        near = set()
+        for t3, t2, t1, f, u1, u2, u3 in zip(
+                t[lo - 3:hi - 3], t[lo - 2:hi - 2], t[lo - 1:hi - 1],
+                t[lo:hi], t[lo + 1:hi + 1], t[lo + 2:hi + 2],
+                t[lo + 3:hi + 3]):
+            if t1 >= 0 and (f == u1 or f == u2 or f == u3):
+                keys, mid3, end = self._left(t3, t2, t1, f)
+                if u1 == f:
+                    near.update(keys[:end])
+                    near.add(SR + (t1 * R + f) * T + f)
+                if u2 == f:
+                    near.update(keys[1:])
+                if u3 == f:
                     near.update(keys[mid3:end])
+        return near
+
+    def _left(self, t3, t2, t1, f):
+        """(keys, mid3, end): the keys of the tag templates that read only
+        to the left of a site of from_tag ``f``, whose tags 1, 2 and 3 to
+        the left are t1 >= 0, t2 and t3 (-1 outside the sentence). The
+        keys reading offset -1 are ``keys[:end]`` (all but PREV2TAG), -2
+        ``keys[1:]`` (all but PREVTAG) and -3 ``keys[mid3:end]``
+        (PREV1OR2OR3TAG)."""
+        T, RT = self.T, self.R * self.T
+        _, _, _, _, _, _, P123, P12, P2, PB, PT, _, _ = self.bases
+        x1 = t1 * RT + f
+        keys = [PT + x1, P12 + x1]
+        if t2 < 0:
+            keys.append(P123 + x1)
+            return keys, 2, 3
+        x2 = t2 * RT + f
+        if t2 != t1:
+            keys.append(P12 + x2)
+        keys.append(PB + x2 + t1 * T)
+        mid3 = len(keys)
+        keys.append(P123 + x1)
+        if t2 != t1:
+            keys.append(P123 + x2)
+        if t3 >= 0 and t3 != t1 and t3 != t2:
+            keys.append(P123 + t3 * RT + f)
+        keys.append(P2 + x2)
+        return keys, mid3, len(keys) - 1
+
+    def _right(self, f, u1, u2, u3):
+        """The keys of the tag templates that read only to the right of a
+        site of from_tag ``f``, whose tags 1, 2 and 3 to the right are u1
+        >= 0, u2 and u3 (-1 outside the sentence)."""
+        T, RT = self.T, self.R * self.T
+        N123, N12, N2, NB, NT, _, _, _, _, _, _, _, _ = self.bases
+        y1 = u1 * RT + f
+        keys = [NT + y1, N12 + y1, N123 + y1]
+        if u2 >= 0:
+            y2 = u2 * RT + f
+            keys.append(N2 + y2)
+            if u2 != u1:
+                keys.append(N12 + y2)
+                keys.append(N123 + y2)
+            keys.append(NB + y1 + u2 * T)
+            if u3 >= 0 and u3 != u1 and u3 != u2:
+                keys.append(N123 + u3 * RT + f)
+        return keys
+
+    def _spell(self, tallies):
+        """(class, count, keys) of each n-gram in ``tallies``, the Counters
+        of the families of ``_grams`` in its order: the keys it spells and
+        its class, -1 for a correct site and else its gold tag. A family's
+        Counter is taken from ``tallies`` only once the one before is
+        spelled, and emptied then, so that a lazy ``tallies`` holds one at a
+        time. The keys of each template are spelled out here, in ``_left``
+        and in ``_right`` for speed rather than read from
+        ``CONTEXT_TABLE``; ``TestCountMatchesTemplateTable`` checks them
+        against the table."""
+        T, RT = self.T, self.R * self.T
+        NW, PW, SR = self.bases[5], self.bases[11], self.bases[12]
+        tallies = iter(tallies)
+        counts = next(tallies)
+        for (t3, t2, t1, f, g), c in counts.items():
+            if c and f >= 0 and t1 >= 0:
+                yield -1 if g == f else g, c, self._left(t3, t2, t1, f)[0]
+        counts.clear()
+        counts = next(tallies)
+        for (f, u1, u2, u3, g), c in counts.items():
+            if c and f >= 0 and u1 >= 0:
+                yield -1 if g == f else g, c, self._right(f, u1, u2, u3)
+        counts.clear()
+        counts = next(tallies)
+        for (t1, f, u1, g), c in counts.items():
+            if c and f >= 0 and t1 >= 0 and u1 >= 0:
+                yield -1 if g == f else g, c, (SR + t1 * RT + f + u1 * T,)
+        counts.clear()
+        for base in PW, NW:
+            counts = next(tallies)
+            for (w, f, g), c in counts.items():
+                if c and f >= 0 and w >= 0:
+                    yield -1 if g == f else g, c, (base + w * RT + f,)
+            counts.clear()
 
     def _decode(self, key):
         """(template, coded args, coded from_tag) of a key, which is
@@ -703,6 +788,8 @@ class _ContextualLearner:
                                 tuple(ids[a] for a in rule.args))
         frm, to = self.tag_id[rule.from_tag], self.tag_id[rule.to_tag]
         touched = set()
+        was = [Counter() for _ in range(5)]
+        now = [Counter() for _ in range(5)]
         holders = self.holders[frm]
         for s in holders.intersection(*(self.holders[t]
                                         for t in context_args(checks))):
@@ -720,26 +807,18 @@ class _ContextualLearner:
             for p in moved:
                 self.confusion[frm][gtags[p]] -= 1
                 self.confusion[to][gtags[p]] += 1
-            # only the keys and near status of the positions within the
-            # window of a moved position can change
-            n = len(old)
-            window = {q for p in moved
-                      for q in range(max(p - CONTEXT_WINDOW, 0),
-                                     min(p + CONTEXT_WINDOW + 1, n))}
-            was_near, now_near = set(), set()
-            self._count(s, old, -1, touched, was_near, window)
-            self._count(s, new, 1, touched, now_near, window)
-            # ``inter`` needs the sentence's near keys outside the window
-            # too, the same in both; their exact scores read the sentence,
-            # so they are touched, and no other key there reads it
-            twins = [p for p in range(n) if p not in window
-                     and old[p] in old[p + 1:p + 1 + CONTEXT_WINDOW]]
-            if twins:
-                outside = set()
-                self._count(s, old, 0, None, outside, twins)
-                was_near |= outside
-                now_near |= outside
-                touched |= outside
+            w = (*_PAD, *self.words[s], *_PAD)
+            g = (*_PAD, *gtags, *_PAD)
+            old, new = (*_PAD, *old, *_PAD), (*_PAD, *new, *_PAD)
+            lo, hi = moved[0] + 3, moved[-1] + 4
+            for counts, grams in zip(was, _grams(old, w, g, lo, hi)):
+                counts.update(grams)
+            for counts, grams in zip(now, _grams(new, w, g, lo, hi)):
+                counts.update(grams)
+            was_near = self._near(old, 3, len(old) - 3)
+            now_near = self._near(new, 3, len(new) - 3)
+            touched |= was_near
+            touched |= now_near
             for k in was_near - now_near:
                 sents = self.inter[k]
                 if len(sents) == 1:
@@ -752,8 +831,20 @@ class _ContextualLearner:
                     self.inter[k] = array("l", (s,))
                 else:
                     sents.insert(bisect.bisect_left(sents, s), s)
+        for counts, old_counts in zip(now, was):
+            counts.subtract(old_counts)
+        # the moves summed per key first, so that a key whose counts do not
+        # move is neither written nor touched
+        correct, fixes = {}, {}
+        _update(correct, fixes, self._spell(now))
+        touched.update(correct, fixes)
+        _update(self.correct, self.fixes, itertools.chain(
+            ((-1, c, (k,)) for k, c in correct.items()),
+            ((g, c, (k,)) for k, by_gold in fixes.items()
+             for g, c in by_gold.items())))
         for key in touched:
-            self._rescore(key)
+            if key in self.fixes or key in self.live:
+                self._rescore(key)
 
 
 def learn_contextual_rules(train: TaggedCorpus, lexicon: Lexicon,

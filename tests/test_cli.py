@@ -68,6 +68,18 @@ class TestTrain:
         assert manifest["format_version"] == 1
         assert manifest["seed"] == 0
 
+    def test_value_error_inside_training_is_not_a_refusal(
+            self, workspace, tmp_path, monkeypatch):
+        # only a TaggerError is a refusal (exit 2): a ValueError from a
+        # fault in the learner propagates with its traceback
+        def broken(train, config):
+            raise ValueError("a fault in the learner")
+        monkeypatch.setattr(cli, "train_model_and_errors", broken)
+        with pytest.raises(ValueError, match="a fault in the learner"):
+            main(["train", "--corpus", str(workspace["corpus"]),
+                  "--tagset", str(workspace["tagset"]),
+                  "--out", str(tmp_path / "m")])
+
     def test_summary_on_stdout(self, workspace, tmp_path, capsys):
         code = main(["train", "--corpus", str(workspace["corpus"]),
                      "--tagset", str(workspace["tagset"]),
@@ -633,6 +645,15 @@ class TestBadFlagValues:
         code, err = self._run(workspace, command, values)
         assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA}, values
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in FLAG_VALUES.items()
+        for flag, value in flags.items() if value.startswith("/")])
+    def test_nul_in_a_path_exits_2_naming_it(self, workspace, command, flag):
+        values = dict(FLAG_VALUES[command])
+        values[flag] = "x\x00y"
+        assert self._run(workspace, command, values) == (
+            EXIT_CONFIG, "error: path 'x\\x00y' holds a NUL byte\n")
 
 
 class TestEval:

@@ -791,9 +791,10 @@ class TestIncrementalLexicalLearner:
 
 
 class TestCountMatchesTemplateTable:
-    """``_ContextualLearner._count`` is written out per template for speed;
-    the keys it emits must be exactly the instantiations the template table
-    gives, at every position and every distance from the sentence edges."""
+    """``_ContextualLearner._spell``, ``_left`` and ``_right`` write the
+    keys out per template for speed; the keys they emit must be exactly
+    the instantiations the template table gives, at every position and
+    every distance from the sentence edges."""
 
     @staticmethod
     def _decode(learner, key):

@@ -52,6 +52,16 @@ def test_work_stays_under_its_ceilings(monkeypatch):
           "learner._LexicalLearner._rescore")
     count(learner_module, "_add", "learner._add keys",
           lambda table, gold, deltas: len(deltas))
+    update = learner_module._update
+
+    def counted_update(correct, fixes, moves):
+        # the keys the contextual learner's tables and sums take: spelled
+        # once per distinct n-gram, not once per position
+        moves = list(moves)
+        counts["learner._update keys"] += sum(len(keys)
+                                              for _, _, keys in moves)
+        return update(correct, fixes, moves)
+    monkeypatch.setattr(learner_module, "_update", counted_update)
     model = train_model(select_sentences(corpus, range(500)), TrainConfig())
     count(rules_module, "rewrite_sentence",
           "rules.rewrite_sentence while tagging")
