@@ -173,8 +173,7 @@ class _LexicalLearner:
         self.tags = dict(tags)
         self.targets = targets
         self.threshold = threshold
-        self.feature_names = sorted({f for feats in features.values()
-                                     for f in feats})
+        self.feature_names = sorted(set().union(*features.values()))
         self.tag_names = ("",) + tuple(sorted(
             set(self.tags.values()) | {gold for gold, _ in targets.values()}))
         self.slot = {t: i for i, t in enumerate(self.tag_names)}
@@ -503,7 +502,11 @@ class _ContextualLearner:
     ``confusion`` moves.
     """
 
-    def __init__(self, state, gold, threshold: int):
+    def __init__(self, names: list, threshold: int):
+        # names is [state, gold] of initial_contextual_state, emptied so
+        # that the names are freed once coded, before the first count
+        state, gold = names
+        names.clear()
         tag_names = sorted({t for _, tags in state for t in tags}
                            | {t for gtags in gold for t in gtags})
         word_names = sorted({w for words, _ in state for w in words})
@@ -520,6 +523,7 @@ class _ContextualLearner:
                       for words, _ in state]
         self.tags = [[self.tag_id[t] for t in tags] for _, tags in state]
         self.gold = [[self.tag_id[t] for t in gtags] for gtags in gold]
+        del state, gold
         self.inter = {}         # tag key -> array of sentence numbers
         self.bounded = set()    # keys whose live entry holds a bound
         self.live = {}          # key -> {to_tag: (good, bad)}, net >= threshold
@@ -857,11 +861,11 @@ def learn_contextual_rules(train: TaggedCorpus, lexicon: Lexicon,
 def _learn_contextual(train, lexicon, lexical_rules, chain, config) -> tuple:
     """(rules, errors): ``learn_contextual_rules``'s rules and the tokens
     of ``train`` still tagged wrongly after them."""
-    state, gold = initial_contextual_state(train, lexicon, lexical_rules, chain)
+    names = list(initial_contextual_state(train, lexicon, lexical_rules,
+                                          chain))
     return _greedy("contextual",
-                   lambda: _ContextualLearner(state, gold,
-                                              config.score_threshold),
-                   token_errors(state, gold), config)
+                   lambda: _ContextualLearner(names, config.score_threshold),
+                   token_errors(*names), config)
 
 
 def train_model(train: TaggedCorpus,

@@ -252,7 +252,9 @@ def lexical_candidate_features(words, lexicon: Lexicon,
     lexicon entry), those of the templates that delete kept where
     ``remainder_known`` finds the remainder in the lexicon. One pass over the
     lexicon lists the added affixes, kept only for the words asked
-    about."""
+    about. Equal features are one object, shared by every word holding
+    them, so the result grows with the distinct features, not with the
+    words times their features."""
     words = dict.fromkeys(words)
     add_suf = {word: [] for word in words}
     add_pref = {word: [] for word in words}
@@ -262,17 +264,18 @@ def lexical_candidate_features(words, lexicon: Lexicon,
                 add_suf[other[:-k]].append(other[-k:])
             if other[k:] in add_pref:
                 add_pref[other[k:]].append(other[:k])
-    features = {}
+    features, shared = {}, {}
     for word in words:
         lengths = range(1, min(max_affix_len, len(word)) + 1)
         keys = {SUFFIX: [word[-k:] for k in lengths],
                 PREFIX: [word[:k] for k in lengths], CHAR: sorted(set(word)),
                 ADDED_SUFFIX: add_suf[word], ADDED_PREFIX: add_pref[word]}
-        features[word] = tuple(
-            (template, arg)
-            for template, (key, deletes) in LEXICAL_TABLE.items()
-            for arg in keys[key]
-            if not deletes or remainder_known(template, arg, word, lexicon))
+        feats = [(template, arg)
+                 for template, (key, deletes) in LEXICAL_TABLE.items()
+                 for arg in keys[key] if not deletes
+                 or remainder_known(template, arg, word, lexicon)]
+        # interned in C: each feature's first object stands for all
+        features[word] = tuple(map(shared.setdefault, feats, feats))
     return features
 
 

@@ -3,6 +3,7 @@ aggregated greedy step with direct per-candidate scoring, and monotonicity."""
 
 import logging
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -225,9 +226,11 @@ class TestLexicalCandidateFeatures:
         # only DELETEPREF and DELETESUF arguments are checked; the others
         # must match by construction
         lexicon = Lexicon({w: (("NN", 1),) for w in entries})
+        shared = {}  # feature -> its one object
         for word, feats in candidate_features(words + entries, lexicon,
                                               max_affix_len).items():
             assert len(set(feats)) == len(feats)
+            assert all(shared.setdefault(f, f) is f for f in feats)
             assert set(feats) == fully_checked_features(word, lexicon,
                                                         max_affix_len)
             order = [LEXICAL_TEMPLATES.index(t) for t, _ in feats]
@@ -350,7 +353,7 @@ def assert_contextual_steps_agree(state, gold, threshold, steps):
     those of a learner built afresh from the new tags, once the bounds in
     both are scored exactly. Returns the rules accepted."""
     state = [(words, list(tags)) for words, tags in state]
-    learner = _ContextualLearner(state, gold, threshold)
+    learner = _ContextualLearner([state, gold], threshold)
     rules = []
     for _ in range(steps):
         got = learner.best()
@@ -364,7 +367,7 @@ def assert_contextual_steps_agree(state, gold, threshold, steps):
         for words, tags in state:
             apply_contextual_rule(got[0], words, tags)
         rules.append(got[0])
-        fresh = _ContextualLearner(state, gold, threshold)
+        fresh = _ContextualLearner([state, gold], threshold)
         assert contextual_counts(learner, exact_live(learner)) == \
             contextual_counts(fresh, exact_live(fresh))
     return rules
@@ -445,7 +448,7 @@ class TestIncrementalContextualLearner:
         state = [(tuple(w for w, _, _ in sent), [t for _, t, _ in sent])
                  for sent in sentences]
         gold = [[g for _, _, g in sent] for sent in sentences]
-        learner = _ContextualLearner(state, gold, threshold)
+        learner = _ContextualLearner([state, gold], threshold)
         for _ in range(6):
             exact = exact_live(learner, list(learner.fixes))
             for key, cands in exact.items():
@@ -468,7 +471,7 @@ class TestIncrementalContextualLearner:
         state = [(tuple(w for w, _, _ in sent), [t for _, t, _ in sent])
                  for sent in sentences]
         gold = [[g for _, _, g in sent] for sent in sentences]
-        learner = _ContextualLearner(state, gold, threshold)
+        learner = _ContextualLearner([state, gold], threshold)
         for _ in range(6):
             for key, fx in learner.fixes.items():
                 if key in learner.inter:
@@ -815,7 +818,7 @@ class TestCountMatchesTemplateTable:
             # so the keys counted under that gold tag are exactly p's keys
             gold = list(tags)
             gold[p] = "Z"
-            learner = _ContextualLearner([(words, tags)], [gold], 1)
+            learner = _ContextualLearner([[(words, tags)], [gold]], 1)
             z = learner.tag_id["Z"]
             emitted = [key for key, fx in learner.fixes.items() if z in fx]
             assert all(learner.fixes[key][z] == 1 for key in emitted)
@@ -825,7 +828,7 @@ class TestCountMatchesTemplateTable:
 
         # a site with another token of its tag d to the right marks as near
         # the keys of the tag templates that read offset -d, and no others
-        learner = _ContextualLearner([(words, tags)], [list(tags)], 1)
+        learner = _ContextualLearner([[(words, tags)], [list(tags)]], 1)
         near = set()
         for p in range(len(tags)):
             for d in range(1, CONTEXT_WINDOW + 1):
@@ -1000,6 +1003,31 @@ class TestLearnContextualRules:
         for words, tags in state:
             apply_contextual_rule(first, words, tags)
         assert token_errors(state, gold) == 0
+
+    def test_names_are_freed_before_the_first_count(self, monkeypatch):
+        # the learner codes the name-level state and gold, then drops the
+        # last references to them, so its first count does not sit on top
+        class Names(list):
+            pass
+        refs, alive = [], []
+        initial = learner_module.initial_contextual_state
+        tally = _ContextualLearner._tally
+
+        def weak_initial(*args):
+            state, gold = map(Names, initial(*args))
+            refs.extend((weakref.ref(state), weakref.ref(gold)))
+            return state, gold
+
+        def checked_tally(self, family):
+            if not alive:
+                alive.append([ref() is not None for ref in refs])
+            return tally(self, family)
+        monkeypatch.setattr(learner_module, "initial_contextual_state",
+                            weak_initial)
+        monkeypatch.setattr(_ContextualLearner, "_tally", checked_tally)
+        corpus = generate_synthetic_corpus(mini_spec(6, n_sentences=80))
+        assert train_model(corpus, TrainConfig(seed=3)).contextual_rules
+        assert alive == [[False, False]]
 
     def test_error_count_strictly_decreases(self):
         corpus = generate_synthetic_corpus(mini_spec(6, n_sentences=80))

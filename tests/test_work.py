@@ -1,13 +1,15 @@
 """The algorithms' work on one fixed, seeded workload, counted through
 wrappers and held under the ceilings in ``work_ceilings.json``.
 
-Losing a filter, a skip or a memo of the learner or the tagger (the
-left-offset filter of the contextual learner's ``near`` keys, the
-``context_args`` filter of a transducer stage, the transducer's memo of
-its transitions, a stage's early emission of the symbols it decides)
-keeps every model and output byte-identical, so no output test notices
-it; these counts do. The tagger is counted twice: with the model trained
-on the sentences as they are, whose rules read to the left, and with one
+Losing a filter, a skip, a memo or a sharing of the learner or the
+tagger (the left-offset filter of the contextual learner's ``near`` keys,
+the ``context_args`` filter of a transducer stage, the transducer's memo
+of its transitions, a stage's early emission of the symbols it decides,
+the one object per distinct lexical candidate feature) keeps every model
+and output byte-identical, so no output test notices it; these counts
+do. The features are counted as the distinct objects in the lists the
+learner is given. The tagger is counted twice: with the model trained on
+the sentences as they are, whose rules read to the left, and with one
 trained on them reversed, whose rules read to the right. A change that
 cuts work lowers the ceilings it cuts in the same change."""
 
@@ -62,6 +64,16 @@ def test_work_stays_under_its_ceilings(monkeypatch):
                                               for _, _, keys in moves)
         return update(correct, fixes, moves)
     monkeypatch.setattr(learner_module, "_update", counted_update)
+    features = learner_module.lexical_candidate_features
+
+    def counted_features(*args):
+        # one object per distinct feature, not one per word and feature
+        result = features(*args)
+        counts["rules.lexical_candidate_features objects"] += len(
+            {id(f) for feats in result.values() for f in feats})
+        return result
+    monkeypatch.setattr(learner_module, "lexical_candidate_features",
+                        counted_features)
     model = train_model(select_sentences(corpus, range(500)), TrainConfig())
     count(rules_module, "rewrite_sentence",
           "rules.rewrite_sentence while tagging")
